@@ -9,14 +9,7 @@ balanced refinement (double the points, widen the extents by sqrt 2).
 
 import numpy as np
 
-from hywbench import (
-    bq_oplus_norm,
-    check_plancherel,
-    fourier_transform_p,
-    lp_norm_G,
-    make_group,
-    sample,
-)
+from hywbench import check_plancherel, make_group, sample
 from hywbench.grids import TestFunctionSpec
 from hywbench.verify import default_grids, default_sampling_config
 
@@ -27,12 +20,10 @@ n_grids, h_grid = default_grids("axb")
 spec = TestFunctionSpec(kind="gaussian", center_n=(0.0,), width_n=(1.0,))
 g = sample(spec, n_grids, h_grid, model)
 
-field = fourier_transform_p(g, dual, 2.0)
-lhs = bq_oplus_norm(field, 2.0) ** 2
-rhs = lp_norm_G(g, 2.0) ** 2
-print(f"axb: direct-integral norm^2 = {lhs:.8f}")
-print(f"axb: ||g||_2^2              = {rhs:.8f}  (exact: pi e^0.25 = {np.pi * np.exp(0.25):.8f})")
-print(f"axb: relative error         = {abs(lhs - rhs) / rhs:.3e}")
+r = check_plancherel(g, dual)
+print(f"axb: direct-integral norm^2 = {r.lhs:.8f}")
+print(f"axb: ||g||_2^2              = {r.rhs:.8f}  (exact: pi e^0.25 = {np.pi * np.exp(0.25):.8f})")
+print(f"axb: relative error         = {abs(r.lhs - r.rhs) / r.rhs:.3e}")
 
 # one balanced refinement cuts the quadrature error by more than an order
 fine_n = [gr.balanced_refine() for gr in n_grids]

@@ -4,11 +4,8 @@ connect it to the classical Hausdorff-Young theorem.
 """
 
 from .groups import (
-    DualOrbitModel,
     DualSamplingConfig,
     GroupElement,
-    GroupExtensionModel,
-    GROUP_NAMES,
     character_value,
     make_axb,
     make_group,
@@ -36,27 +33,10 @@ from .schatten import (
     schatten_norm,
     weighted_operator_matrix,
 )
-from .transform import (
-    CharacterSlice,
-    FormalDimensionOperator,
-    FourierField,
-    assemble_kernel,
-    bq_oplus_norm,
-    fourier_along_N,
-    fourier_transform_p,
-    induced_rep_apply,
-    induced_rep_matrix,
-    kernel_from_pair_table,
-    pair_rows,
-)
 from .verify import (
-    TOLERANCES,
-    CheckResult,
     babenko_constant,
-    check_gaussian_extremality,
     check_hausdorff_young,
     check_minkowski,
-    check_nilpotent_bound,
     check_plancherel,
     check_proof_chain,
     check_russo_fournier,
@@ -67,11 +47,8 @@ from .verify import (
 )
 
 __all__ = [
-    "DualOrbitModel",
     "DualSamplingConfig",
     "GroupElement",
-    "GroupExtensionModel",
-    "GROUP_NAMES",
     "character_value",
     "make_axb",
     "make_group",
@@ -94,24 +71,9 @@ __all__ = [
     "russo_gap",
     "schatten_norm",
     "weighted_operator_matrix",
-    "CharacterSlice",
-    "FormalDimensionOperator",
-    "FourierField",
-    "assemble_kernel",
-    "bq_oplus_norm",
-    "fourier_along_N",
-    "fourier_transform_p",
-    "induced_rep_apply",
-    "induced_rep_matrix",
-    "kernel_from_pair_table",
-    "pair_rows",
-    "TOLERANCES",
-    "CheckResult",
     "babenko_constant",
-    "check_gaussian_extremality",
     "check_hausdorff_young",
     "check_minkowski",
-    "check_nilpotent_bound",
     "check_plancherel",
     "check_proof_chain",
     "check_russo_fournier",

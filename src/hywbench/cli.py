@@ -15,20 +15,15 @@ is written atomically (temp file, then rename) even when checks fail.
 
 Exit codes: 0 all selected checks pass, 1 at least one check failed,
 2 configuration or usage error.
-
-``HYW_THREADS`` sets the worker-thread count used to spread independent
-fixtures of a family across a pool; results are merged in a canonical order
-by a single writer, so the report does not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import datetime
-import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -62,6 +57,10 @@ class ConfigError(ValueError):
     """Invalid run configuration; maps to exit code 2."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
     group: str = "axb"
@@ -79,26 +78,45 @@ class RunConfig:
     def validate(self):
         if self.group not in GROUP_NAMES:
             raise ConfigError(f"unknown group {self.group!r}; choose from {GROUP_NAMES}")
-        if not self.p:
+        try:
+            ps = [float(p) for p in self.p]
+        except (TypeError, ValueError):
+            raise ConfigError(f"exponents p={self.p!r} are not a list of numbers") from None
+        if not ps:
             raise ConfigError("need at least one exponent p")
-        for p in self.p:
-            if not 1.0 < float(p) <= 2.0:
+        for p in ps:
+            if not 1.0 < p <= 2.0:
                 raise ConfigError(f"exponent p={p} outside (1, 2]")
         for label, size in (("grid-n", self.grid_n), ("grid-h", self.grid_h)):
-            if size is not None and (size < 4 or size & (size - 1)):
-                raise ConfigError(f"{label}={size} is not a power of two >= 4")
-        if self.seed is None:
-            raise ConfigError("seed is required for a reproducible run")
+            if size is not None and not (_is_int(size) and size >= 4 and not size & (size - 1)):
+                raise ConfigError(f"{label}={size!r} is not an integer power of two >= 4")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError(f"seed={self.seed!r} is not a nonnegative integer")
         if self.constants not in ("sharp", "classical"):
             raise ConfigError(f"unknown constant regime {self.constants!r}")
+        if not isinstance(self.tolerances, dict):
+            raise ConfigError("tolerances must map tolerance classes to numbers")
         unknown = set(self.tolerances) - set(verify.TOLERANCES)
         if unknown:
             raise ConfigError(f"unknown tolerance classes {sorted(unknown)}")
-        bad = [c for c in self.checks if c and c != "all" and c not in CHECK_FAMILIES]
+        for name, tol in self.tolerances.items():
+            if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol >= 0):
+                raise ConfigError(f"tolerance {name}={tol!r} is not a finite number >= 0")
+        bad = [
+            c
+            for c in self.checks
+            if not isinstance(c, str) or (c and c != "all" and c not in CHECK_FAMILIES)
+        ]
         if bad:
             raise ConfigError(
                 f"unknown checks {bad}; valid: {', '.join(CHECK_FAMILIES)} (or 'all')"
             )
+        if not isinstance(self.out, str):
+            raise ConfigError(f"out={self.out!r} is not a path")
+        try:
+            self.grids()
+        except (TypeError, ValueError, IndexError) as exc:
+            raise ConfigError(f"bad grid extents: {exc}") from None
         return self
 
     def selected_families(self):
@@ -123,27 +141,6 @@ class RunConfig:
         if self.h_extent is not None:
             base["h_extent"] = tuple(self.h_extent)
         return make_grids(**base)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("HYW_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"HYW_THREADS={raw!r} is not an integer") from exc
-    if n < 1:
-        raise ConfigError("HYW_THREADS must be >= 1")
-    return n
-
-
-def _map(fn, items):
-    """Order-preserving map, threaded when HYW_THREADS > 1."""
-    items = list(items)
-    workers = _worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @contextlib.contextmanager
@@ -172,28 +169,28 @@ def _fixture_pool(cfg: RunConfig, gaussians: int, randoms: int):
 def _family_plancherel(cfg):
     _, dual = make_group(cfg.group)
     sampling = default_sampling_config(cfg.group)
-    return _map(lambda g: check_plancherel(g, dual, sampling), _fixture_pool(cfg, 5, 5))
+    return [check_plancherel(g, dual, sampling) for g in _fixture_pool(cfg, 5, 5)]
 
 
 def _family_hausdorff_young(cfg):
     _, dual = make_group(cfg.group)
     sampling = default_sampling_config(cfg.group)
     pool = _fixture_pool(cfg, 2, 4)
-    jobs = [(g, p) for p in cfg.p for g in pool]
-    return _map(
-        lambda job: check_hausdorff_young(job[0], dual, job[1], cfg.constants, sampling), jobs
-    )
+    return [
+        check_hausdorff_young(g, dual, p, cfg.constants, sampling) for p in cfg.p for g in pool
+    ]
 
 
 def _family_proof_chain(cfg):
     _, dual = make_group(cfg.group)
     sampling = default_sampling_config(cfg.group)
     pool = _fixture_pool(cfg, 2, 1)
-    jobs = [(g, p) for p in cfg.p for g in pool]
-    nested = _map(
-        lambda job: check_proof_chain(job[0], dual, job[1], cfg.constants, sampling), jobs
-    )
-    return [r for chunk in nested for r in chunk]
+    return [
+        r
+        for p in cfg.p
+        for g in pool
+        for r in check_proof_chain(g, dual, p, cfg.constants, sampling)
+    ]
 
 
 def _family_semi_invariance(cfg):
@@ -218,12 +215,11 @@ def _family_nilpotent(cfg):
     _, dual = make_group(cfg.group)
     sampling = default_sampling_config(cfg.group)
     pool = _fixture_pool(cfg, 2, 3)
-    jobs = [(g, p) for p in cfg.p if p < 2.0 for g in pool]
-    return _map(lambda job: check_nilpotent_bound(job[0], dual, job[1], sampling), jobs)
+    return [check_nilpotent_bound(g, dual, p, sampling) for p in cfg.p if p < 2.0 for g in pool]
 
 
 def _family_extremality(cfg):
-    return _map(lambda p: check_gaussian_extremality(cfg.group, p), list(cfg.p))
+    return [check_gaussian_extremality(cfg.group, p) for p in cfg.p]
 
 
 def _family_schatten(cfg):
@@ -295,7 +291,6 @@ def _summary(records):
 def run_suite(cfg: RunConfig, stream=None):
     """Execute the selected families; returns (records, summary, report text)."""
     cfg.validate()
-    _worker_count()  # surface a malformed HYW_THREADS before any computation
     echo = asdict(cfg)
     echo.pop("out")  # destination is not part of the deterministic body
     echo["p"] = list(map(float, cfg.p))
@@ -463,15 +458,14 @@ def _load_config_file(path):
 
 def build_config(args) -> RunConfig:
     data = _load_config_file(args.config) if args.config else {}
-    if "p" in data and not isinstance(data["p"], (list, tuple)):
-        data["p"] = [data["p"]]
+    for key in ("p", "checks"):
+        if key in data and not isinstance(data[key], (list, tuple)):
+            data[key] = [data[key]]
     cfg = RunConfig(**data)
     if args.group is not None:
         cfg.group = args.group
     if args.p is not None:
         cfg.p = _parse_p(args.p)
-    else:
-        cfg.p = tuple(float(v) for v in cfg.p)
     if args.grid_n is not None:
         cfg.grid_n = args.grid_n
     if args.grid_h is not None:
@@ -486,7 +480,9 @@ def build_config(args) -> RunConfig:
         cfg.constants = args.constants
     if args.out is not None:
         cfg.out = args.out
-    return cfg.validate()
+    cfg.validate()
+    cfg.p = tuple(float(v) for v in cfg.p)
+    return cfg
 
 
 def _build_parser():

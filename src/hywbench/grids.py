@@ -37,6 +37,7 @@ __all__ = [
     "sample",
     "sample_from_callable",
     "lp_norm_G",
+    "modular_on_grid",
     "save_sampled",
     "load_sampled",
     "fixture_checksum",
@@ -114,6 +115,16 @@ def make_grids(
     return n_grids, h_grid
 
 
+def modular_on_grid(model: GroupExtensionModel, h_grid: Grid1D) -> np.ndarray:
+    """Delta_G at every H-grid point (the Haar density against dn dt).
+
+    Evaluated point by point with the model's scalar functions, so the values
+    do not depend on how a vectorized exp rounds.
+    """
+    par, mod = model.h_parametrization, model.modular_on_H
+    return np.array([mod(par(t)) for t in h_grid.points()])
+
+
 @dataclass(frozen=True)
 class TestFunctionSpec:
     """Recipe for a deterministic test function.
@@ -176,14 +187,9 @@ class SampledFunction:
             w = np.multiply.outer(w, g.weights()).ravel()
         return w
 
-    def modular_h(self) -> np.ndarray:
-        """Delta_G at every H-grid point (the Haar density against dn dt)."""
-        par, mod = self.model.h_parametrization, self.model.modular_on_H
-        return np.array([mod(par(t)) for t in self.h_grid.points()])
-
     def h_measure(self) -> np.ndarray:
         """Quadrature weights on H including the modular density."""
-        return self.h_grid.weights() * self.modular_h()
+        return self.h_grid.weights() * modular_on_grid(self.model, self.h_grid)
 
     def flat_n(self) -> np.ndarray:
         """Values reshaped to (N-flat, H)."""

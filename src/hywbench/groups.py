@@ -30,7 +30,7 @@ Haar measure of H is dt.  For ax+b that is t = log a; for Heisenberg, t = x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -95,9 +95,6 @@ class GroupExtensionModel:
         """Cross-section H -> G, h |-> (0, h)."""
         return GroupElement(np.zeros(self.dim_N), h)
 
-    def embed_n(self, n) -> GroupElement:
-        return GroupElement(n, self.h_identity)
-
     # -- group operations ------------------------------------------------------
 
     def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
@@ -141,12 +138,6 @@ class GroupExtensionModel:
         a = self.conjugation_matrix(self.h_inverse(h))
         return a.T @ np.atleast_1d(np.asarray(omega, dtype=float))
 
-    # -- measures ---------------------------------------------------------------
-
-    def haar_weight(self, n, t) -> float:
-        """Left Haar density of G at (n, t) against the coordinate measure dn dt."""
-        return float(self.modular_on_H(self.h_parametrization(t)))
-
 
 def character_value(omega, n):
     """chi_omega(n) = exp(2 pi i <omega, n>), vectorized over leading axes of n."""
@@ -177,28 +168,11 @@ class DualSamplingConfig:
 
 @dataclass(frozen=True)
 class DualOrbitModel:
-    """Transversal of the generic dual orbits plus the orbit-space measure.
-
-    psi is the density tying Lebesgue measure on the dual of N to the product
-    of Haar on H with the orbit-space measure; it coincides with the modular
-    function on H, and is identically 1 exactly when G is unimodular.
-
-    metadata records measurability assumptions (standard quotient, co-null
-    generic orbits, trivial stabilizers).  They hold for both instances and
-    are never checked at runtime.
-    """
+    """Transversal of the generic dual orbits plus the orbit-space measure."""
 
     name: str
     group: GroupExtensionModel
     transversal_fn: Callable
-    metadata: dict = field(default_factory=dict)
-
-    def psi(self, h) -> float:
-        return self.group.modular(h)
-
-    def orbit_point(self, h, sigma0) -> np.ndarray:
-        """The character h.sigma0 reached from the transversal point sigma0."""
-        return self.group.dual_action(h, sigma0)
 
     def transversal(self, config: DualSamplingConfig | None = None):
         """Sample points sigma0 and their orbit-space quadrature weights."""
@@ -245,12 +219,6 @@ def make_axb():
         name="axb-dual",
         group=model,
         transversal_fn=_axb_transversal,
-        metadata={
-            "orbits_conull": True,
-            "orbit_space_standard": True,
-            "stabilizers_trivial": True,
-            "type_I": True,
-        },
     )
     return model, dual
 
@@ -284,12 +252,6 @@ def make_heisenberg():
         name="heisenberg-dual",
         group=model,
         transversal_fn=_heisenberg_transversal,
-        metadata={
-            "orbits_conull": True,
-            "orbit_space_standard": True,
-            "stabilizers_trivial": True,
-            "type_I": True,
-        },
     )
     return model, dual
 

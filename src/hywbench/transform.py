@@ -20,7 +20,7 @@ Band discipline: pair() returns 0 for frequencies beyond the per-axis band
 edge of the N grids.  A uniform grid carries no information there and the
 aliased value it would produce is order-one garbage, while the true value for
 the shipped fixture families is below roundoff.  Pointwise character values
-(induced_rep_apply) are exact evaluations, not quadratures, so no band
+(induced_rep_matrix) are exact evaluations, not quadratures, so no band
 restriction applies to them.
 
 Index bookkeeping: quotient translations act by index shifts, so the kernel
@@ -30,8 +30,6 @@ g as supported on its grid.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,52 +41,15 @@ from .groups import (
     GroupExtensionModel,
     character_value,
 )
-from .schatten import (
-    WeightedKernel,
-    conjugate_exponent,
-    schatten_norm,
-    weighted_operator_matrix,
-)
+from .schatten import WeightedKernel
 
 __all__ = [
-    "FormalDimensionOperator",
     "CharacterSlice",
-    "fourier_along_N",
     "pair_rows",
     "kernel_from_pair_table",
-    "assemble_kernel",
-    "FourierField",
-    "fourier_transform_p",
-    "bq_oplus_norm",
-    "induced_rep_apply",
+    "orbit_tables",
     "induced_rep_matrix",
 ]
-
-
-@dataclass(frozen=True)
-class FormalDimensionOperator:
-    """Multiplication by the modular function on the quotient grid.
-
-    Positive and diagonal in this realization.  Conjugating it by the induced
-    representation scales it by the reciprocal modular function of the group
-    element; its 1/q power is the density correction used by the exponent-q
-    transform.  On a unimodular group it is the identity.
-    """
-
-    h_grid: Grid1D
-    values: np.ndarray
-
-    @classmethod
-    def from_model(cls, model: GroupExtensionModel, h_grid: Grid1D):
-        par, mod = model.h_parametrization, model.modular_on_H
-        vals = np.array([mod(par(t)) for t in h_grid.points()])
-        return cls(h_grid=h_grid, values=vals)
-
-    def power(self, exponent: float) -> np.ndarray:
-        return self.values**exponent
-
-    def matrix(self, exponent: float = 1.0) -> np.ndarray:
-        return np.diag(self.values**exponent)
 
 
 class CharacterSlice:
@@ -140,10 +101,6 @@ class CharacterSlice:
             out[members] = lead @ arr
         return out * self._n_weight
 
-    def transform(self, omegas) -> np.ndarray:
-        """Standard-sign transform of every slice: pair at the reflected frequency."""
-        return self.pair(-np.atleast_2d(np.asarray(omegas, dtype=float)))
-
     def transform_reciprocal(self):
         """Transform of every slice on the full reciprocal grid, via the FFT.
 
@@ -164,15 +121,7 @@ class CharacterSlice:
         return tuple(grids), vals
 
 
-def fourier_along_N(g: SampledFunction) -> CharacterSlice:
-    return CharacterSlice(g)
-
-
-def _as_slice(g) -> CharacterSlice:
-    return g if isinstance(g, CharacterSlice) else CharacterSlice(g)
-
-
-def pair_rows(slice_like, dual: DualOrbitModel, sigma0):
+def pair_rows(cs: CharacterSlice, dual: DualOrbitModel, sigma0):
     """Dual parameters at every quotient point, and the full pairing table.
 
     Row s of the table pairs every h-slice of g with the character at
@@ -180,18 +129,12 @@ def pair_rows(slice_like, dual: DualOrbitModel, sigma0):
     the kernel's left variable) and the disintegrated majorant of the norm
     chain (columns are the slice variable).
     """
-    cs = _as_slice(slice_like)
     model = dual.group
     sigma0 = np.atleast_1d(np.asarray(sigma0, dtype=float))
     omegas = np.stack(
         [model.dual_action(model.h_parametrization(t), sigma0) for t in cs.h_grid.points()]
     )
     return omegas, cs.pair(omegas)
-
-
-def _modular_on_grid(model: GroupExtensionModel, h_grid: Grid1D) -> np.ndarray:
-    par, mod = model.h_parametrization, model.modular_on_H
-    return np.array([mod(par(t)) for t in h_grid.points()])
 
 
 def kernel_from_pair_table(
@@ -225,80 +168,18 @@ def kernel_from_pair_table(
     )
 
 
-def assemble_kernel(
-    g_or_slice,
-    dual: DualOrbitModel,
-    sigma0,
-    dimension_exponent: float = 0.0,
-) -> WeightedKernel:
-    """Kernel of the transform at one induced representation.
+def orbit_tables(
+    g: SampledFunction, dual: DualOrbitModel, config: DualSamplingConfig | None = None
+):
+    """Orbit weight and pairing table at each transversal point, in order.
 
-    With dimension_exponent = 1/q the column factor Delta(gamma)^(1/q) is
-    folded in, giving the exponent-q transform; 0 gives the bare operator.
+    A generator: a caller that reduces orbit by orbit holds one table at a
+    time.  The tables do not depend on the transform exponent.
     """
-    cs = _as_slice(g_or_slice)
-    omegas, P = pair_rows(cs, dual, sigma0)
-    delta_h = _modular_on_grid(dual.group, cs.h_grid)
-    return kernel_from_pair_table(P, cs.h_grid, delta_h, dimension_exponent)
-
-
-@dataclass(frozen=True)
-class FourierField:
-    """The transform of one function, sampled across the dual transversal."""
-
-    group: GroupExtensionModel
-    dual: DualOrbitModel
-    p: float
-    q: float
-    sigma_params: np.ndarray
-    nu_weights: np.ndarray
-    kernels: tuple
-    h_grid: Grid1D
-
-    def operator_matrices(self):
-        return [weighted_operator_matrix(k) for k in self.kernels]
-
-
-def fourier_transform_p(
-    g: SampledFunction,
-    dual: DualOrbitModel,
-    p: float,
-    config: DualSamplingConfig | None = None,
-) -> FourierField:
-    """Exponent-q transform of g at every transversal point.
-
-    Requires 1 < p <= 2; the kernels carry the Delta^(1/q) column factor so
-    that their weighted S_q norms aggregate directly into the direct-integral
-    norm (bq_oplus_norm).
-    """
-    p = float(p)
-    if not 1.0 < p <= 2.0:
-        raise ValueError("need 1 < p <= 2")
-    q = conjugate_exponent(p)
-    cs = _as_slice(g)
+    cs = CharacterSlice(g)
     params, nu = dual.transversal(config)
-    kernels = tuple(
-        assemble_kernel(cs, dual, s, dimension_exponent=1.0 / q) for s in params
-    )
-    return FourierField(
-        group=dual.group,
-        dual=dual,
-        p=p,
-        q=q,
-        sigma_params=np.asarray(params, dtype=float),
-        nu_weights=np.asarray(nu, dtype=float),
-        kernels=kernels,
-        h_grid=cs.h_grid,
-    )
-
-
-def bq_oplus_norm(field: FourierField, q: float | None = None) -> float:
-    """Direct-integral Schatten norm: (sum_sigma nu ||k_sigma||_{S_q}^q)^(1/q)."""
-    q = field.q if q is None else float(q)
-    acc = 0.0
-    for nu, k in zip(field.nu_weights, field.kernels):
-        acc += nu * schatten_norm(weighted_operator_matrix(k), q) ** q
-    return float(acc ** (1.0 / q))
+    for sigma0, weight in zip(params, nu):
+        yield weight, pair_rows(cs, dual, sigma0)[1]
 
 
 def induced_rep_matrix(
@@ -328,13 +209,3 @@ def induced_rep_matrix(
     rows = np.arange(max(0, si), min(n, n + si))
     a[rows, rows - si] = chi[rows]
     return a
-
-
-def induced_rep_apply(
-    model: GroupExtensionModel, sigma0, x: GroupElement, f: np.ndarray, h_grid: Grid1D
-) -> np.ndarray:
-    """Apply the induced representation of x to a vector over the quotient grid."""
-    f = np.asarray(f, dtype=np.complex128)
-    if f.shape != (h_grid.n,):
-        raise ValueError("vector length must match the quotient grid")
-    return induced_rep_matrix(model, sigma0, x, h_grid) @ f

@@ -38,6 +38,7 @@ from .grids import (
     TestFunctionSpec,
     lp_norm_G,
     make_grids,
+    modular_on_grid,
     sample,
 )
 from .groups import (
@@ -56,16 +57,7 @@ from .schatten import (
     schatten_norm,
     weighted_operator_matrix,
 )
-from .transform import (
-    CharacterSlice,
-    FormalDimensionOperator,
-    _modular_on_grid,
-    bq_oplus_norm,
-    fourier_transform_p,
-    induced_rep_matrix,
-    kernel_from_pair_table,
-    pair_rows,
-)
+from .transform import CharacterSlice, induced_rep_matrix, kernel_from_pair_table, orbit_tables
 
 __all__ = [
     "TOLERANCES",
@@ -124,9 +116,14 @@ class CheckResult:
 
 
 def inequality_result(name, lhs, rhs, tolerance, detail="") -> CheckResult:
-    """lhs <= rhs up to relative slack; absolute slack when rhs vanishes."""
+    """lhs <= rhs up to relative slack; absolute slack when rhs vanishes.
+
+    Fails when either side is NaN or infinite.
+    """
     lhs, rhs = float(lhs), float(rhs)
-    if rhs > 1e-300:
+    if not (np.isfinite(lhs) and np.isfinite(rhs)):
+        passed = False
+    elif rhs > 1e-300:
         passed = lhs <= rhs * (1.0 + tolerance)
     else:
         passed = lhs <= tolerance
@@ -134,9 +131,11 @@ def inequality_result(name, lhs, rhs, tolerance, detail="") -> CheckResult:
 
 
 def equality_result(name, lhs, rhs, tolerance, detail="") -> CheckResult:
+    """lhs == rhs up to relative slack; fails when either side is NaN or infinite."""
     lhs, rhs = float(lhs), float(rhs)
     scale = max(abs(lhs), abs(rhs))
-    passed = abs(lhs - rhs) <= tolerance * scale if scale > 0 else True
+    finite = np.isfinite(lhs) and np.isfinite(rhs)
+    passed = finite and (scale == 0 or abs(lhs - rhs) <= tolerance * scale)
     return CheckResult(name, "equality", lhs, rhs, tolerance, bool(passed), detail)
 
 
@@ -233,13 +232,15 @@ def check_plancherel(
     config: DualSamplingConfig | None = None,
     tolerance: float | None = None,
 ) -> CheckResult:
-    """Direct-integral squared norm of the exponent-2 transform vs ||g||_2^2."""
+    """Direct-integral squared norm of the exponent-2 transform vs ||g||_2^2.
+
+    The Hausdorff-Young check at p = 2, squared: A_2 = 1, so its right side
+    is ||g||_2.
+    """
     if tolerance is None:
         tolerance = TOLERANCES["equality"] if g.dim_N == 1 else 2 * TOLERANCES["equality"]
-    field = fourier_transform_p(g, dual, 2.0, config)
-    lhs = bq_oplus_norm(field, 2.0) ** 2
-    rhs = lp_norm_G(g, 2.0) ** 2
-    return equality_result("plancherel", lhs, rhs, tolerance, detail=dual.group.name)
+    (hy,) = hausdorff_young_margins(g, dual, (2.0,), config=config)
+    return equality_result("plancherel", hy.lhs**2, hy.rhs**2, tolerance, detail=dual.group.name)
 
 
 def check_hausdorff_young(
@@ -249,21 +250,8 @@ def check_hausdorff_young(
     constants: str = "sharp",
     config: DualSamplingConfig | None = None,
 ) -> CheckResult:
-    """Direct-integral q-norm of the transform vs A_p ||g||_p.
-
-    For p < 2 the sharp bound carries real margin on generic fixtures and the
-    slack is 1e-6.  At p = 2 the bound saturates (it is the Plancherel
-    identity), so the slack widens to the quadrature tolerance.
-    """
-    p = float(p)
-    q = conjugate_exponent(p)
-    field = fourier_transform_p(g, dual, p, config)
-    lhs = bq_oplus_norm(field, q)
-    rhs = babenko_constant(p, g.dim_N, constants) * lp_norm_G(g, p)
-    tol = TOLERANCES["bound"] if p < 2.0 else TOLERANCES["quadrature"]
-    return inequality_result(
-        "hausdorff-young", lhs, rhs, tol, detail=f"{dual.group.name} p={p:g} {constants}"
-    )
+    """hausdorff_young_margins at the single exponent p."""
+    return hausdorff_young_margins(g, dual, (p,), constants, config)[0]
 
 
 def hausdorff_young_margins(
@@ -273,24 +261,30 @@ def hausdorff_young_margins(
     constants: str = "sharp",
     config: DualSamplingConfig | None = None,
 ) -> list:
-    """check_hausdorff_young for several exponents at once, reusing the
-    per-orbit pairing tables (they do not depend on the exponent)."""
+    """Direct-integral q-norm of the transform vs A_p ||g||_p, for each p.
+
+    lhs is (sum_sigma nu ||k_sigma||_{S_q}^q)^(1/q) over the exponent-q
+    transform kernels; every check of that norm reads it from here.  The
+    pairing tables do not depend on the exponent, so each orbit is paired
+    once for all of ps.
+
+    For p < 2 the sharp bound carries real margin on generic fixtures and the
+    slack is 1e-6.  At p = 2 the bound saturates (it is the Plancherel
+    identity), so the slack widens to the quadrature tolerance.
+    """
     model = dual.group
-    cs = CharacterSlice(g)
-    params, nu = dual.transversal(config)
-    h = g.h_grid
-    delta = _modular_on_grid(model, h)
-    tables = [pair_rows(cs, dual, params[s])[1] for s in range(len(nu))]
+    ps = [float(p) for p in ps]
+    if not all(1.0 < p <= 2.0 for p in ps):
+        raise ValueError("need 1 < p <= 2")
+    delta = modular_on_grid(model, g.h_grid)
+    orbits = list(orbit_tables(g, dual, config))
     out = []
     for p in ps:
-        p = float(p)
-        if not 1.0 < p <= 2.0:
-            raise ValueError("need 1 < p <= 2")
         q = conjugate_exponent(p)
         acc = 0.0
-        for s, table in enumerate(tables):
-            k = kernel_from_pair_table(table, h, delta, dimension_exponent=1.0 / q)
-            acc += nu[s] * schatten_norm(weighted_operator_matrix(k), q) ** q
+        for weight, table in orbits:
+            k = kernel_from_pair_table(table, g.h_grid, delta, dimension_exponent=1.0 / q)
+            acc += weight * schatten_norm(weighted_operator_matrix(k), q) ** q
         lhs = acc ** (1.0 / q)
         rhs = babenko_constant(p, model.dim_N, constants) * lp_norm_G(g, p)
         tol = TOLERANCES["bound"] if p < 2.0 else TOLERANCES["quadrature"]
@@ -318,26 +312,21 @@ def proof_chain_quantities(
     if not 1.0 < p <= 2.0:
         raise ValueError("need 1 < p <= 2")
     q = conjugate_exponent(p)
-    cs = CharacterSlice(g)
-    params, nu = dual.transversal(config)
     h = g.h_grid
-    w = h.weights()
-    delta = _modular_on_grid(model, h)
-    measure = w * delta
+    delta = modular_on_grid(model, h)
+    measure = h.weights() * delta
 
-    n_orbits = len(nu)
-    sq = np.empty(n_orbits)
-    c_direct = np.empty(n_orbits)
-    c_adjoint = np.empty(n_orbits)
+    nu, sq, c_direct, c_adjoint = [], [], [], []
     slice_mass = np.zeros(h.n)
-    for s in range(n_orbits):
-        _, P = pair_rows(cs, dual, params[s])
+    for weight, P in orbit_tables(g, dual, config):
         k = kernel_from_pair_table(P, h, delta, dimension_exponent=1.0 / q)
-        sq[s] = schatten_norm(weighted_operator_matrix(k), q) ** q
-        c_direct[s] = cross_norm_qpq(k, q, p) ** q
-        c_adjoint[s] = cross_norm_qpq(adjoint_kernel(k), q, p) ** q
+        nu.append(weight)
+        sq.append(schatten_norm(weighted_operator_matrix(k), q) ** q)
+        c_direct.append(cross_norm_qpq(k, q, p) ** q)
+        c_adjoint.append(cross_norm_qpq(adjoint_kernel(k), q, p) ** q)
         # dual-side q-mass of every slice, row s contributing its orbit weight
-        slice_mass += nu[s] * (measure @ np.abs(P) ** q)
+        slice_mass += weight * (measure @ np.abs(P) ** q)
+    nu, sq, c_direct, c_adjoint = map(np.array, (nu, sq, c_direct, c_adjoint))
 
     v0 = float(nu @ sq)
     v1 = float(nu @ np.sqrt(c_direct * c_adjoint))
@@ -359,7 +348,7 @@ def proof_chain_quantities(
         "per_orbit_sq": sq,
         "per_orbit_direct": c_direct,
         "per_orbit_adjoint": c_adjoint,
-        "nu": np.asarray(nu, dtype=float),
+        "nu": nu,
     }
 
 
@@ -463,7 +452,7 @@ def check_semi_invariance(
     largest entry (the diagonal grows like the modular function)."""
     tolerance = TOLERANCES["linalg"] if tolerance is None else tolerance
     a = induced_rep_matrix(model, sigma0, x, h_grid)
-    kvals = FormalDimensionOperator.from_model(model, h_grid).values
+    kvals = modular_on_grid(model, h_grid)  # the formal dimension operator K
     lhs = (a * kvals[None, :]) @ a.conj().T
     rhs = np.diag(kvals / model.modular(x))
     si = int(round(model.h_coordinate(x.h) / h_grid.spacing))
@@ -657,14 +646,12 @@ def check_nilpotent_bound(
     if dual.group.name != "heisenberg":
         raise ValueError("the nilpotent bound check is specific to the Heisenberg instance")
     p = float(p)
-    q = conjugate_exponent(p)
     exponent = 3 - 2 / 2  # dim 3, generic orbit dim 2
     assert exponent == 2 == dual.group.dim_N
     constant = babenko_constant(p, 1) ** exponent
     # consistency: the power of the line constant is the plane constant
     assert abs(constant - babenko_constant(p, 2)) < 1e-14
-    field = fourier_transform_p(g, dual, p, config)
-    lhs = bq_oplus_norm(field, q)
+    lhs = hausdorff_young_margins(g, dual, (p,), config=config)[0].lhs
     rhs = constant * lp_norm_G(g, p)
     tol = TOLERANCES["bound"] if p < 2.0 else TOLERANCES["quadrature"]
     return inequality_result("nilpotent-bound", lhs, rhs, tol, detail=f"p={p:g}")

@@ -1,0 +1,29 @@
+"""The names the benchmark's tracer rebinds from outside the package.
+
+perfbench/tracer.py counts layer calls by rebinding hywbench functions and
+methods by name.  If a refactor deletes, renames or aliases one of them, the
+tracer either fails to install or counts zero calls; this test catches both
+without running the benchmark.  It only reads perfbench/.
+"""
+
+import os
+
+from hywbench import make_group, sample
+from hywbench import verify
+from hywbench.grids import Grid1D, TestFunctionSpec
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def test_tracer_counts_every_patched_layer(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracer
+
+    model, dual = make_group("axb")
+    spec = TestFunctionSpec(kind="random-bandlimited", seed=1, width_n=(0.5,), width_h=0.3)
+    g = sample(spec, (Grid1D(-2.0, 2.0, 32),), Grid1D(-1.0, 1.0, 8), model)
+    with tracer.Tracer() as t:
+        verify.check_plancherel(g, dual)
+        verify.hausdorff_young_margins(g, dual, (1.5,))
+    for layer in ("groups.dual_action", "transform.pair", "transform.kernel", "schatten.norm"):
+        assert t.calls[layer] > 0, layer

@@ -63,11 +63,12 @@ def test_selected_families_skips_nilpotent_on_axb():
 
 def test_config_file_with_flag_override(tmp_path):
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"group": "axb", "p": [1.8], "seed": 9}))
+    cfg_file.write_text(json.dumps({"group": "axb", "p": [1.8], "seed": 9, "checks": "plancherel"}))
     parser = _build_parser()
     args = parser.parse_args(["run", "--config", str(cfg_file), "--p", "1.2"])
     cfg = build_config(args)
     assert cfg.group == "axb" and cfg.seed == 9
+    assert cfg.checks == ("plancherel",)  # a single name, not its letters
     assert cfg.p == (1.2,)  # flag wins over the file
 
 
@@ -110,15 +111,12 @@ def test_report_structure_and_summary_consistency(tmp_path):
     assert any(ln.startswith("# generated") for ln in lines)
 
 
-def test_report_byte_identity_same_config(tmp_path, monkeypatch):
+def test_report_byte_identity_same_config(tmp_path):
     args = ["--group", "axb", "--seed", "4", "--checks", "semi-invariance,minkowski"]
-    out1, out2, out3 = (tmp_path / n for n in ("a.jsonl", "b.jsonl", "c.jsonl"))
+    out1, out2 = (tmp_path / n for n in ("a.jsonl", "b.jsonl"))
     assert run_main(args + ["--out", str(out1)]) == 0
     assert run_main(args + ["--out", str(out2)]) == 0
-    monkeypatch.setenv("HYW_THREADS", "3")
-    assert run_main(args + ["--out", str(out3)]) == 0
-    bodies = [parse_report(p)[1] for p in (out1, out2, out3)]
-    assert bodies[0] == bodies[1] == bodies[2]
+    assert parse_report(out1)[1] == parse_report(out2)[1]
 
 
 def test_report_differs_across_seeds(tmp_path):
@@ -177,11 +175,25 @@ def test_empty_selection_is_exit_zero(tmp_path):
     assert summary["checks"] == 0 and summary["passed"] == 0
 
 
-def test_bad_thread_env_is_config_error(tmp_path, monkeypatch):
-    monkeypatch.setenv("HYW_THREADS", "many")
-    out = tmp_path / "t.jsonl"
-    assert run_main(["--group", "axb", "--seed", "1", "--checks", "minkowski",
-                     "--out", str(out)]) == 2
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"grid_n": 64.0},
+        {"p": ["x"]},
+        {"seed": "a"},
+        {"h_extent": [1, 2]},  # the quotient grid must hold the origin
+        {"n_extents": [[-1, 1], [-1, 1]]},  # axb has one normal-subgroup axis
+        {"tolerances": {"bound": -1}},
+    ],
+)
+def test_config_file_errors_exit_two(tmp_path, capsys, config):
+    cfg_file = tmp_path / "bad.json"
+    cfg_file.write_text(json.dumps({"group": "axb", "checks": ["minkowski"], **config}))
+    out = tmp_path / "never.jsonl"
+    assert run_main(["--config", str(cfg_file), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
 
 
 # -- explain ------------------------------------------------------------------------

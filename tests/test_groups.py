@@ -86,14 +86,12 @@ def test_axb_modular_is_homomorphism(b1, t1, b2, t2):
 def test_axb_modular_value():
     model, x = axb_element(3.0, 2.0)
     assert model.modular(x) == pytest.approx(np.exp(-2.0), rel=1e-14)
-    assert model.haar_weight(np.array([0.0]), 2.0) == pytest.approx(np.exp(-2.0))
 
 
 def test_heisenberg_unimodular():
     model, x = heis_element(1.0, -2.0, 0.7)
     assert model.unimodular
     assert model.modular(x) == 1.0
-    assert model.haar_weight(np.array([1.0, 2.0]), -3.0) == 1.0
 
 
 @pytest.mark.parametrize("name", ["axb", "heisenberg"])
@@ -207,14 +205,6 @@ def test_sampling_config_validation():
         DualSamplingConfig(lambda_min=0.0)
     with pytest.raises(ValueError):
         DualSamplingConfig(lambda_min=2.0, lambda_max=1.0)
-
-
-def test_psi_matches_modular():
-    for name in ("axb", "heisenberg"):
-        model, dual = make_group(name)
-        for t in (-1.5, 0.0, 2.0):
-            h = model.h_parametrization(t)
-            assert dual.psi(h) == pytest.approx(model.modular_on_H(h))
 
 
 def test_make_group_rejects_unknown():

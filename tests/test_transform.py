@@ -18,18 +18,15 @@ from hywbench import (
     make_heisenberg,
     sample,
 )
-from hywbench.schatten import conjugate_exponent, schatten_norm, weighted_operator_matrix
+from hywbench.grids import modular_on_grid
+from hywbench.schatten import weighted_operator_matrix
 from hywbench.transform import (
     CharacterSlice,
-    FormalDimensionOperator,
-    assemble_kernel,
-    bq_oplus_norm,
-    fourier_along_N,
-    fourier_transform_p,
-    induced_rep_apply,
     induced_rep_matrix,
+    kernel_from_pair_table,
     pair_rows,
 )
+from hywbench.verify import check_plancherel, hausdorff_young_margins
 
 AXB, AXB_DUAL = make_axb()
 HEIS, HEIS_DUAL = make_heisenberg()
@@ -71,10 +68,15 @@ def test_pair_rejects_wrong_dimension():
 
 
 def test_transform_is_reflected_pair():
+    """The standard-sign slice transform, exp(-2 pi i omega n), is pair at -omega."""
     f = axb_function(seed=3)
     cs = CharacterSlice(f)
     om = np.array([[0.4], [-1.1]])
-    np.testing.assert_allclose(cs.transform(om), cs.pair(-om), atol=0)
+    got = cs.pair(-om)
+    pts = f.n_grids[0].points()
+    for r, w in enumerate(om[:, 0]):
+        naive = (f.values * np.exp(-2j * np.pi * w * pts)[:, None]).sum(axis=0) * f.n_grids[0].spacing
+        np.testing.assert_allclose(got[r], naive, atol=1e-13)
 
 
 def test_staged_contraction_matches_naive_2d():
@@ -104,7 +106,7 @@ def test_reciprocal_transform_matches_direct():
     f = axb_function(seed=5)
     cs = CharacterSlice(f)
     rgrids, vals = cs.transform_reciprocal()
-    direct = cs.transform(rgrids[0].points()[:, None])
+    direct = cs.pair(-rgrids[0].points()[:, None])
     np.testing.assert_allclose(vals, direct, atol=1e-12)
 
 
@@ -122,18 +124,14 @@ def test_reciprocal_transform_matches_direct_2d():
     rgrids, vals = cs.transform_reciprocal()
     oy, oz = rgrids[0].points(), rgrids[1].points()
     omegas = np.stack(np.meshgrid(oy, oz, indexing="ij"), axis=-1).reshape(-1, 2)
-    direct = cs.transform(omegas).reshape(len(oy), len(oz), gx.n)
+    direct = cs.pair(-omegas).reshape(len(oy), len(oz), gx.n)
     np.testing.assert_allclose(vals, direct, atol=1e-12)
 
 
 def test_formal_dimension_values():
     gh = Grid1D(-2.0, 2.0, 8)
-    k_axb = FormalDimensionOperator.from_model(AXB, gh)
-    np.testing.assert_allclose(k_axb.values, np.exp(-gh.points()))
-    k_heis = FormalDimensionOperator.from_model(HEIS, gh)
-    np.testing.assert_allclose(k_heis.values, 1.0)
-    np.testing.assert_allclose(k_axb.power(0.5), np.exp(-gh.points() / 2))
-    assert k_axb.matrix(1.0).shape == (8, 8)
+    np.testing.assert_allclose(modular_on_grid(AXB, gh), np.exp(-gh.points()))
+    np.testing.assert_allclose(modular_on_grid(HEIS, gh), 1.0)
 
 
 def test_induced_rep_is_multiplicative():
@@ -167,8 +165,13 @@ def test_induced_rep_rejects_off_grid_shift():
     x = GroupElement(np.array([0.0]), AXB.h_parametrization(0.3 * gh.spacing))
     with pytest.raises(ValueError):
         induced_rep_matrix(AXB, np.array([1.0]), x, gh)
-    with pytest.raises(ValueError):
-        induced_rep_apply(AXB, np.array([1.0]), x, np.zeros(5), gh)
+
+
+def kernel_at(f, dual, sigma0, dimension_exponent=0.0):
+    """Operator kernel at one transversal point, and the dual parameters of its rows."""
+    omegas, P = pair_rows(CharacterSlice(f), dual, sigma0)
+    delta = modular_on_grid(dual.group, f.h_grid)
+    return kernel_from_pair_table(P, f.h_grid, delta, dimension_exponent), omegas
 
 
 def test_kernel_matches_direct_representation_sum():
@@ -176,10 +179,8 @@ def test_kernel_matches_direct_representation_sum():
     f = axb_function(n=32, h=8, seed=7)
     gn, gh = f.n_grids[0], f.h_grid
     sigma0 = np.array([1.0])
-    k = assemble_kernel(f, AXB_DUAL, sigma0)
-    cs = CharacterSlice(f)
-    omegas, _ = pair_rows(cs, AXB_DUAL, sigma0)
-    assert np.all(cs.in_band(omegas)), "test setup must keep every row in band"
+    k, omegas = kernel_at(f, AXB_DUAL, sigma0)
+    assert np.all(CharacterSlice(f).in_band(omegas)), "test setup must keep every row in band"
 
     direct = np.zeros((gh.n, gh.n), dtype=np.complex128)
     for a, nval in enumerate(gn.points()):
@@ -201,10 +202,8 @@ def test_kernel_heisenberg_matches_direct_representation_sum():
         HEIS,
     )
     sigma0 = np.array([0.0, 0.8])
-    k = assemble_kernel(f, HEIS_DUAL, sigma0)
-    cs = CharacterSlice(f)
-    omegas, _ = pair_rows(cs, HEIS_DUAL, sigma0)
-    assert np.all(cs.in_band(omegas))
+    k, omegas = kernel_at(f, HEIS_DUAL, sigma0)
+    assert np.all(CharacterSlice(f).in_band(omegas))
 
     direct = np.zeros((gx.n, gx.n), dtype=np.complex128)
     wn = gy.spacing * gz.spacing
@@ -221,48 +220,26 @@ def test_kernel_heisenberg_matches_direct_representation_sum():
 
 def test_dimension_exponent_is_a_column_factor():
     f = axb_function(seed=13)
-    bare = assemble_kernel(f, AXB_DUAL, np.array([1.0]))
-    half = assemble_kernel(f, AXB_DUAL, np.array([1.0]), dimension_exponent=0.5)
+    bare, _ = kernel_at(f, AXB_DUAL, np.array([1.0]))
+    half, _ = kernel_at(f, AXB_DUAL, np.array([1.0]), dimension_exponent=0.5)
     delta = np.exp(-f.h_grid.points())
     np.testing.assert_allclose(half.values, bare.values * delta[None, :] ** 0.5, atol=1e-14)
-
-
-def test_fourier_transform_p_validates_exponent():
-    f = axb_function()
-    with pytest.raises(ValueError):
-        fourier_transform_p(f, AXB_DUAL, 2.5)
-    with pytest.raises(ValueError):
-        fourier_transform_p(f, AXB_DUAL, 1.0)
 
 
 def test_axb_plancherel_desk_scale():
     g128 = Grid1D(-8.0, 8.0, 128)
     f = sample(TestFunctionSpec(kind="gaussian"), (g128,), g128, AXB)
-    field = fourier_transform_p(f, AXB_DUAL, 2.0)
-    lhs = bq_oplus_norm(field, 2.0) ** 2
-    rhs = lp_norm_G(f, 2.0) ** 2
-    assert abs(lhs - rhs) / rhs < 7e-3  # measured 5.5e-3 at these grids
-
-
-def test_field_reports_conjugate_exponent():
-    f = axb_function()
-    field = fourier_transform_p(f, AXB_DUAL, 1.5)
-    assert field.q == pytest.approx(3.0)
-    assert len(field.kernels) == 2
-    assert field.sigma_params.shape == (2, 1)
-    assert len(field.operator_matrices()) == 2
+    r = check_plancherel(f, AXB_DUAL)
+    assert r.rhs == pytest.approx(lp_norm_G(f, 2.0) ** 2, rel=1e-15)
+    assert abs(r.lhs - r.rhs) / r.rhs < 7e-3  # measured 5.5e-3 at these grids
 
 
 def test_bq_norm_at_two_is_weighted_frobenius():
     f = axb_function(seed=21)
-    field = fourier_transform_p(f, AXB_DUAL, 2.0)
-    acc = sum(
-        nu * schatten_norm(weighted_operator_matrix(k), 2.0) ** 2
-        for nu, k in zip(field.nu_weights, field.kernels)
-    )
-    assert bq_oplus_norm(field) == pytest.approx(np.sqrt(acc), rel=1e-12)
-
-
-def test_fourier_along_N_alias():
-    f = axb_function()
-    assert isinstance(fourier_along_N(f), CharacterSlice)
+    params, nu = AXB_DUAL.transversal(None)
+    acc = 0.0
+    for sigma0, w in zip(params, nu):
+        k, _ = kernel_at(f, AXB_DUAL, sigma0, dimension_exponent=0.5)
+        acc += w * (np.abs(weighted_operator_matrix(k)) ** 2).sum()
+    (r,) = hausdorff_young_margins(f, AXB_DUAL, (2.0,))
+    assert r.lhs == pytest.approx(np.sqrt(acc), rel=1e-12)

@@ -58,12 +58,16 @@ def test_inequality_result_semantics():
     # vanishing right side switches to absolute slack
     assert inequality_result("x", 1e-12, 0.0, 1e-10).passed
     assert not inequality_result("x", 1e-8, 0.0, 1e-10).passed
+    # a side that is not a finite number fails closed
+    assert not inequality_result("x", 0.0, math.nan, 1e-6).passed
+    assert not inequality_result("x", math.inf, math.inf, 1e-6).passed
 
 
 def test_equality_result_semantics():
     assert equality_result("x", 2.0, 2.0 * (1 + 5e-3), 1e-2).passed
     assert not equality_result("x", 2.0, 2.1, 1e-2).passed
     assert equality_result("x", 0.0, 0.0, 1e-12).passed
+    assert not equality_result("x", math.nan, 1.0, 1e-2).passed
 
 
 def test_tolerance_classes_exist():
