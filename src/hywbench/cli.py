@@ -8,8 +8,9 @@ Subcommands:
 
 Report format (versioned): the first line is ``HYWREPORT 1``; every other
 line is either a JSON record (``config``, ``model``, ``check``, ``summary``)
-or a ``#`` comment.  Comment lines carry timestamps and human-oriented prose
-and are excluded from the determinism contract; the non-comment body is
+or a ``#`` comment.  Comment lines carry timestamps, the wall time of each
+family (``# family <name> <seconds>s``) and human-oriented prose, and are
+excluded from the determinism contract; the non-comment body is
 byte-identical across runs with the same configuration and seed.  The report
 is written atomically (temp file, then rename) even when checks fail.
 
@@ -26,6 +27,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -36,13 +38,13 @@ from .groups import GROUP_NAMES, make_group
 from . import verify
 from .verify import (
     check_gaussian_extremality,
-    check_hausdorff_young,
     check_nilpotent_bound,
     check_plancherel,
     check_proof_chain,
     default_sampling_config,
     dual_measure_suite,
     gaussian_fixtures,
+    hausdorff_young_margins,
     minkowski_random_suite,
     random_fixtures,
     russo_fournier_random_suite,
@@ -59,6 +61,15 @@ class ConfigError(ValueError):
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_extent(value) -> bool:
+    """A [lo, hi] pair of numbers."""
+    return (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+    )
 
 
 @dataclass
@@ -113,6 +124,18 @@ class RunConfig:
             )
         if not isinstance(self.out, str):
             raise ConfigError(f"out={self.out!r} is not a path")
+        if self.h_extent is not None and not _is_extent(self.h_extent):
+            raise ConfigError(f"h_extent must be [lo, hi] numbers, got {self.h_extent!r}")
+        axes = len(verify.DESK_GRIDS[self.group]["n_counts"])
+        if self.n_extents is not None and not (
+            isinstance(self.n_extents, (list, tuple))
+            and len(self.n_extents) == axes
+            and all(map(_is_extent, self.n_extents))
+        ):
+            raise ConfigError(
+                f"n_extents must be {axes} [lo, hi] number pair(s), one per"
+                f" normal-subgroup axis of {self.group}, got {self.n_extents!r}"
+            )
         try:
             self.grids()
         except (TypeError, ValueError, IndexError) as exc:
@@ -155,6 +178,10 @@ def _tolerance_overrides(overrides):
 
 
 # -- check families ------------------------------------------------------------------
+#
+# Every family takes the run configuration and the run's margin memo: a dict
+# from fixture recipe to its hausdorff_young_margins at every exponent of the
+# run, filled by _fixture_margins and dropped when run_suite returns.
 
 
 def _fixture_pool(cfg: RunConfig, gaussians: int, randoms: int):
@@ -166,22 +193,28 @@ def _fixture_pool(cfg: RunConfig, gaussians: int, randoms: int):
     return [sample(s, n_grids, h_grid, model) for s in specs]
 
 
-def _family_plancherel(cfg):
+def _fixture_margins(cfg, margins, g):
+    """hausdorff_young_margins of g at every exponent of cfg, once per run."""
+    key = g.spec.key()
+    if key not in margins:
+        _, dual = make_group(cfg.group)
+        sampling = default_sampling_config(cfg.group)
+        margins[key] = hausdorff_young_margins(g, dual, cfg.p, cfg.constants, sampling)
+    return margins[key]
+
+
+def _family_plancherel(cfg, margins):
     _, dual = make_group(cfg.group)
     sampling = default_sampling_config(cfg.group)
     return [check_plancherel(g, dual, sampling) for g in _fixture_pool(cfg, 5, 5)]
 
 
-def _family_hausdorff_young(cfg):
-    _, dual = make_group(cfg.group)
-    sampling = default_sampling_config(cfg.group)
-    pool = _fixture_pool(cfg, 2, 4)
-    return [
-        check_hausdorff_young(g, dual, p, cfg.constants, sampling) for p in cfg.p for g in pool
-    ]
+def _family_hausdorff_young(cfg, margins):
+    per_fixture = [_fixture_margins(cfg, margins, g) for g in _fixture_pool(cfg, 2, 4)]
+    return [m[i] for i in range(len(cfg.p)) for m in per_fixture]
 
 
-def _family_proof_chain(cfg):
+def _family_proof_chain(cfg, margins):
     _, dual = make_group(cfg.group)
     sampling = default_sampling_config(cfg.group)
     pool = _fixture_pool(cfg, 2, 1)
@@ -193,36 +226,40 @@ def _family_proof_chain(cfg):
     ]
 
 
-def _family_semi_invariance(cfg):
+def _family_semi_invariance(cfg, margins):
     return semi_invariance_suite(cfg.group, count=20, seed=cfg.seed)
 
 
-def _family_dual_measure(cfg):
+def _family_dual_measure(cfg, margins):
     return dual_measure_suite(cfg.group, count=100, seed=cfg.seed)
 
 
-def _family_russo_fournier(cfg):
+def _family_russo_fournier(cfg, margins):
     return [russo_fournier_random_suite(count=1000, seed=cfg.seed)]
 
 
-def _family_minkowski(cfg):
+def _family_minkowski(cfg, margins):
     return [minkowski_random_suite(count=1000, seed=cfg.seed)]
 
 
-def _family_nilpotent(cfg):
+def _family_nilpotent(cfg, margins):
     if cfg.group != "heisenberg":
         return []
     _, dual = make_group(cfg.group)
-    sampling = default_sampling_config(cfg.group)
     pool = _fixture_pool(cfg, 2, 3)
-    return [check_nilpotent_bound(g, dual, p, sampling) for p in cfg.p if p < 2.0 for g in pool]
+    return [
+        check_nilpotent_bound(g, dual, p, lhs=_fixture_margins(cfg, margins, g)[i].lhs)
+        for i, p in enumerate(cfg.p)
+        if p < 2.0
+        for g in pool
+    ]
 
 
-def _family_extremality(cfg):
+def _family_extremality(cfg, margins):
     return [check_gaussian_extremality(cfg.group, p) for p in cfg.p]
 
 
-def _family_schatten(cfg):
+def _family_schatten(cfg, margins):
     return [schatten_property_suite(count=20, size=32, seed=cfg.seed)]
 
 
@@ -295,15 +332,17 @@ def run_suite(cfg: RunConfig, stream=None):
     echo.pop("out")  # destination is not part of the deterministic body
     echo["p"] = list(map(float, cfg.p))
     echo["checks"] = cfg.selected_families()
-    records = []
+    records, timings, margins = [], [], {}
     with _tolerance_overrides(cfg.tolerances):
         for family in cfg.selected_families():
-            for res in CHECK_FAMILIES[family](cfg):
+            start = time.perf_counter()
+            for res in CHECK_FAMILIES[family](cfg, margins):
                 rec = asdict(res)
                 rec["family"] = family
                 records.append(rec)
                 if stream is not None:
                     print(res, file=stream)
+            timings.append(f"# family {family} {time.perf_counter() - start:.3f}s")
     summary = _summary(records)
     lines = ["HYWREPORT 1"]
     lines.append("# generated " + datetime.datetime.now(datetime.timezone.utc).isoformat())
@@ -314,6 +353,7 @@ def run_suite(cfg: RunConfig, stream=None):
     lines.append(
         f"# {summary['checks']} checks: {summary['passed']} passed, {summary['failed']} failed"
     )
+    lines.extend(timings)
     return records, summary, "\n".join(lines) + "\n"
 
 

@@ -214,7 +214,7 @@ class SampledFunction:
         return edge / total
 
 
-def _axis_profiles(spec: TestFunctionSpec, n_grids, h_grid):
+def _axis_profiles(spec: TestFunctionSpec, n_grids):
     widths = np.broadcast_to(np.asarray(spec.width_n, dtype=float), (len(n_grids),))
     centers = np.broadcast_to(np.asarray(spec.center_n, dtype=float), (len(n_grids),))
     return widths, centers
@@ -230,7 +230,7 @@ def _bump(x, center, radius):
 
 def sample(spec: TestFunctionSpec, n_grids, h_grid, model) -> SampledFunction:
     """Evaluate the test function described by spec on the grids."""
-    widths, centers = _axis_profiles(spec, n_grids, h_grid)
+    widths, centers = _axis_profiles(spec, n_grids)
     axes = [g.points() for g in n_grids] + [h_grid.points()]
 
     if spec.kind in ("gaussian", "random-bandlimited"):
@@ -251,19 +251,19 @@ def sample(spec: TestFunctionSpec, n_grids, h_grid, model) -> SampledFunction:
     if spec.kind == "random-bandlimited":
         # Low-frequency random modulation under the Gaussian envelope.  Mode
         # numbers are kept small so the sampled model stays far inside the
-        # band the dual-side quadrature can resolve.
+        # band the dual-side quadrature can resolve.  The phase of a mode is
+        # a sum of per-axis terms, so the mode is an outer product of
+        # per-axis exponentials.
         rng = np.random.default_rng(spec.seed)
         lengths = [g.hi - g.lo for g in n_grids] + [h_grid.hi - h_grid.lo]
         max_k = [2] * len(n_grids) + [3]
-        mesh = np.meshgrid(*axes, indexing="ij")
         total = np.zeros(values.shape, dtype=np.complex128)
         for j in range(spec.n_modes):
             ks = [int(rng.integers(-m, m + 1)) for m in max_k]
-            c = (rng.standard_normal() + 1j * rng.standard_normal()) * 0.7**j
-            phase = np.zeros(values.shape)
-            for x, k, length in zip(mesh, ks, lengths):
-                phase = phase + (k / length) * x
-            total += c * np.exp(2j * np.pi * phase)
+            mode = (rng.standard_normal() + 1j * rng.standard_normal()) * 0.7**j
+            for x, k, length in zip(axes, ks, lengths):
+                mode = np.multiply.outer(mode, np.exp(2j * np.pi * (k / length) * x))
+            total += mode
         values = values * total
 
     return SampledFunction(model=model, n_grids=tuple(n_grids), h_grid=h_grid, values=values, spec=spec)

@@ -73,6 +73,8 @@ class GroupExtensionModel:
     The quotient H is described abstractly by its identity, multiplication and
     inverse, plus the parametrization h = h_parametrization(t) mapping the
     uniform grid coordinate t (where Haar measure of H is dt) to H itself.
+    h_inverse and conjugation_action also take an array of quotient points
+    and then answer one row per point; h_parametrization is scalar.
     """
 
     name: str
@@ -129,14 +131,20 @@ class GroupExtensionModel:
     # -- dual action -----------------------------------------------------------
 
     def conjugation_matrix(self, h) -> np.ndarray:
-        """Matrix of n |-> alpha(h) n alpha(h)^-1 on N (exact: actions are linear)."""
+        """Matrix of n |-> alpha(h) n alpha(h)^-1 on N (exact: actions are linear).
+
+        For an array of quotient points, a stack of matrices, one per point.
+        """
         cols = [self.conjugation_action(h, e) for e in np.eye(self.dim_N)]
-        return np.stack(cols, axis=1)
+        return np.stack(cols, axis=-1)
 
     def dual_action(self, h, omega) -> np.ndarray:
-        """Parameter of the character chi_omega composed with conjugation by h^-1."""
+        """Parameter of the character chi_omega composed with conjugation by h^-1.
+
+        For an array of quotient points, one row per point.
+        """
         a = self.conjugation_matrix(self.h_inverse(h))
-        return a.T @ np.atleast_1d(np.asarray(omega, dtype=float))
+        return np.swapaxes(a, -1, -2) @ np.atleast_1d(np.asarray(omega, dtype=float))
 
 
 def character_value(omega, n):
@@ -212,7 +220,7 @@ def make_axb():
         h_inverse=lambda a: 1.0 / a,
         h_parametrization=math.exp,
         h_coordinate=math.log,
-        conjugation_action=lambda a, n: a * np.asarray(n, dtype=float),
+        conjugation_action=lambda a, n: np.multiply.outer(a, np.asarray(n, dtype=float)),
         modular_on_H=lambda a: 1.0 / a,
     )
     dual = DualOrbitModel(
@@ -225,7 +233,7 @@ def make_axb():
 
 def _heis_conjugation(x, n):
     n = np.asarray(n, dtype=float)
-    return np.array([n[0], n[1] + x * n[0]])
+    return np.stack(np.broadcast_arrays(n[0], n[1] + x * n[0]), axis=-1)
 
 
 def make_heisenberg():

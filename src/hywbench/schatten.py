@@ -62,15 +62,16 @@ def schatten_norm(a: np.ndarray, p: float) -> float:
     p = float(p)
     if not p >= 1.0:
         raise ValueError("need p >= 1")
+    if p == 2.0:
+        # the Frobenius norm: no SVD, and slightly more accurate than powering
+        # singular values
+        return float(np.sqrt((np.abs(a) ** 2).sum()))
     try:
         s = np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("singular value computation failed") from exc
     if np.isinf(p):
         return float(s[0]) if s.size else 0.0
-    if p == 2.0:
-        # cheaper and slightly more accurate than powering singular values
-        return float(np.sqrt((np.abs(a) ** 2).sum()))
     return float((s**p).sum() ** (1.0 / p))
 
 

@@ -634,6 +634,7 @@ def check_nilpotent_bound(
     dual: DualOrbitModel,
     p: float,
     config: DualSamplingConfig | None = None,
+    lhs: float | None = None,
 ) -> CheckResult:
     """Two-step nilpotent bound on the Heisenberg instance.
 
@@ -642,6 +643,9 @@ def check_nilpotent_bound(
     one-dimensional sharp constant to the power 3 - 2/2 = 2.  That equals
     the abelian constant of the two-dimensional normal subgroup, which is
     how it is computed here.
+
+    lhs is the direct-integral norm of hausdorff_young_margins at p; a caller
+    that already holds that margin passes its lhs instead of recomputing it.
     """
     if dual.group.name != "heisenberg":
         raise ValueError("the nilpotent bound check is specific to the Heisenberg instance")
@@ -651,7 +655,8 @@ def check_nilpotent_bound(
     constant = babenko_constant(p, 1) ** exponent
     # consistency: the power of the line constant is the plane constant
     assert abs(constant - babenko_constant(p, 2)) < 1e-14
-    lhs = hausdorff_young_margins(g, dual, (p,), config=config)[0].lhs
+    if lhs is None:
+        lhs = hausdorff_young_margins(g, dual, (p,), config=config)[0].lhs
     rhs = constant * lp_norm_G(g, p)
     tol = TOLERANCES["bound"] if p < 2.0 else TOLERANCES["quadrature"]
     return inequality_result("nilpotent-bound", lhs, rhs, tol, detail=f"p={p:g}")

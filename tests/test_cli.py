@@ -175,6 +175,15 @@ def test_empty_selection_is_exit_zero(tmp_path):
     assert summary["checks"] == 0 and summary["passed"] == 0
 
 
+# extents of the wrong shape or type: the message names the field and its form
+MALFORMED_EXTENTS = [
+    {"h_extent": [1]},
+    {"h_extent": "ab"},
+    {"h_extent": [-1, "x"]},
+    {"n_extents": [[1]]},
+]
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -184,6 +193,7 @@ def test_empty_selection_is_exit_zero(tmp_path):
         {"h_extent": [1, 2]},  # the quotient grid must hold the origin
         {"n_extents": [[-1, 1], [-1, 1]]},  # axb has one normal-subgroup axis
         {"tolerances": {"bound": -1}},
+        *MALFORMED_EXTENTS,
     ],
 )
 def test_config_file_errors_exit_two(tmp_path, capsys, config):
@@ -194,6 +204,9 @@ def test_config_file_errors_exit_two(tmp_path, capsys, config):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
+    if config in MALFORMED_EXTENTS:
+        (field,) = config
+        assert f"{field} must be" in err and "[lo, hi]" in err
 
 
 # -- explain ------------------------------------------------------------------------
@@ -251,3 +264,51 @@ def test_run_suite_returns_consistent_records():
     assert len(records) == 1 and summary["checks"] == 1
     assert text.startswith("HYWREPORT 1\n")
     assert records[0]["family"] == "gaussian-extremality"
+
+
+def test_family_wall_times_are_comment_lines():
+    cfg = RunConfig(group="axb", seed=3, checks=("minkowski", "dual-measure-scaling")).validate()
+    _, _, text = run_suite(cfg)
+    _, _, again = run_suite(cfg)
+    lines = text.splitlines()
+    timed = [ln.split() for ln in lines if ln.startswith("# family ")]
+    assert [t[2] for t in timed] == cfg.selected_families()  # one line per family, in order
+    for t in timed:
+        assert len(t) == 4 and t[3].endswith("s") and float(t[3][:-1]) >= 0.0
+    body = [ln for ln in lines if not ln.startswith("#")]
+    assert body == [ln for ln in again.splitlines() if not ln.startswith("#")]
+    assert body[0] == "HYWREPORT 1"
+    assert [json.loads(ln)["record"] for ln in body[1:]] == [
+        "config", "model", *["check"] * (len(body) - 4), "summary"
+    ]
+
+
+def test_nilpotent_bound_reads_the_hausdorff_young_margins(monkeypatch):
+    import hywbench.cli as cli
+
+    calls = []
+    margins = cli.hausdorff_young_margins
+
+    def counted(g, *args):
+        calls.append(g.spec.key())
+        return margins(g, *args)
+
+    monkeypatch.setattr(cli, "hausdorff_young_margins", counted)
+    ps = (1.2, 1.5)
+    cfg = RunConfig(group="heisenberg", p=ps, checks=("hausdorff-young", "nilpotent-bound"))
+    records, _, _ = run_suite(cfg.validate())
+    hy = [r for r in records if r["family"] == "hausdorff-young"]
+    nil = [r for r in records if r["family"] == "nilpotent-bound"]
+    assert len(calls) == len(set(calls)) == 6  # one margin pass per fixture
+    # p-major: all fixtures at 1.2, then all at 1.5
+    assert [r["detail"] for r in hy] == [f"heisenberg p={p:g} sharp" for p in ps for _ in range(6)]
+    # nilpotent-bound's 5 fixtures are the first 5 of hausdorff-young's 6
+    assert len(nil) == 10
+    for i, p in enumerate(ps):
+        for j in range(5):
+            assert nil[5 * i + j]["detail"] == f"p={p:g}"
+            assert nil[5 * i + j]["lhs"] == hy[6 * i + j]["lhs"]
+
+    # the memo lives for one run: a second run computes its margins again
+    run_suite(RunConfig(group="heisenberg", p=(1.5,), checks=("nilpotent-bound",)).validate())
+    assert len(calls) == 11

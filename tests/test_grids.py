@@ -122,6 +122,32 @@ def test_random_bandlimited_is_seed_deterministic():
     assert np.abs(a.values - c.values).max() > 1e-6
 
 
+def test_random_bandlimited_matches_meshgrid_formula():
+    """Separable sampling: each mode is an outer product of per-axis
+    exponentials; compare with the phase summed over a meshgrid."""
+    n_grids = (Grid1D(-4.0, 4.0, 8), Grid1D(-2.0, 2.0, 6))
+    h_grid = Grid1D(-3.0, 3.0, 10)
+    spec = TestFunctionSpec(
+        kind="random-bandlimited", width_n=(1.5, 0.7), center_n=(0.3, 0.0), seed=5
+    )
+    f = sample(spec, n_grids, h_grid, HEIS)
+
+    axes = [g.points() for g in n_grids] + [h_grid.points()]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    envelope = np.exp(-((mesh[0] - 0.3) ** 2) / (2 * 1.5**2))
+    envelope *= np.exp(-(mesh[1] ** 2) / (2 * 0.7**2)) * np.exp(-(mesh[2] ** 2) / 2)
+    lengths = [8.0, 4.0, 6.0]
+    rng = np.random.default_rng(5)
+    total = np.zeros(f.values.shape, dtype=complex)
+    for j in range(spec.n_modes):
+        ks = [int(rng.integers(-m, m + 1)) for m in (2, 2, 3)]
+        c = (rng.standard_normal() + 1j * rng.standard_normal()) * 0.7**j
+        phase = sum((k / length) * x for x, k, length in zip(mesh, ks, lengths))
+        total += c * np.exp(2j * np.pi * phase)
+    expected = envelope * total
+    assert np.abs(f.values - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
 def test_lp_norm_axb_gaussian_closed_form():
     # int exp(-b^2) db * int exp(-t^2) e^{-t} dt = sqrt(pi) * sqrt(pi) e^{1/4}
     g = Grid1D(-8.0, 8.0, 128)

@@ -135,6 +135,23 @@ def test_heisenberg_dual_action_closed_form():
 
 
 @pytest.mark.parametrize("name", ["axb", "heisenberg"])
+def test_array_dual_action_equals_scalar_calls(name):
+    """The orbit map over a whole quotient grid, one row per point, is the
+    stack of the scalar calls bit for bit, at every transversal point."""
+    from hywbench.verify import default_grids, default_sampling_config
+
+    model, dual = make_group(name)
+    _, h_grid = default_grids(name)
+    hs = np.array([model.h_parametrization(t) for t in h_grid.points()])
+    params, _ = dual.transversal(default_sampling_config(name))
+    for sigma0 in params:
+        rows = model.dual_action(hs, sigma0)
+        scalar = np.stack([model.dual_action(h, sigma0) for h in hs])
+        assert rows.shape == (h_grid.n, model.dim_N)
+        assert np.array_equal(rows, scalar)
+
+
+@pytest.mark.parametrize("name", ["axb", "heisenberg"])
 def test_cocycle_is_trivial(name):
     model, _ = make_group(name)
     rng = np.random.default_rng(7)
