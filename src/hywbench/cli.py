@@ -50,6 +50,7 @@ from .verify import (
     russo_fournier_random_suite,
     schatten_property_suite,
     semi_invariance_suite,
+    spectral_record,
 )
 
 __all__ = ["RunConfig", "ConfigError", "CHECK_FAMILIES", "run_suite", "explain", "main"]
@@ -179,100 +180,109 @@ def _tolerance_overrides(overrides):
 
 # -- check families ------------------------------------------------------------------
 #
-# Every family takes the run configuration and the run's margin memo: a dict
-# from fixture recipe to its hausdorff_young_margins at every exponent of the
-# run, filled by _fixture_margins and dropped when run_suite returns.
+# Every family takes the run configuration and the run's spectral records.
+
+# fixture pool of each transform family: (catalog Gaussians, seeded randoms)
+POOLS = {
+    "plancherel": (5, 5),
+    "hausdorff-young": (2, 4),
+    "proof-chain": (2, 1),
+    "nilpotent-bound": (2, 3),
+}
 
 
-def _fixture_pool(cfg: RunConfig, gaussians: int, randoms: int):
-    model, _ = make_group(cfg.group)
-    n_grids, h_grid = cfg.grids()
-    specs = gaussian_fixtures(cfg.group, gaussians) + random_fixtures(
+def _pool_specs(cfg: RunConfig, family: str):
+    gaussians, randoms = POOLS[family]
+    return gaussian_fixtures(cfg.group, gaussians) + random_fixtures(
         cfg.group, randoms, base_seed=cfg.seed
     )
-    return [sample(s, n_grids, h_grid, model) for s in specs]
 
 
-def _fixture_margins(cfg, margins, g):
-    """hausdorff_young_margins of g at every exponent of cfg, once per run."""
-    key = g.spec.key()
-    if key not in margins:
-        _, dual = make_group(cfg.group)
-        sampling = default_sampling_config(cfg.group)
-        margins[key] = hausdorff_young_margins(g, dual, cfg.p, cfg.constants, sampling)
-    return margins[key]
+def _fixture_pool(cfg: RunConfig, family: str):
+    model, _ = make_group(cfg.group)
+    n_grids, h_grid = cfg.grids()
+    return [sample(s, n_grids, h_grid, model) for s in _pool_specs(cfg, family)]
 
 
-def _family_plancherel(cfg, margins):
-    _, dual = make_group(cfg.group)
-    sampling = default_sampling_config(cfg.group)
-    return [check_plancherel(g, dual, sampling) for g in _fixture_pool(cfg, 5, 5)]
+class _Records:
+    """The spectral records of one run, one per fixture recipe.  The plan holds
+    what the selected families need of each fixture (exponents, and the
+    norm-chain exponents of proof-chain); the first family to ask builds it."""
+
+    def __init__(self, cfg: RunConfig):
+        _, self.dual = make_group(cfg.group)
+        self.sampling = default_sampling_config(cfg.group)
+        self.plan = {}
+        for family in cfg.selected_families():
+            if family not in POOLS or (family == "nilpotent-bound" and cfg.group != "heisenberg"):
+                continue
+            ps = (2.0,) if family == "plancherel" else cfg.p
+            chain = cfg.p if family == "proof-chain" else ()
+            for spec in _pool_specs(cfg, family):
+                need_ps, need_chain = self.plan.setdefault(spec.key(), (set(), set()))
+                need_ps.update(ps)
+                need_chain.update(chain)
+        self.built = {}
+
+    def __call__(self, g):
+        key = g.spec.key()
+        if key not in self.built:
+            ps, chain = self.plan[key]
+            self.built[key] = spectral_record(g, self.dual, ps, self.sampling, chain)
+        return self.built[key]
 
 
-def _family_hausdorff_young(cfg, margins):
-    per_fixture = [_fixture_margins(cfg, margins, g) for g in _fixture_pool(cfg, 2, 4)]
+def _family_plancherel(cfg, records):
+    return [
+        check_plancherel(g, records.dual, records.sampling, record=records(g))
+        for g in _fixture_pool(cfg, "plancherel")
+    ]
+
+
+def _family_hausdorff_young(cfg, records):
+    per_fixture = [
+        hausdorff_young_margins(
+            g, records.dual, cfg.p, cfg.constants, records.sampling, records(g)
+        )
+        for g in _fixture_pool(cfg, "hausdorff-young")
+    ]
     return [m[i] for i in range(len(cfg.p)) for m in per_fixture]
 
 
-def _family_proof_chain(cfg, margins):
-    _, dual = make_group(cfg.group)
-    sampling = default_sampling_config(cfg.group)
-    pool = _fixture_pool(cfg, 2, 1)
+def _family_proof_chain(cfg, records):
+    pool = _fixture_pool(cfg, "proof-chain")
     return [
         r
         for p in cfg.p
         for g in pool
-        for r in check_proof_chain(g, dual, p, cfg.constants, sampling)
+        for r in check_proof_chain(g, records.dual, p, cfg.constants, records.sampling, records(g))
     ]
 
 
-def _family_semi_invariance(cfg, margins):
-    return semi_invariance_suite(cfg.group, count=20, seed=cfg.seed)
-
-
-def _family_dual_measure(cfg, margins):
-    return dual_measure_suite(cfg.group, count=100, seed=cfg.seed)
-
-
-def _family_russo_fournier(cfg, margins):
-    return [russo_fournier_random_suite(count=1000, seed=cfg.seed)]
-
-
-def _family_minkowski(cfg, margins):
-    return [minkowski_random_suite(count=1000, seed=cfg.seed)]
-
-
-def _family_nilpotent(cfg, margins):
+def _family_nilpotent(cfg, records):
     if cfg.group != "heisenberg":
         return []
-    _, dual = make_group(cfg.group)
-    pool = _fixture_pool(cfg, 2, 3)
+    pool = _fixture_pool(cfg, "nilpotent-bound")
     return [
-        check_nilpotent_bound(g, dual, p, lhs=_fixture_margins(cfg, margins, g)[i].lhs)
-        for i, p in enumerate(cfg.p)
+        check_nilpotent_bound(g, records.dual, p, records.sampling, records(g))
+        for p in cfg.p
         if p < 2.0
         for g in pool
     ]
 
 
-def _family_extremality(cfg, margins):
-    return [check_gaussian_extremality(cfg.group, p) for p in cfg.p]
-
-
-def _family_schatten(cfg, margins):
-    return [schatten_property_suite(count=20, size=32, seed=cfg.seed)]
-
-
 CHECK_FAMILIES = {
-    "schatten-suite": _family_schatten,
-    "russo-fournier": _family_russo_fournier,
-    "minkowski": _family_minkowski,
-    "dual-measure-scaling": _family_dual_measure,
-    "semi-invariance": _family_semi_invariance,
+    "schatten-suite": lambda cfg, _: [schatten_property_suite(count=20, size=32, seed=cfg.seed)],
+    "russo-fournier": lambda cfg, _: [russo_fournier_random_suite(count=1000, seed=cfg.seed)],
+    "minkowski": lambda cfg, _: [minkowski_random_suite(count=1000, seed=cfg.seed)],
+    "dual-measure-scaling": lambda cfg, _: dual_measure_suite(cfg.group, count=100, seed=cfg.seed),
+    "semi-invariance": lambda cfg, _: semi_invariance_suite(cfg.group, count=20, seed=cfg.seed),
     "plancherel": _family_plancherel,
     "hausdorff-young": _family_hausdorff_young,
     "proof-chain": _family_proof_chain,
-    "gaussian-extremality": _family_extremality,
+    "gaussian-extremality": lambda cfg, _: [
+        check_gaussian_extremality(cfg.group, p) for p in cfg.p
+    ],
     "nilpotent-bound": _family_nilpotent,
 }
 
@@ -332,11 +342,11 @@ def run_suite(cfg: RunConfig, stream=None):
     echo.pop("out")  # destination is not part of the deterministic body
     echo["p"] = list(map(float, cfg.p))
     echo["checks"] = cfg.selected_families()
-    records, timings, margins = [], [], {}
+    records, timings, spectral = [], [], _Records(cfg)
     with _tolerance_overrides(cfg.tolerances):
         for family in cfg.selected_families():
             start = time.perf_counter()
-            for res in CHECK_FAMILIES[family](cfg, margins):
+            for res in CHECK_FAMILIES[family](cfg, spectral):
                 rec = asdict(res)
                 rec["family"] = family
                 records.append(rec)

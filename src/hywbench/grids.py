@@ -106,13 +106,20 @@ def make_grids(
     h_count: int,
     h_extent: tuple,
 ):
-    """Build the N-axis grids and the H grid; the H grid must hold the origin."""
+    """Build the N-axis grids and the H grid; the H grid must hold the origin.
+    Errors name their extent, ``n_extents[i]`` or ``h_extent``."""
     if len(n_counts) != len(n_extents):
         raise ValueError("n_counts and n_extents must have equal length")
-    n_grids = tuple(Grid1D(lo, hi, c) for c, (lo, hi) in zip(n_counts, n_extents))
-    h_grid = Grid1D(h_extent[0], h_extent[1], h_count)
-    h_grid.origin_index  # raises if misaligned
-    return n_grids, h_grid
+    axes = [(f"n_extents[{i}]", e, c) for i, (c, e) in enumerate(zip(n_counts, n_extents))]
+    grids = []
+    for label, (lo, hi), count in axes + [("h_extent", h_extent, h_count)]:
+        try:
+            grids.append(Grid1D(lo, hi, count))
+            if label == "h_extent":
+                grids[-1].origin_index  # raises if misaligned
+        except ValueError as exc:
+            raise ValueError(f"{label} {[lo, hi]}: {exc}") from None
+    return tuple(grids[:-1]), grids[-1]
 
 
 def modular_on_grid(model: GroupExtensionModel, h_grid: Grid1D) -> np.ndarray:

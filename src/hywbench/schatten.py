@@ -30,6 +30,7 @@ __all__ = [
     "NumericalError",
     "conjugate_exponent",
     "schatten_norm",
+    "schatten_norms",
     "WeightedKernel",
     "adjoint_kernel",
     "cross_norm_qpq",
@@ -54,25 +55,37 @@ def conjugate_exponent(p: float) -> float:
 
 def schatten_norm(a: np.ndarray, p: float) -> float:
     """Schatten p-norm of a matrix, p in [1, inf]."""
+    return schatten_norms(a, (p,))[0]
+
+
+def schatten_norms(a: np.ndarray, ps) -> list:
+    """[schatten_norm(a, p) for p in ps] from at most one SVD.
+
+    At p = 2 it is the Frobenius norm: no SVD, and slightly more accurate
+    than powering singular values.
+    """
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError("schatten_norm expects a matrix")
     if not np.all(np.isfinite(a.view(float) if a.dtype.kind == "c" else a)):
         raise NumericalError("matrix has non-finite entries")
-    p = float(p)
-    if not p >= 1.0:
+    ps = [float(p) for p in ps]
+    if not all(p >= 1.0 for p in ps):
         raise ValueError("need p >= 1")
-    if p == 2.0:
-        # the Frobenius norm: no SVD, and slightly more accurate than powering
-        # singular values
-        return float(np.sqrt((np.abs(a) ** 2).sum()))
-    try:
-        s = np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("singular value computation failed") from exc
-    if np.isinf(p):
-        return float(s[0]) if s.size else 0.0
-    return float((s**p).sum() ** (1.0 / p))
+    if any(p != 2.0 for p in ps):
+        try:
+            s = np.linalg.svd(a, compute_uv=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("singular value computation failed") from exc
+    out = []
+    for p in ps:
+        if p == 2.0:
+            out.append(float(np.sqrt((np.abs(a) ** 2).sum())))
+        elif np.isinf(p):
+            out.append(float(s[0]) if s.size else 0.0)
+        else:
+            out.append(float((s**p).sum() ** (1.0 / p)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -87,8 +100,6 @@ class WeightedKernel:
     values: np.ndarray
     xi_weights: np.ndarray
     gamma_weights: np.ndarray
-    xi_points: np.ndarray | None = None
-    gamma_points: np.ndarray | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.complex128)
@@ -106,20 +117,10 @@ class WeightedKernel:
         object.__setattr__(self, "xi_weights", wx)
         object.__setattr__(self, "gamma_weights", wg)
 
-    @property
-    def shape(self):
-        return self.values.shape
-
 
 def adjoint_kernel(k: WeightedKernel) -> WeightedKernel:
     """k*(xi, gamma) = conj(k(gamma, xi)); weights swap roles."""
-    return WeightedKernel(
-        values=k.values.conj().T,
-        xi_weights=k.gamma_weights,
-        gamma_weights=k.xi_weights,
-        xi_points=k.gamma_points,
-        gamma_points=k.xi_points,
-    )
+    return WeightedKernel(k.values.conj().T, k.gamma_weights, k.xi_weights)
 
 
 def cross_norm_qpq(k: WeightedKernel, q: float, p: float) -> float:

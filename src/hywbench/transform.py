@@ -47,7 +47,6 @@ __all__ = [
     "CharacterSlice",
     "pair_rows",
     "kernel_from_pair_table",
-    "orbit_tables",
     "induced_rep_matrix",
 ]
 
@@ -166,28 +165,7 @@ def kernel_from_pair_table(
     vals = np.take_along_axis(P, Dc, axis=1) * delta_h[Dc] * valid
     if dimension_exponent:
         vals = vals * delta_h[None, :] ** dimension_exponent
-    pts = h_grid.points()
-    return WeightedKernel(
-        values=vals,
-        xi_weights=h_grid.weights(),
-        gamma_weights=h_grid.weights(),
-        xi_points=pts,
-        gamma_points=pts,
-    )
-
-
-def orbit_tables(
-    g: SampledFunction, dual: DualOrbitModel, config: DualSamplingConfig | None = None
-):
-    """Orbit weight and pairing table at each transversal point, in order.
-
-    A generator: a caller that reduces orbit by orbit holds one table at a
-    time.  The tables do not depend on the transform exponent.
-    """
-    cs = CharacterSlice(g)
-    params, nu = dual.transversal(config)
-    for sigma0, weight in zip(params, nu):
-        yield weight, pair_rows(cs, dual, sigma0)[1]
+    return WeightedKernel(vals, h_grid.weights(), h_grid.weights())
 
 
 def induced_rep_matrix(

@@ -55,9 +55,10 @@ from .schatten import (
     cross_norm_qpq,
     russo_gap,
     schatten_norm,
+    schatten_norms,
     weighted_operator_matrix,
 )
-from .transform import CharacterSlice, induced_rep_matrix, kernel_from_pair_table, orbit_tables
+from .transform import CharacterSlice, induced_rep_matrix, kernel_from_pair_table, pair_rows
 
 __all__ = [
     "TOLERANCES",
@@ -73,6 +74,7 @@ __all__ = [
     "check_plancherel",
     "check_hausdorff_young",
     "hausdorff_young_margins",
+    "spectral_record",
     "proof_chain_quantities",
     "check_proof_chain",
     "check_semi_invariance",
@@ -223,6 +225,73 @@ def sample_fixture(group_name: str, spec: TestFunctionSpec) -> SampledFunction:
     return sample(spec, n_grids, h_grid, model)
 
 
+# -- the spectral record: one pairing pass per fixture --------------------------------
+
+
+@dataclass(frozen=True)
+class SpectralRecord:
+    """Per-orbit reductions of one fixture: orbit weights nu, sq[p] the
+    ||k_sigma||_{S_q}^q of the exponent-q kernels (q = p'), and chain[p] the
+    norm chain's per-orbit ||k||_{q,p,q}^q, ||k*||_{q,p,q}^q and per-slice
+    dual-side q-mass.  No pairing table is kept."""
+
+    nu: np.ndarray
+    sq: dict
+    chain: dict
+
+
+def spectral_record(
+    g: SampledFunction,
+    dual: DualOrbitModel,
+    ps,
+    config: DualSamplingConfig | None = None,
+    chain=(),
+) -> SpectralRecord:
+    """Pair every orbit of g once and reduce its kernels at every exponent.
+
+    The exponents of chain are added to ps.  On a unimodular group the
+    modular function is 1 on the grid, so the kernel does not depend on the
+    exponent: it is built once per orbit, and with two or more exponents
+    below 2 one SVD per orbit serves them all.  Elsewhere Delta^(1/q) changes
+    the spectrum, so every exponent gets its own kernel and SVD.
+    """
+    model = dual.group
+    chain = {float(p) for p in chain}
+    ps = sorted({float(p) for p in ps} | chain)
+    if not all(1.0 < p <= 2.0 for p in ps):
+        raise ValueError("need 1 < p <= 2")
+    qs = [conjugate_exponent(p) for p in ps]
+    shared_svd = model.unimodular and sum(p < 2.0 for p in ps) >= 2
+    h = g.h_grid
+    delta = modular_on_grid(model, h)
+    measure = g.h_measure()
+    cs = CharacterSlice(g)
+    params, nu = dual.transversal(config)
+    sq = {p: [] for p in ps}
+    extras = {p: ([], [], np.zeros(h.n)) for p in chain}
+    for sigma0, weight in zip(params, nu):
+        table = pair_rows(cs, dual, sigma0)[1]
+        k = kernel_from_pair_table(table, h, delta, 1.0 / qs[0])
+        if shared_svd:
+            norms = schatten_norms(weighted_operator_matrix(k), qs)
+        for i, (p, q) in enumerate(zip(ps, qs)):
+            if i and not model.unimodular:  # Delta^(1/q) changes the kernel
+                k = kernel_from_pair_table(table, h, delta, 1.0 / q)
+            norm = norms[i] if shared_svd else schatten_norm(weighted_operator_matrix(k), q)
+            sq[p].append(norm**q)
+            if p in chain:
+                direct, adjoint, slice_mass = extras[p]
+                direct.append(cross_norm_qpq(k, q, p) ** q)
+                adjoint.append(cross_norm_qpq(adjoint_kernel(k), q, p) ** q)
+                # dual-side q-mass of every slice, row s contributing its orbit weight
+                slice_mass += weight * (measure @ np.abs(table) ** q)
+    return SpectralRecord(
+        np.asarray(nu),
+        {p: np.array(v) for p, v in sq.items()},
+        {p: (np.array(d), np.array(a), m) for p, (d, a, m) in extras.items()},
+    )
+
+
 # -- the two headline identities ----------------------------------------------------
 
 
@@ -231,6 +300,7 @@ def check_plancherel(
     dual: DualOrbitModel,
     config: DualSamplingConfig | None = None,
     tolerance: float | None = None,
+    record: SpectralRecord | None = None,
 ) -> CheckResult:
     """Direct-integral squared norm of the exponent-2 transform vs ||g||_2^2.
 
@@ -239,7 +309,7 @@ def check_plancherel(
     """
     if tolerance is None:
         tolerance = TOLERANCES["equality"] if g.dim_N == 1 else 2 * TOLERANCES["equality"]
-    (hy,) = hausdorff_young_margins(g, dual, (2.0,), config=config)
+    (hy,) = hausdorff_young_margins(g, dual, (2.0,), config=config, record=record)
     return equality_result("plancherel", hy.lhs**2, hy.rhs**2, tolerance, detail=dual.group.name)
 
 
@@ -260,13 +330,13 @@ def hausdorff_young_margins(
     ps,
     constants: str = "sharp",
     config: DualSamplingConfig | None = None,
+    record: SpectralRecord | None = None,
 ) -> list:
     """Direct-integral q-norm of the transform vs A_p ||g||_p, for each p.
 
     lhs is (sum_sigma nu ||k_sigma||_{S_q}^q)^(1/q) over the exponent-q
-    transform kernels; every check of that norm reads it from here.  The
-    pairing tables do not depend on the exponent, so each orbit is paired
-    once for all of ps.
+    transform kernels, reduced from the spectral record of g (built here at
+    ps when none is given); every check of that norm reads it from here.
 
     For p < 2 the sharp bound carries real margin on generic fixtures and the
     slack is 1e-6.  At p = 2 the bound saturates (it is the Plancherel
@@ -274,25 +344,19 @@ def hausdorff_young_margins(
     """
     model = dual.group
     ps = [float(p) for p in ps]
-    if not all(1.0 < p <= 2.0 for p in ps):
-        raise ValueError("need 1 < p <= 2")
-    delta = modular_on_grid(model, g.h_grid)
-    orbits = list(orbit_tables(g, dual, config))
+    if record is None:
+        record = spectral_record(g, dual, ps, config)  # rejects p outside (1, 2]
     out = []
     for p in ps:
         q = conjugate_exponent(p)
         acc = 0.0
-        for weight, table in orbits:
-            k = kernel_from_pair_table(table, g.h_grid, delta, dimension_exponent=1.0 / q)
-            acc += weight * schatten_norm(weighted_operator_matrix(k), q) ** q
+        for weight, sq in zip(record.nu, record.sq[p]):
+            acc += weight * sq
         lhs = acc ** (1.0 / q)
         rhs = babenko_constant(p, model.dim_N, constants) * lp_norm_G(g, p)
         tol = TOLERANCES["bound"] if p < 2.0 else TOLERANCES["quadrature"]
-        out.append(
-            inequality_result(
-                "hausdorff-young", lhs, rhs, tol, detail=f"{model.name} p={p:g} {constants}"
-            )
-        )
+        detail = f"{model.name} p={p:g} {constants}"
+        out.append(inequality_result("hausdorff-young", lhs, rhs, tol, detail=detail))
     return out
 
 
@@ -305,28 +369,21 @@ def proof_chain_quantities(
     p: float,
     constants: str = "sharp",
     config: DualSamplingConfig | None = None,
+    record: SpectralRecord | None = None,
 ) -> dict:
-    """All intermediate chain values for one function; see the module docstring."""
+    """All intermediate chain values for one function; see the module docstring.
+
+    They reduce the spectral record of g, which must carry p in its chain;
+    one is built here when none is given.
+    """
     model = dual.group
     p = float(p)
-    if not 1.0 < p <= 2.0:
-        raise ValueError("need 1 < p <= 2")
+    if record is None:
+        record = spectral_record(g, dual, (p,), config, chain=(p,))  # rejects p outside (1, 2]
     q = conjugate_exponent(p)
-    h = g.h_grid
-    delta = modular_on_grid(model, h)
-    measure = h.weights() * delta
-
-    nu, sq, c_direct, c_adjoint = [], [], [], []
-    slice_mass = np.zeros(h.n)
-    for weight, P in orbit_tables(g, dual, config):
-        k = kernel_from_pair_table(P, h, delta, dimension_exponent=1.0 / q)
-        nu.append(weight)
-        sq.append(schatten_norm(weighted_operator_matrix(k), q) ** q)
-        c_direct.append(cross_norm_qpq(k, q, p) ** q)
-        c_adjoint.append(cross_norm_qpq(adjoint_kernel(k), q, p) ** q)
-        # dual-side q-mass of every slice, row s contributing its orbit weight
-        slice_mass += weight * (measure @ np.abs(P) ** q)
-    nu, sq, c_direct, c_adjoint = map(np.array, (nu, sq, c_direct, c_adjoint))
+    measure = g.h_measure()
+    nu, sq = record.nu, record.sq[p]
+    c_direct, c_adjoint, slice_mass = record.chain[p]
 
     v0 = float(nu @ sq)
     v1 = float(nu @ np.sqrt(c_direct * c_adjoint))
@@ -348,7 +405,6 @@ def proof_chain_quantities(
         "per_orbit_sq": sq,
         "per_orbit_direct": c_direct,
         "per_orbit_adjoint": c_adjoint,
-        "nu": nu,
     }
 
 
@@ -377,39 +433,32 @@ def check_proof_chain(
     p: float,
     constants: str = "sharp",
     config: DualSamplingConfig | None = None,
+    record: SpectralRecord | None = None,
 ) -> list:
     """Assert every adjacent pair of the norm chain, plus the per-orbit and
     per-slice facts feeding it.  At p = 2 equality variants are added."""
-    vals = proof_chain_quantities(g, dual, p, constants, config)
+    vals = proof_chain_quantities(g, dual, p, constants, config, record)
     lin, quad, eq = TOLERANCES["linalg"], TOLERANCES["quadrature"], TOLERANCES["equality"]
-    results = []
 
     # per-orbit averaging bound, reported at the worst orbit
     rf_lhs = vals["per_orbit_sq"]
     rf_rhs = np.sqrt(vals["per_orbit_direct"] * vals["per_orbit_adjoint"])
     worst = int(np.argmax(rf_lhs - rf_rhs * (1 + lin)))
-    results.append(
-        inequality_result(
-            "proof-chain:orbit-averaging",
-            rf_lhs[worst],
-            rf_rhs[worst],
-            lin,
-            detail=f"worst of {len(rf_lhs)} orbits",
-        )
-    )
+    detail = f"worst of {len(rf_lhs)} orbits"
+    results = [
+        inequality_result("proof-chain:orbit-averaging", rf_lhs[worst], rf_rhs[worst], lin, detail)
+    ]
 
-    results.append(inequality_result("proof-chain:averaging", vals["v0"], vals["v1"], lin))
-    results.append(inequality_result("proof-chain:cauchy-schwarz", vals["v1"], vals["v2"], lin))
-    results.append(
-        inequality_result("proof-chain:minkowski-direct", vals["c_direct"], vals["v3"], lin)
+    links = (
+        ("averaging", "v0", "v1", lin),
+        ("cauchy-schwarz", "v1", "v2", lin),
+        ("minkowski-direct", "c_direct", "v3", lin),
+        ("minkowski-adjoint", "c_adjoint", "v3", lin),
+        ("minkowski-swap", "v2", "v3", lin),
+        ("slice-hausdorff-young", "v3", "v4", quad),
     )
-    results.append(
-        inequality_result("proof-chain:minkowski-adjoint", vals["c_adjoint"], vals["v3"], lin)
-    )
-    results.append(inequality_result("proof-chain:minkowski-swap", vals["v2"], vals["v3"], lin))
-    results.append(
-        inequality_result("proof-chain:slice-hausdorff-young", vals["v3"], vals["v4"], quad)
-    )
+    for label, a, b, tol in links:
+        results.append(inequality_result(f"proof-chain:{label}", vals[a], vals[b], tol))
 
     # brute-force slice-level bound backing the last link
     ratios, _ = slice_ratios(g, p)
@@ -424,16 +473,12 @@ def check_proof_chain(
         )
     )
 
-    if vals["p"] == 2.0:
-        for a, b, label in (
-            ("v0", "v1", "averaging"),
-            ("v1", "v2", "cauchy-schwarz"),
-            ("v2", "v3", "minkowski-swap"),
-            ("v3", "v4", "slice-hausdorff-young"),
-        ):
-            results.append(
-                equality_result(f"proof-chain:equal-at-two:{label}", vals[a], vals[b], eq)
-            )
+    if vals["p"] == 2.0:  # every link of the V chain collapses to an equality
+        for label, a, b, _ in links:
+            if a.startswith("v"):
+                results.append(
+                    equality_result(f"proof-chain:equal-at-two:{label}", vals[a], vals[b], eq)
+                )
     return results
 
 
@@ -552,35 +597,34 @@ def check_russo_fournier(kernel: WeightedKernel, p: float) -> CheckResult:
     return inequality_result("russo-fournier", lhs, rhs, TOLERANCES["linalg"])
 
 
-def _random_kernel(rng):
-    nx, ng = int(rng.integers(2, 25)), int(rng.integers(2, 25))
-    vals = rng.standard_normal((nx, ng)) + 1j * rng.standard_normal((nx, ng))
-    return WeightedKernel(vals, rng.uniform(0.05, 2.0, nx), rng.uniform(0.05, 2.0, ng))
-
-
-def russo_fournier_random_suite(count: int = 1000, seed: int = 0) -> CheckResult:
-    """Summary over random weighted kernels and random exponents."""
+def _random_suite(name: str, count: int, seed: int, trial) -> CheckResult:
+    """Worst lhs/rhs ratio and violation count over count random inequality
+    checks; trial(rng) draws one check and returns its (lhs, rhs)."""
     rng = np.random.default_rng(seed)
     tol = TOLERANCES["linalg"]
     violations = 0
     worst = (0.0, 1.0)
     for _ in range(count):
-        k = _random_kernel(rng)
-        p = float(rng.uniform(1.05, 2.0))
-        lhs, rhs = russo_gap(k, conjugate_exponent(p), p)
-        if lhs > rhs * (1 + tol):
+        lhs, rhs = trial(rng)
+        if not inequality_result(name, lhs, rhs, tol).passed:
             violations += 1
         if lhs * worst[1] > worst[0] * rhs:  # larger lhs/rhs ratio
             worst = (lhs, rhs)
-    return CheckResult(
-        "russo-fournier-random-suite",
-        "inequality",
-        worst[0],
-        worst[1],
-        tol,
-        violations == 0,
-        detail=f"{count} kernels, {violations} violations",
-    )
+    detail = f"{count} kernels, {violations} violations"
+    return CheckResult(name, "inequality", *worst, tol, violations == 0, detail)
+
+
+def _russo_trial(rng):
+    nx, ng = int(rng.integers(2, 25)), int(rng.integers(2, 25))
+    vals = rng.standard_normal((nx, ng)) + 1j * rng.standard_normal((nx, ng))
+    k = WeightedKernel(vals, rng.uniform(0.05, 2.0, nx), rng.uniform(0.05, 2.0, ng))
+    p = float(rng.uniform(1.05, 2.0))
+    return russo_gap(k, conjugate_exponent(p), p)
+
+
+def russo_fournier_random_suite(count: int = 1000, seed: int = 0) -> CheckResult:
+    """Summary over random weighted kernels and random exponents."""
+    return _random_suite("russo-fournier-random-suite", count, seed, _russo_trial)
 
 
 def check_minkowski(values, xi_weights, gamma_weights, p: float, q: float) -> CheckResult:
@@ -599,31 +643,18 @@ def check_minkowski(values, xi_weights, gamma_weights, p: float, q: float) -> Ch
     return inequality_result("minkowski-swap", swapped, dominant, TOLERANCES["linalg"])
 
 
+def _minkowski_trial(rng):
+    nx, ng = int(rng.integers(1, 25)), int(rng.integers(1, 25))
+    f = np.abs(rng.standard_normal((nx, ng)))
+    wx = rng.uniform(0.05, 2.0, nx)
+    wg = rng.uniform(0.05, 2.0, ng)
+    p = float(rng.uniform(1.05, 1.95))
+    r = check_minkowski(f, wx, wg, p, conjugate_exponent(p))
+    return r.lhs, r.rhs
+
+
 def minkowski_random_suite(count: int = 1000, seed: int = 0) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    tol = TOLERANCES["linalg"]
-    violations = 0
-    worst = (0.0, 1.0)
-    for _ in range(count):
-        nx, ng = int(rng.integers(1, 25)), int(rng.integers(1, 25))
-        f = np.abs(rng.standard_normal((nx, ng)))
-        wx = rng.uniform(0.05, 2.0, nx)
-        wg = rng.uniform(0.05, 2.0, ng)
-        p = float(rng.uniform(1.05, 1.95))
-        r = check_minkowski(f, wx, wg, p, conjugate_exponent(p))
-        if not r.passed:
-            violations += 1
-        if r.lhs * worst[1] > worst[0] * r.rhs:
-            worst = (r.lhs, r.rhs)
-    return CheckResult(
-        "minkowski-random-suite",
-        "inequality",
-        worst[0],
-        worst[1],
-        tol,
-        violations == 0,
-        detail=f"{count} kernels, {violations} violations",
-    )
+    return _random_suite("minkowski-random-suite", count, seed, _minkowski_trial)
 
 
 # -- instance-specific bounds ---------------------------------------------------------
@@ -634,7 +665,7 @@ def check_nilpotent_bound(
     dual: DualOrbitModel,
     p: float,
     config: DualSamplingConfig | None = None,
-    lhs: float | None = None,
+    record: SpectralRecord | None = None,
 ) -> CheckResult:
     """Two-step nilpotent bound on the Heisenberg instance.
 
@@ -642,10 +673,8 @@ def check_nilpotent_bound(
     generic dual orbits are two-dimensional, so the bound carries the
     one-dimensional sharp constant to the power 3 - 2/2 = 2.  That equals
     the abelian constant of the two-dimensional normal subgroup, which is
-    how it is computed here.
-
-    lhs is the direct-integral norm of hausdorff_young_margins at p; a caller
-    that already holds that margin passes its lhs instead of recomputing it.
+    how it is computed here.  lhs is the direct-integral norm of
+    hausdorff_young_margins at p, reduced from record when one is given.
     """
     if dual.group.name != "heisenberg":
         raise ValueError("the nilpotent bound check is specific to the Heisenberg instance")
@@ -655,8 +684,7 @@ def check_nilpotent_bound(
     constant = babenko_constant(p, 1) ** exponent
     # consistency: the power of the line constant is the plane constant
     assert abs(constant - babenko_constant(p, 2)) < 1e-14
-    if lhs is None:
-        lhs = hausdorff_young_margins(g, dual, (p,), config=config)[0].lhs
+    lhs = hausdorff_young_margins(g, dual, (p,), config=config, record=record)[0].lhs
     rhs = constant * lp_norm_G(g, p)
     tol = TOLERANCES["bound"] if p < 2.0 else TOLERANCES["quadrature"]
     return inequality_result("nilpotent-bound", lhs, rhs, tol, detail=f"p={p:g}")

@@ -183,6 +183,14 @@ MALFORMED_EXTENTS = [
     {"n_extents": [[1]]},
 ]
 
+# well-formed extents that still make no grid: the message names the field
+# and says what is wrong with it
+NAMED_GRID_ERRORS = {
+    '{"h_extent": [1, 2]}': "h_extent [1, 2]: grid does not contain the origin as a point",
+    '{"h_extent": [2, 1]}': "h_extent [2, 1]: need finite extents with hi > lo",
+    '{"n_extents": [[1, -1]]}': "n_extents[0] [1, -1]: need finite extents with hi > lo",
+}
+
 
 @pytest.mark.parametrize(
     "config",
@@ -194,6 +202,7 @@ MALFORMED_EXTENTS = [
         {"n_extents": [[-1, 1], [-1, 1]]},  # axb has one normal-subgroup axis
         {"tolerances": {"bound": -1}},
         *MALFORMED_EXTENTS,
+        *map(json.loads, NAMED_GRID_ERRORS),
     ],
 )
 def test_config_file_errors_exit_two(tmp_path, capsys, config):
@@ -207,6 +216,8 @@ def test_config_file_errors_exit_two(tmp_path, capsys, config):
     if config in MALFORMED_EXTENTS:
         (field,) = config
         assert f"{field} must be" in err and "[lo, hi]" in err
+    if json.dumps(config) in NAMED_GRID_ERRORS:
+        assert NAMED_GRID_ERRORS[json.dumps(config)] in err
 
 
 # -- explain ------------------------------------------------------------------------
@@ -286,20 +297,20 @@ def test_family_wall_times_are_comment_lines():
 def test_nilpotent_bound_reads_the_hausdorff_young_margins(monkeypatch):
     import hywbench.cli as cli
 
-    calls = []
-    margins = cli.hausdorff_young_margins
+    builds = []
+    build = cli.spectral_record
 
     def counted(g, *args):
-        calls.append(g.spec.key())
-        return margins(g, *args)
+        builds.append(g.spec.key())
+        return build(g, *args)
 
-    monkeypatch.setattr(cli, "hausdorff_young_margins", counted)
+    monkeypatch.setattr(cli, "spectral_record", counted)
     ps = (1.2, 1.5)
     cfg = RunConfig(group="heisenberg", p=ps, checks=("hausdorff-young", "nilpotent-bound"))
     records, _, _ = run_suite(cfg.validate())
     hy = [r for r in records if r["family"] == "hausdorff-young"]
     nil = [r for r in records if r["family"] == "nilpotent-bound"]
-    assert len(calls) == len(set(calls)) == 6  # one margin pass per fixture
+    assert len(builds) == len(set(builds)) == 6  # one spectral record per fixture
     # p-major: all fixtures at 1.2, then all at 1.5
     assert [r["detail"] for r in hy] == [f"heisenberg p={p:g} sharp" for p in ps for _ in range(6)]
     # nilpotent-bound's 5 fixtures are the first 5 of hausdorff-young's 6
@@ -309,6 +320,23 @@ def test_nilpotent_bound_reads_the_hausdorff_young_margins(monkeypatch):
             assert nil[5 * i + j]["detail"] == f"p={p:g}"
             assert nil[5 * i + j]["lhs"] == hy[6 * i + j]["lhs"]
 
-    # the memo lives for one run: a second run computes its margins again
+    # the records live for one run: a second run builds its own
     run_suite(RunConfig(group="heisenberg", p=(1.5,), checks=("nilpotent-bound",)).validate())
-    assert len(calls) == 11
+    assert len(builds) == 11
+
+
+def test_default_heisenberg_run_pairs_each_fixture_once(monkeypatch):
+    from hywbench.transform import CharacterSlice
+
+    paired = []
+    pair = CharacterSlice.pair
+
+    def counted(self, omegas):
+        paired.append(self.g.spec.key())
+        return pair(self, omegas)
+
+    monkeypatch.setattr(CharacterSlice, "pair", counted)
+    run_suite(RunConfig(group="heisenberg").validate())
+    # 10 distinct fixtures across plancherel, hausdorff-young, proof-chain and
+    # nilpotent-bound, each paired once at its 64 transversal points
+    assert len(paired) == 640 and len(set(paired)) == 10

@@ -20,6 +20,7 @@ from hywbench import (
     schatten_norm,
     weighted_operator_matrix,
 )
+from hywbench.schatten import schatten_norms
 
 complex_mats = hnp.arrays(
     np.complex128,
@@ -98,6 +99,11 @@ def test_schatten_rejects_bad_input():
         schatten_norm(np.zeros((2, 2)), 0.5)
     with pytest.raises(NumericalError):
         schatten_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]), 2.0)
+    # the shared-SVD form keeps the same guards
+    with pytest.raises(ValueError):
+        schatten_norms(np.zeros((2, 2)), (3.0, 0.5))
+    with pytest.raises(NumericalError):
+        schatten_norms(np.array([[np.inf, 0.0], [0.0, 1.0]]), (3.0, 6.0))
 
 
 def test_kernel_validation():

@@ -11,8 +11,15 @@ import numpy as np
 import pytest
 
 from hywbench import make_group
-from hywbench.grids import lp_norm_G
-from hywbench.schatten import WeightedKernel, conjugate_exponent
+from hywbench.grids import lp_norm_G, modular_on_grid
+from hywbench.schatten import (
+    WeightedKernel,
+    conjugate_exponent,
+    schatten_norm,
+    schatten_norms,
+    weighted_operator_matrix,
+)
+from hywbench.transform import CharacterSlice, kernel_from_pair_table, pair_rows
 from hywbench.verify import (
     TOLERANCES,
     babenko_constant,
@@ -30,6 +37,7 @@ from hywbench.verify import (
     dual_measure_suite,
     equality_result,
     gaussian_fixtures,
+    hausdorff_young_margins,
     inequality_result,
     minkowski_random_suite,
     proof_chain_quantities,
@@ -38,6 +46,7 @@ from hywbench.verify import (
     sample_fixture,
     semi_invariance_suite,
     slice_ratios,
+    spectral_record,
 )
 from hywbench.groups import GroupElement
 
@@ -254,8 +263,6 @@ def test_hausdorff_young_consistent_with_chain():
 
 
 def test_hausdorff_young_margins_match_single_checks():
-    from hywbench.verify import hausdorff_young_margins
-
     _, dual, g = axb_base()
     batch = hausdorff_young_margins(g, dual, (1.2, 1.8))
     for p, r in zip((1.2, 1.8), batch):
@@ -273,6 +280,37 @@ def test_hausdorff_young_rejects_bad_exponent():
         check_hausdorff_young(g, dual, 1.0)
     with pytest.raises(ValueError):
         check_hausdorff_young(g, dual, 2.2)
+
+
+def test_one_svd_serves_every_exponent_on_heisenberg():
+    model, dual = make_group("heisenberg")
+    g = sample_fixture("heisenberg", random_fixtures("heisenberg", 1)[0])
+    delta = modular_on_grid(model, g.h_grid)
+    # unimodular: the kernel's column factor Delta^(1/q) is exactly 1 at every q
+    assert model.unimodular and np.array_equal(delta, np.ones(g.h_grid.n))
+    params, _ = dual.transversal(default_sampling_config("heisenberg"))
+    qs = (2.25, 3.0, 6.0)
+    for sigma0 in params[::21]:
+        _, table = pair_rows(CharacterSlice(g), dual, sigma0)
+        a = weighted_operator_matrix(kernel_from_pair_table(table, g.h_grid, delta, 1 / 3))
+        for q, norm in zip(qs, schatten_norms(a, qs)):
+            assert norm**q == schatten_norm(a, q) ** q
+
+
+@pytest.mark.parametrize("group, ps", [("axb", (1.2, 1.8)), ("heisenberg", (1.5, 1.8))])
+def test_record_backed_checks_equal_standalone_calls(group, ps):
+    _, dual = make_group(group)
+    g = sample_fixture(group, random_fixtures(group, 1, base_seed=5)[0])
+    cfg = default_sampling_config(group)
+    record = spectral_record(g, dual, (2.0,), cfg, chain=ps)
+    assert check_plancherel(g, dual, cfg, record=record) == check_plancherel(g, dual, cfg)
+    assert hausdorff_young_margins(g, dual, ps, config=cfg, record=record) == (
+        hausdorff_young_margins(g, dual, ps, config=cfg)
+    )
+    for p in ps:
+        assert check_proof_chain(g, dual, p, config=cfg, record=record) == check_proof_chain(
+            g, dual, p, config=cfg
+        )
 
 
 # -- the chain ----------------------------------------------------------------------
