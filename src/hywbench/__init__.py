@@ -20,7 +20,6 @@ from .grids import (
     lp_norm_G,
     make_grids,
     sample,
-    sample_from_callable,
     save_sampled,
 )
 from .schatten import (
@@ -61,7 +60,6 @@ __all__ = [
     "lp_norm_G",
     "make_grids",
     "sample",
-    "sample_from_callable",
     "save_sampled",
     "NumericalError",
     "WeightedKernel",

@@ -11,8 +11,9 @@ line is either a JSON record (``config``, ``model``, ``check``, ``summary``)
 or a ``#`` comment.  Comment lines carry timestamps, the wall time of each
 family (``# family <name> <seconds>s``) and human-oriented prose, and are
 excluded from the determinism contract; the non-comment body is
-byte-identical across runs with the same configuration and seed.  The report
-is written atomically (temp file, then rename) even when checks fail.
+byte-identical across runs with the same configuration and seed, numpy/BLAS
+build and BLAS thread count.  The report is written atomically (temp file,
+then rename) even when checks fail.
 
 Exit codes: 0 all selected checks pass, 1 at least one check failed,
 2 configuration or usage error.
@@ -123,6 +124,8 @@ class RunConfig:
             raise ConfigError(
                 f"unknown checks {bad}; valid: {', '.join(CHECK_FAMILIES)} (or 'all')"
             )
+        if "nilpotent-bound" in self.checks and self.group != "heisenberg":
+            raise ConfigError(f"nilpotent-bound is specific to heisenberg, not {self.group}")
         if not isinstance(self.out, str):
             raise ConfigError(f"out={self.out!r} is not a path")
         if self.h_extent is not None and not _is_extent(self.h_extent):
@@ -214,7 +217,7 @@ class _Records:
         self.sampling = default_sampling_config(cfg.group)
         self.plan = {}
         for family in cfg.selected_families():
-            if family not in POOLS or (family == "nilpotent-bound" and cfg.group != "heisenberg"):
+            if family not in POOLS:
                 continue
             ps = (2.0,) if family == "plancherel" else cfg.p
             chain = cfg.p if family == "proof-chain" else ()
@@ -260,8 +263,6 @@ def _family_proof_chain(cfg, records):
 
 
 def _family_nilpotent(cfg, records):
-    if cfg.group != "heisenberg":
-        return []
     pool = _fixture_pool(cfg, "nilpotent-bound")
     return [
         check_nilpotent_bound(g, records.dual, p, records.sampling, records(g))
@@ -381,9 +382,10 @@ def _write_atomic(path, text):
 EXPLANATIONS = {
     "schatten-suite": (
         "Property battery for the Schatten norms ||A||_p = (sum s_k(A)^p)^(1/p)\n"
-        "over singular values: agreement with the Frobenius norm at p = 2,\n"
-        "monotone decrease in p, unitary invariance, and the triangle\n"
-        "inequality, each on random complex matrices at roundoff slack."
+        "over singular values: ||A||_S4^2 = ||AA*||_S2, which compares the\n"
+        "singular values with the Frobenius formula used at p = 2, monotone\n"
+        "decrease in p, unitary invariance, and the triangle inequality,\n"
+        "each on random complex matrices at roundoff slack."
     ),
     "russo-fournier": (
         "Russo and Fournier's kernel bound: for an integral kernel k on a\n"
@@ -512,24 +514,12 @@ def build_config(args) -> RunConfig:
         if key in data and not isinstance(data[key], (list, tuple)):
             data[key] = [data[key]]
     cfg = RunConfig(**data)
-    if args.group is not None:
-        cfg.group = args.group
-    if args.p is not None:
-        cfg.p = _parse_p(args.p)
-    if args.grid_n is not None:
-        cfg.grid_n = args.grid_n
-    if args.grid_h is not None:
-        cfg.grid_h = args.grid_h
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.checks is not None:
-        cfg.checks = tuple(tok.strip() for tok in args.checks.split(","))
-    else:
-        cfg.checks = tuple(cfg.checks)
-    if args.constants is not None:
-        cfg.constants = args.constants
-    if args.out is not None:
-        cfg.out = args.out
+    parse = {"p": _parse_p, "checks": lambda text: [tok.strip() for tok in text.split(",")]}
+    for key in ("group", "p", "grid_n", "grid_h", "seed", "checks", "constants", "out"):
+        value = getattr(args, key)
+        if value is not None:
+            setattr(cfg, key, parse.get(key, lambda v: v)(value))
+    cfg.checks = tuple(cfg.checks)
     cfg.validate()
     cfg.p = tuple(float(v) for v in cfg.p)
     return cfg

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "TestFunctionSpec",
     "SampledFunction",
     "sample",
-    "sample_from_callable",
     "lp_norm_G",
     "modular_on_grid",
     "save_sampled",
@@ -81,10 +80,6 @@ class Grid1D:
         if abs(idx - j) > 1e-9 or not 0 <= j < self.n:
             raise ValueError("grid does not contain the origin as a point")
         return j
-
-    def refine(self, factor: int = 2) -> "Grid1D":
-        """Same extents, factor times the points (spacing divided by factor)."""
-        return Grid1D(self.lo, self.hi, self.n * factor)
 
     def balanced_refine(self) -> "Grid1D":
         """Double the points and widen extents by sqrt(2).
@@ -140,7 +135,6 @@ class TestFunctionSpec:
 
     * "gaussian":  exp(-sum_i (n_i - c_i)^2 / (2 s_i^2)) * exp(-(t - c_h)^2 / (2 s_h^2)),
       widths broadcast from a scalar;
-    * "bump": compactly supported product bump, width = support radius per axis;
     * "random-bandlimited": a Gaussian envelope times a low-frequency random
       trigonometric polynomial drawn reproducibly from `seed`.
     """
@@ -156,7 +150,7 @@ class TestFunctionSpec:
     n_modes: int = 6
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "bump", "random-bandlimited"):
+        if self.kind not in ("gaussian", "random-bandlimited"):
             raise ValueError(f"unknown test function kind {self.kind!r}")
         object.__setattr__(self, "center_n", tuple(float(c) for c in np.atleast_1d(self.center_n)))
         object.__setattr__(self, "width_n", tuple(float(w) for w in np.atleast_1d(self.width_n)))
@@ -227,28 +221,15 @@ def _axis_profiles(spec: TestFunctionSpec, n_grids):
     return widths, centers
 
 
-def _bump(x, center, radius):
-    r = (x - center) / radius
-    out = np.zeros_like(x)
-    inside = np.abs(r) < 1.0
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - r[inside] ** 2))
-    return out
-
-
 def sample(spec: TestFunctionSpec, n_grids, h_grid, model) -> SampledFunction:
     """Evaluate the test function described by spec on the grids."""
     widths, centers = _axis_profiles(spec, n_grids)
     axes = [g.points() for g in n_grids] + [h_grid.points()]
-
-    if spec.kind in ("gaussian", "random-bandlimited"):
-        profs = [
-            np.exp(-((x - c) ** 2) / (2.0 * s**2))
-            for x, c, s in zip(axes[:-1], centers, widths)
-        ]
-        profs.append(np.exp(-((axes[-1] - spec.center_h) ** 2) / (2.0 * spec.width_h**2)))
-    elif spec.kind == "bump":
-        profs = [_bump(x, c, s) for x, c, s in zip(axes[:-1], centers, widths)]
-        profs.append(_bump(axes[-1], spec.center_h, spec.width_h))
+    profs = [
+        np.exp(-((x - c) ** 2) / (2.0 * s**2))
+        for x, c, s in zip(axes[:-1], centers, widths)
+    ]
+    profs.append(np.exp(-((axes[-1] - spec.center_h) ** 2) / (2.0 * spec.width_h**2)))
 
     env = profs[0]
     for p in profs[1:]:
@@ -274,18 +255,6 @@ def sample(spec: TestFunctionSpec, n_grids, h_grid, model) -> SampledFunction:
         values = values * total
 
     return SampledFunction(model=model, n_grids=tuple(n_grids), h_grid=h_grid, values=values, spec=spec)
-
-
-def sample_from_callable(fn: Callable, n_grids, h_grid, model) -> SampledFunction:
-    """Sample fn(*n_coords, t) (vectorized, complex ok) on the grids."""
-    axes = [g.points() for g in n_grids] + [h_grid.points()]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return SampledFunction(
-        model=model,
-        n_grids=tuple(n_grids),
-        h_grid=h_grid,
-        values=np.asarray(fn(*mesh), dtype=np.complex128),
-    )
 
 
 def lp_norm_G(g: SampledFunction, p: float) -> float:

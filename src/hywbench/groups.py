@@ -178,7 +178,6 @@ class DualSamplingConfig:
 class DualOrbitModel:
     """Transversal of the generic dual orbits plus the orbit-space measure."""
 
-    name: str
     group: GroupExtensionModel
     transversal_fn: Callable
 
@@ -224,7 +223,6 @@ def make_axb():
         modular_on_H=lambda a: 1.0 / a,
     )
     dual = DualOrbitModel(
-        name="axb-dual",
         group=model,
         transversal_fn=_axb_transversal,
     )
@@ -257,7 +255,6 @@ def make_heisenberg():
         modular_on_H=lambda x: 1.0,
     )
     dual = DualOrbitModel(
-        name="heisenberg-dual",
         group=model,
         transversal_fn=_heisenberg_transversal,
     )

@@ -87,13 +87,15 @@ class CharacterSlice:
         om = np.atleast_2d(np.asarray(omegas, dtype=float))
         if om.shape[1] != len(self.n_grids):
             raise ValueError("frequency dimension does not match the N grids")
+        if om.shape[1] > 2:
+            raise NotImplementedError("pairing in more than two normal-subgroup dimensions")
         out = np.zeros((om.shape[0], self.h_grid.n), dtype=np.complex128)
         rows = np.nonzero(self.in_band(om))[0]
         if rows.size == 0:
             return out
 
-        # group in-band rows by their trailing frequencies (axes 1..d-1);
-        # each group costs one staged contraction plus one matmul
+        # group in-band rows by their trailing frequency (axis 1 when d = 2);
+        # each group costs one contraction plus one matmul
         tails, group_of = np.unique(om[rows, 1:], axis=0, return_inverse=True)
         for k, tail in enumerate(tails):
             members = rows[group_of.ravel() == k]
@@ -102,9 +104,6 @@ class CharacterSlice:
                 ph = np.exp(2j * np.pi * tail[-1] * self._pts[-1])
                 arr = np.dot(self._last_axis_rows, ph.reshape(-1, 1))
                 arr = arr.reshape(self._contracted_shape)
-            for ax in range(tail.size - 1, 0, -1):
-                ph = np.exp(2j * np.pi * tail[ax - 1] * self._pts[ax])
-                arr = np.tensordot(arr, ph, axes=([ax], [0]))
             lead = np.exp(2j * np.pi * np.outer(om[members, 0], self._pts[0]))
             out[members] = lead @ arr
         return out * self._n_weight

@@ -292,6 +292,12 @@ def spectral_record(
     )
 
 
+def _orbit_sum(record: SpectralRecord, p: float) -> float:
+    """sum_sigma nu(sigma) ||k_sigma||_{S_q}^q, the q-th power of the
+    direct-integral norm; every check of that norm reads it from here."""
+    return float(record.nu @ record.sq[p])
+
+
 # -- the two headline identities ----------------------------------------------------
 
 
@@ -299,7 +305,6 @@ def check_plancherel(
     g: SampledFunction,
     dual: DualOrbitModel,
     config: DualSamplingConfig | None = None,
-    tolerance: float | None = None,
     record: SpectralRecord | None = None,
 ) -> CheckResult:
     """Direct-integral squared norm of the exponent-2 transform vs ||g||_2^2.
@@ -307,8 +312,7 @@ def check_plancherel(
     The Hausdorff-Young check at p = 2, squared: A_2 = 1, so its right side
     is ||g||_2.
     """
-    if tolerance is None:
-        tolerance = TOLERANCES["equality"] if g.dim_N == 1 else 2 * TOLERANCES["equality"]
+    tolerance = TOLERANCES["equality"] if g.dim_N == 1 else 2 * TOLERANCES["equality"]
     (hy,) = hausdorff_young_margins(g, dual, (2.0,), config=config, record=record)
     return equality_result("plancherel", hy.lhs**2, hy.rhs**2, tolerance, detail=dual.group.name)
 
@@ -336,7 +340,7 @@ def hausdorff_young_margins(
 
     lhs is (sum_sigma nu ||k_sigma||_{S_q}^q)^(1/q) over the exponent-q
     transform kernels, reduced from the spectral record of g (built here at
-    ps when none is given); every check of that norm reads it from here.
+    ps when none is given).
 
     For p < 2 the sharp bound carries real margin on generic fixtures and the
     slack is 1e-6.  At p = 2 the bound saturates (it is the Plancherel
@@ -348,11 +352,7 @@ def hausdorff_young_margins(
         record = spectral_record(g, dual, ps, config)  # rejects p outside (1, 2]
     out = []
     for p in ps:
-        q = conjugate_exponent(p)
-        acc = 0.0
-        for weight, sq in zip(record.nu, record.sq[p]):
-            acc += weight * sq
-        lhs = acc ** (1.0 / q)
+        lhs = _orbit_sum(record, p) ** (1.0 / conjugate_exponent(p))
         rhs = babenko_constant(p, model.dim_N, constants) * lp_norm_G(g, p)
         tol = TOLERANCES["bound"] if p < 2.0 else TOLERANCES["quadrature"]
         detail = f"{model.name} p={p:g} {constants}"
@@ -385,7 +385,7 @@ def proof_chain_quantities(
     nu, sq = record.nu, record.sq[p]
     c_direct, c_adjoint, slice_mass = record.chain[p]
 
-    v0 = float(nu @ sq)
+    v0 = _orbit_sum(record, p)
     v1 = float(nu @ np.sqrt(c_direct * c_adjoint))
     big_c1 = float(nu @ c_direct)
     big_c2 = float(nu @ c_adjoint)
@@ -490,12 +490,10 @@ def check_semi_invariance(
     sigma0,
     x: GroupElement,
     h_grid: Grid1D,
-    tolerance: float | None = None,
 ) -> CheckResult:
     """rep(x) K rep(x)* = K / Delta(x), compared entrywise on the window the
     shift keeps on the grid.  Reports the max-entry deviation relative to the
     largest entry (the diagonal grows like the modular function)."""
-    tolerance = TOLERANCES["linalg"] if tolerance is None else tolerance
     a = induced_rep_matrix(model, sigma0, x, h_grid)
     kvals = modular_on_grid(model, h_grid)  # the formal dimension operator K
     lhs = (a * kvals[None, :]) @ a.conj().T
@@ -511,18 +509,15 @@ def check_semi_invariance(
         "deviation",
         dev,
         0.0,
-        tolerance,
-        dev <= tolerance,
+        TOLERANCES["linalg"],
+        dev <= TOLERANCES["linalg"],
         detail=f"{model.name} shift={si} window={window.size}",
     )
 
 
-def semi_invariance_suite(
-    group_name: str, count: int = 20, seed: int = 0, h_grid: Grid1D | None = None
-) -> list:
+def semi_invariance_suite(group_name: str, count: int = 20, seed: int = 0) -> list:
     model, dual = make_group(group_name)
-    if h_grid is None:
-        _, h_grid = default_grids(group_name)
+    _, h_grid = default_grids(group_name)
     params, _ = dual.transversal(default_sampling_config(group_name))
     rng = np.random.default_rng(seed)
     out = []
@@ -673,7 +668,7 @@ def check_nilpotent_bound(
     generic dual orbits are two-dimensional, so the bound carries the
     one-dimensional sharp constant to the power 3 - 2/2 = 2.  That equals
     the abelian constant of the two-dimensional normal subgroup, which is
-    how it is computed here.  lhs is the direct-integral norm of
+    how it is computed here.  lhs and the slack are those of
     hausdorff_young_margins at p, reduced from record when one is given.
     """
     if dual.group.name != "heisenberg":
@@ -684,16 +679,16 @@ def check_nilpotent_bound(
     constant = babenko_constant(p, 1) ** exponent
     # consistency: the power of the line constant is the plane constant
     assert abs(constant - babenko_constant(p, 2)) < 1e-14
-    lhs = hausdorff_young_margins(g, dual, (p,), config=config, record=record)[0].lhs
+    (hy,) = hausdorff_young_margins(g, dual, (p,), config=config, record=record)
     rhs = constant * lp_norm_G(g, p)
-    tol = TOLERANCES["bound"] if p < 2.0 else TOLERANCES["quadrature"]
-    return inequality_result("nilpotent-bound", lhs, rhs, tol, detail=f"p={p:g}")
+    return inequality_result("nilpotent-bound", hy.lhs, rhs, hy.tolerance, detail=f"p={p:g}")
 
 
 def schatten_property_suite(count: int = 20, size: int = 64, seed: int = 0) -> CheckResult:
     """Property battery for the Schatten norms on random complex matrices:
-    Frobenius agreement at 2, monotonicity in the exponent, unitary
-    invariance, and the triangle inequality, all to roundoff slack."""
+    ||A||_S4^2 = ||AA*||_S2 (singular values against the Frobenius formula),
+    monotonicity in the exponent, unitary invariance, and the triangle
+    inequality, all to roundoff slack."""
     rng = np.random.default_rng(seed)
     tol = TOLERANCES["linalg"]
     worst = 0.0
@@ -703,8 +698,8 @@ def schatten_property_suite(count: int = 20, size: int = 64, seed: int = 0) -> C
         a = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
         b = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
         devs = []
-        fro = float(np.sqrt((np.abs(a) ** 2).sum()))
-        devs.append(abs(schatten_norm(a, 2) - fro) / fro)
+        s4_squared = schatten_norm(a, 4.0) ** 2
+        devs.append(abs(schatten_norm(a @ a.conj().T, 2) - s4_squared) / s4_squared)
         norms = [schatten_norm(a, p) for p in exponents]
         for lo, hi in zip(norms[1:], norms):  # nonincreasing in the exponent
             devs.append(max(0.0, lo / hi - 1.0))
@@ -728,9 +723,9 @@ def schatten_property_suite(count: int = 20, size: int = 64, seed: int = 0) -> C
     )
 
 
-def check_gaussian_extremality(group_name: str, p: float, factor: float = 1.0) -> CheckResult:
+def check_gaussian_extremality(group_name: str, p: float) -> CheckResult:
     """Gaussian slices must realize at least 0.99 of the sharp slice bound."""
-    g = sample_fixture(group_name, _scaled_spec(group_name, "gaussian", factor=factor))
+    g = sample_fixture(group_name, gaussian_fixtures(group_name, 1)[0])
     ratios, kept = slice_ratios(g, p)
     bound = babenko_constant(p, g.dim_N)
     return inequality_result(

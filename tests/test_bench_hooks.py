@@ -1,9 +1,12 @@
-"""The names the benchmark's tracer rebinds from outside the package.
+"""What the benchmark in perfbench/ uses of the package.
 
 perfbench/tracer.py counts layer calls by rebinding hywbench functions and
 methods by name.  If a refactor deletes, renames or aliases one of them, the
-tracer either fails to install or counts zero calls; this test catches both
-without running the benchmark.  It only reads perfbench/.
+tracer either fails to install or counts zero calls; the first test catches
+both without running the benchmark.  perfbench/workloads.py calls verify
+directly, with the dual sampling passed positionally; the second test runs
+those workloads at small scale, so a changed signature fails here.  Both
+only read perfbench/.
 """
 
 import os
@@ -27,3 +30,16 @@ def test_tracer_counts_every_patched_layer(monkeypatch):
         verify.hausdorff_young_margins(g, dual, (1.5,))
     for layer in ("groups.dual_action", "transform.pair", "transform.kernel", "schatten.norm"):
         assert t.calls[layer] > 0, layer
+
+
+def test_direct_workloads_pass_and_repeat(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+
+    sweep = workloads.prepare("heis-hy-sweep", 0, scale="small")
+    records, body, _ = workloads.run_pass(sweep)
+    assert records and all(r["passed"] for r in records)
+    # an SVD family on Heisenberg: the body repeats byte for byte
+    assert workloads.run_pass(sweep)[1] == body
+    records, _, _ = workloads.run_pass(workloads.prepare("refine", 0, scale="small"))
+    assert records and all(r["passed"] for r in records)

@@ -203,6 +203,7 @@ NAMED_GRID_ERRORS = {
         {"tolerances": {"bound": -1}},
         *MALFORMED_EXTENTS,
         *map(json.loads, NAMED_GRID_ERRORS),
+        {"checks": ["nilpotent-bound"]},  # the bound is specific to heisenberg
     ],
 )
 def test_config_file_errors_exit_two(tmp_path, capsys, config):

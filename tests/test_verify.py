@@ -44,6 +44,7 @@ from hywbench.verify import (
     random_fixtures,
     russo_fournier_random_suite,
     sample_fixture,
+    schatten_property_suite,
     semi_invariance_suite,
     slice_ratios,
     spectral_record,
@@ -262,6 +263,20 @@ def test_hausdorff_young_consistent_with_chain():
     assert r.rhs == pytest.approx(vals["v4"] ** (1 / vals["q"]), rel=1e-12)
 
 
+def test_every_check_reads_one_orbit_sum():
+    # hausdorff-young's lhs, nilpotent-bound's lhs and the chain's V0 come
+    # from one sum over the orbits, so they agree bit for bit
+    _, dual = make_group("heisenberg")
+    g = sample_fixture("heisenberg", random_fixtures("heisenberg", 1)[0])
+    cfg = default_sampling_config("heisenberg")
+    record = spectral_record(g, dual, (1.5,), cfg, chain=(1.5,))
+    (hy,) = hausdorff_young_margins(g, dual, (1.5,), config=cfg, record=record)
+    vals = proof_chain_quantities(g, dual, 1.5, config=cfg, record=record)
+    assert hy.lhs == vals["v0"] ** (1 / vals["q"])
+    nil = check_nilpotent_bound(g, dual, 1.5, cfg, record)
+    assert (nil.lhs, nil.tolerance) == (hy.lhs, hy.tolerance)
+
+
 def test_hausdorff_young_margins_match_single_checks():
     _, dual, g = axb_base()
     batch = hausdorff_young_margins(g, dual, (1.2, 1.8))
@@ -398,6 +413,16 @@ def test_nilpotent_bound_holds_and_guards():
     _, dual_a, ga = axb_base()
     with pytest.raises(ValueError):
         check_nilpotent_bound(ga, dual_a, 1.5)
+
+
+def test_schatten_suite_catches_a_mis_scaled_svd(monkeypatch):
+    # ||A||_S4^2 = ||AA*||_S2 sets singular values against the Frobenius
+    # formula, so singular values 0.1% too large must fail the suite
+    assert schatten_property_suite(count=20, size=32, seed=0).passed
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: 1.001 * svd(*args, **kw))
+    r = schatten_property_suite(count=20, size=32, seed=0)
+    assert not r.passed and "20 violations" in r.detail
 
 
 # -- fixture catalogs ---------------------------------------------------------------
