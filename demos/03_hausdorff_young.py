@@ -5,19 +5,17 @@ exponent-q transform is bounded by A_p^d ||g||_p, where A_p is the sharp
 Babenko-Beckner constant of the line and d the dimension of the normal
 subgroup.  Gaussians saturate the abelian inequality, so they show how tight
 the sharp regime is; random band-limited fixtures show the generic margin.
+
+hausdorff_young_margins pairs every dual orbit of a fixture once and returns
+one check per exponent, so one call covers both exponents of a fixture.
 """
 
-from hywbench import (
-    babenko_constant,
-    check_hausdorff_young,
-    make_group,
-    sample,
-    slice_ratios,
-)
+from hywbench import babenko_constant, make_group, sample, slice_ratios
 from hywbench.verify import (
     default_grids,
     default_sampling_config,
     gaussian_fixtures,
+    hausdorff_young_margins,
     random_fixtures,
 )
 
@@ -34,14 +32,14 @@ for name in ("axb", "heisenberg"):
     spec_r = random_fixtures(name, 1, base_seed=7)[0]
     for label, spec in (("gaussian", spec_g), ("random", spec_r)):
         g = sample(spec, n_grids, h_grid, model)
-        for p in (1.2, 1.8):
-            r = check_hausdorff_young(g, dual, p, config=sampling)
+        results = hausdorff_young_margins(g, dual, (1.2, 1.8), config=sampling)
+        for p, r in zip((1.2, 1.8), results):
             print(f"  {label:8s} p={p:.1f}: lhs/rhs = {r.lhs / r.rhs:.6f}  "
                   f"({'pass' if r.passed else 'FAIL'})")
 
     # with the classical constant 1 the margin widens further
     g = sample(spec_r, n_grids, h_grid, model)
-    r = check_hausdorff_young(g, dual, 1.5, constants="classical", config=sampling)
+    (r,) = hausdorff_young_margins(g, dual, (1.5,), "classical", sampling)
     print(f"  classical constant, p=1.5: lhs/rhs = {r.lhs / r.rhs:.6f}")
 
     # slice by slice the bound is the abelian one; Gaussian slices sit on it

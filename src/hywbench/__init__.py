@@ -34,7 +34,6 @@ from .schatten import (
 )
 from .verify import (
     babenko_constant,
-    check_hausdorff_young,
     check_minkowski,
     check_plancherel,
     check_proof_chain,
@@ -70,7 +69,6 @@ __all__ = [
     "schatten_norm",
     "weighted_operator_matrix",
     "babenko_constant",
-    "check_hausdorff_young",
     "check_minkowski",
     "check_plancherel",
     "check_proof_chain",

@@ -16,7 +16,8 @@ build and BLAS thread count.  The report is written atomically (temp file,
 then rename) even when checks fail.
 
 Exit codes: 0 all selected checks pass, 1 at least one check failed,
-2 configuration or usage error.
+2 configuration or usage error, or an output path that cannot be written
+(``run --out`` naming a directory is rejected before any check runs).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .grids import fixture_checksum, make_grids, sample, save_sampled
-from .groups import GROUP_NAMES, make_group
+from .groups import GROUPS, make_group
 from . import verify
 from .verify import (
     check_gaussian_extremality,
@@ -89,15 +90,20 @@ class RunConfig:
     out: str = "hyw-report.jsonl"
 
     def validate(self):
-        if self.group not in GROUP_NAMES:
-            raise ConfigError(f"unknown group {self.group!r}; choose from {GROUP_NAMES}")
+        """Check every field and normalize p and checks to tuples (a single
+        value becomes a one-element tuple, exponents become floats)."""
+        if not (isinstance(self.group, str) and self.group in GROUPS):
+            raise ConfigError(f"unknown group {self.group!r}; choose from {tuple(GROUPS)}")
+        self.p, self.checks = (
+            tuple(v) if isinstance(v, (list, tuple)) else (v,) for v in (self.p, self.checks)
+        )
         try:
-            ps = [float(p) for p in self.p]
+            self.p = tuple(float(p) for p in self.p)
         except (TypeError, ValueError):
             raise ConfigError(f"exponents p={self.p!r} are not a list of numbers") from None
-        if not ps:
+        if not self.p:
             raise ConfigError("need at least one exponent p")
-        for p in ps:
+        for p in self.p:
             if not 1.0 < p <= 2.0:
                 raise ConfigError(f"exponent p={p} outside (1, 2]")
         for label, size in (("grid-n", self.grid_n), ("grid-h", self.grid_h)):
@@ -126,8 +132,10 @@ class RunConfig:
             )
         if "nilpotent-bound" in self.checks and self.group != "heisenberg":
             raise ConfigError(f"nilpotent-bound is specific to heisenberg, not {self.group}")
-        if not isinstance(self.out, str):
+        if not (isinstance(self.out, str) and self.out):
             raise ConfigError(f"out={self.out!r} is not a path")
+        if os.path.isdir(self.out):
+            raise ConfigError(f"out={self.out!r} is a directory, not a report path")
         if self.h_extent is not None and not _is_extent(self.h_extent):
             raise ConfigError(f"h_extent must be [lo, hi] numbers, got {self.h_extent!r}")
         axes = len(verify.DESK_GRIDS[self.group]["n_counts"])
@@ -341,7 +349,6 @@ def run_suite(cfg: RunConfig, stream=None):
     cfg.validate()
     echo = asdict(cfg)
     echo.pop("out")  # destination is not part of the deterministic body
-    echo["p"] = list(map(float, cfg.p))
     echo["checks"] = cfg.selected_families()
     records, timings, spectral = [], [], _Records(cfg)
     with _tolerance_overrides(cfg.tolerances):
@@ -372,9 +379,14 @@ def _write_atomic(path, text):
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".{os.path.basename(path)}.tmp.{os.getpid()}")
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 # -- explain -------------------------------------------------------------------------
@@ -509,20 +521,13 @@ def _load_config_file(path):
 
 
 def build_config(args) -> RunConfig:
-    data = _load_config_file(args.config) if args.config else {}
-    for key in ("p", "checks"):
-        if key in data and not isinstance(data[key], (list, tuple)):
-            data[key] = [data[key]]
-    cfg = RunConfig(**data)
+    cfg = RunConfig(**(_load_config_file(args.config) if args.config else {}))
     parse = {"p": _parse_p, "checks": lambda text: [tok.strip() for tok in text.split(",")]}
     for key in ("group", "p", "grid_n", "grid_h", "seed", "checks", "constants", "out"):
         value = getattr(args, key)
         if value is not None:
             setattr(cfg, key, parse.get(key, lambda v: v)(value))
-    cfg.checks = tuple(cfg.checks)
-    cfg.validate()
-    cfg.p = tuple(float(v) for v in cfg.p)
-    return cfg
+    return cfg.validate()
 
 
 def _build_parser():
@@ -536,7 +541,7 @@ def _build_parser():
 
     runp = sub.add_parser("run", help="run check families and write a report")
     runp.add_argument("--config", help="JSON config file; flags override its fields")
-    runp.add_argument("--group", choices=GROUP_NAMES)
+    runp.add_argument("--group", choices=GROUPS)
     runp.add_argument("--p", help="comma-separated exponents in (1, 2], e.g. 1.2,1.5")
     runp.add_argument("--grid-n", type=int, help="points per normal-subgroup axis (power of two)")
     runp.add_argument("--grid-h", type=int, help="points on the quotient axis (power of two)")
@@ -550,7 +555,7 @@ def _build_parser():
     exp.add_argument("check", help="family name, e.g. plancherel")
 
     fix = sub.add_parser("fixtures", help="regenerate frozen fixture files and checksums")
-    fix.add_argument("--group", choices=GROUP_NAMES, required=True)
+    fix.add_argument("--group", choices=GROUPS, required=True)
     fix.add_argument("--out", required=True, help="output directory")
     fix.add_argument("--seed", type=int, default=0)
     return parser
@@ -582,6 +587,9 @@ def main(argv=None) -> int:
         return 0 if summary["failed"] == 0 else 1
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

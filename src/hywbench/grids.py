@@ -21,6 +21,7 @@ comma list over axes (N axes then H), extents a comma list of lo:hi pairs.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass
 from typing import Sequence
@@ -32,6 +33,7 @@ from .groups import GroupExtensionModel
 __all__ = [
     "Grid1D",
     "make_grids",
+    "cell_weight",
     "TestFunctionSpec",
     "SampledFunction",
     "sample",
@@ -117,6 +119,11 @@ def make_grids(
     return tuple(grids[:-1]), grids[-1]
 
 
+def cell_weight(grids) -> float:
+    """Mass of one cell of the product of grids: the product of the spacings."""
+    return float(np.prod([g.spacing for g in grids]))
+
+
 def modular_on_grid(model: GroupExtensionModel, h_grid: Grid1D) -> np.ndarray:
     """Delta_G at every H-grid point (the Haar density against dn dt).
 
@@ -156,7 +163,7 @@ class TestFunctionSpec:
         object.__setattr__(self, "width_n", tuple(float(w) for w in np.atleast_1d(self.width_n)))
 
     def key(self) -> str:
-        return repr((self.kind, self.center_n, self.center_h, self.width_n, self.width_h, self.seed, self.n_modes))
+        return repr(dataclasses.astuple(self))
 
 
 @dataclass(frozen=True)
@@ -182,12 +189,6 @@ class SampledFunction:
     def dim_N(self) -> int:
         return len(self.n_grids)
 
-    def n_weight_flat(self) -> np.ndarray:
-        w = np.array([1.0])
-        for g in self.n_grids:
-            w = np.multiply.outer(w, g.weights()).ravel()
-        return w
-
     def h_measure(self) -> np.ndarray:
         """Quadrature weights on H including the modular density."""
         return self.h_grid.weights() * modular_on_grid(self.model, self.h_grid)
@@ -199,7 +200,7 @@ class SampledFunction:
     def boundary_mass_ratio(self) -> float:
         """Fraction of the weighted L1 mass sitting on the outermost cells."""
         absv = np.abs(self.values)
-        w = self.n_weight_flat()[:, None] * self.h_measure()[None, :]
+        w = cell_weight(self.n_grids) * self.h_measure()
         total = float((absv.reshape(-1, self.h_grid.n) * w).sum())
         if total == 0.0:
             return 0.0
@@ -215,15 +216,10 @@ class SampledFunction:
         return edge / total
 
 
-def _axis_profiles(spec: TestFunctionSpec, n_grids):
-    widths = np.broadcast_to(np.asarray(spec.width_n, dtype=float), (len(n_grids),))
-    centers = np.broadcast_to(np.asarray(spec.center_n, dtype=float), (len(n_grids),))
-    return widths, centers
-
-
 def sample(spec: TestFunctionSpec, n_grids, h_grid, model) -> SampledFunction:
     """Evaluate the test function described by spec on the grids."""
-    widths, centers = _axis_profiles(spec, n_grids)
+    widths = np.broadcast_to(np.asarray(spec.width_n, dtype=float), (len(n_grids),))
+    centers = np.broadcast_to(np.asarray(spec.center_n, dtype=float), (len(n_grids),))
     axes = [g.points() for g in n_grids] + [h_grid.points()]
     profs = [
         np.exp(-((x - c) ** 2) / (2.0 * s**2))
@@ -262,26 +258,26 @@ def lp_norm_G(g: SampledFunction, p: float) -> float:
     p = float(p)
     if not (np.isfinite(p) and p >= 1.0):
         raise ValueError("lp_norm_G needs a finite exponent p >= 1")
-    per_h = (np.abs(g.flat_n()) ** p * g.n_weight_flat()[:, None]).sum(axis=0)
+    per_h = (np.abs(g.flat_n()) ** p * cell_weight(g.n_grids)).sum(axis=0)
     return float((per_h @ g.h_measure()) ** (1.0 / p))
 
 
 # -- fixture I/O ----------------------------------------------------------------
 
 
-def _header(g: SampledFunction) -> bytes:
-    counts = ",".join(str(gr.n) for gr in (*g.n_grids, g.h_grid))
-    extents = ",".join(f"{gr.lo:.17g}:{gr.hi:.17g}" for gr in (*g.n_grids, g.h_grid))
+def _serialize(g: SampledFunction) -> bytes:
+    """The HYW1 bytes of one function: header line, then raw little-endian complex128."""
+    grids = (*g.n_grids, g.h_grid)
+    counts = ",".join(str(gr.n) for gr in grids)
+    extents = ",".join(f"{gr.lo:.17g}:{gr.hi:.17g}" for gr in grids)
     seed = g.spec.seed if g.spec is not None else 0
-    return f"HYW1 {counts} {extents} {seed}\n".encode("ascii")
+    header = f"HYW1 {counts} {extents} {seed}\n".encode("ascii")
+    return header + np.ascontiguousarray(g.values.astype("<c16")).tobytes()
 
 
 def save_sampled(g: SampledFunction, path) -> None:
-    """Write one function: header line, then raw little-endian complex128."""
-    data = np.ascontiguousarray(g.values.astype("<c16")).tobytes()
     with open(path, "wb") as fh:
-        fh.write(_header(g))
-        fh.write(data)
+        fh.write(_serialize(g))
 
 
 def load_sampled(path, model) -> SampledFunction:
@@ -307,7 +303,4 @@ def load_sampled(path, model) -> SampledFunction:
 
 def fixture_checksum(g: SampledFunction) -> str:
     """sha256 over the serialized bytes; used to freeze generated fixtures."""
-    h = hashlib.sha256()
-    h.update(_header(g))
-    h.update(np.ascontiguousarray(g.values.astype("<c16")).tobytes())
-    return h.hexdigest()
+    return hashlib.sha256(_serialize(g)).hexdigest()

@@ -44,7 +44,7 @@ __all__ = [
     "make_axb",
     "make_heisenberg",
     "make_group",
-    "GROUP_NAMES",
+    "GROUPS",
 ]
 
 
@@ -93,10 +93,6 @@ class GroupExtensionModel:
     def identity(self) -> GroupElement:
         return GroupElement(np.zeros(self.dim_N), self.h_identity)
 
-    def alpha(self, h) -> GroupElement:
-        """Cross-section H -> G, h |-> (0, h)."""
-        return GroupElement(np.zeros(self.dim_N), h)
-
     # -- group operations ------------------------------------------------------
 
     def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
@@ -113,20 +109,6 @@ class GroupExtensionModel:
         """Modular function of G; constant on cosets of N."""
         h = x.h if isinstance(x, GroupElement) else float(x)
         return float(self.modular_on_H(h))
-
-    def cocycle(self, gamma_h: float, xi_h: float) -> GroupElement:
-        """Cross-section cocycle alpha(xi)^-1 alpha(gamma) alpha(gamma^-1 xi).
-
-        Identity for both shipped instances because their cross-sections are
-        homomorphisms; kept explicit so induced-representation code states its
-        dependency on that fact.
-        """
-        pre = self.h_multiply(self.h_inverse(gamma_h), xi_h)
-        out = self.multiply(
-            self.multiply(self.inverse(self.alpha(xi_h)), self.alpha(gamma_h)),
-            self.alpha(pre),
-        )
-        return out
 
     # -- dual action -----------------------------------------------------------
 
@@ -176,14 +158,11 @@ class DualSamplingConfig:
 
 @dataclass(frozen=True)
 class DualOrbitModel:
-    """Transversal of the generic dual orbits plus the orbit-space measure."""
+    """Transversal of the generic dual orbits plus the orbit-space measure:
+    transversal(config) gives the points sigma0 and their quadrature weights."""
 
     group: GroupExtensionModel
-    transversal_fn: Callable
-
-    def transversal(self, config: DualSamplingConfig | None = None):
-        """Sample points sigma0 and their orbit-space quadrature weights."""
-        return self.transversal_fn(config)
+    transversal: Callable
 
 
 def _axb_transversal(config):
@@ -224,7 +203,7 @@ def make_axb():
     )
     dual = DualOrbitModel(
         group=model,
-        transversal_fn=_axb_transversal,
+        transversal=_axb_transversal,
     )
     return model, dual
 
@@ -256,18 +235,16 @@ def make_heisenberg():
     )
     dual = DualOrbitModel(
         group=model,
-        transversal_fn=_heisenberg_transversal,
+        transversal=_heisenberg_transversal,
     )
     return model, dual
 
 
-GROUP_NAMES = ("axb", "heisenberg")
+GROUPS = {"axb": make_axb, "heisenberg": make_heisenberg}
 
 
 def make_group(name: str):
     """Build (GroupExtensionModel, DualOrbitModel) by name."""
-    if name == "axb":
-        return make_axb()
-    if name == "heisenberg":
-        return make_heisenberg()
-    raise ValueError(f"unknown group {name!r}; expected one of {GROUP_NAMES}")
+    if name not in GROUPS:
+        raise ValueError(f"unknown group {name!r}; expected one of {tuple(GROUPS)}")
+    return GROUPS[name]()

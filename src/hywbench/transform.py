@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import Grid1D, SampledFunction
+from .grids import Grid1D, SampledFunction, cell_weight
 from .groups import (
     DualOrbitModel,
     DualSamplingConfig,
@@ -73,7 +73,7 @@ class CharacterSlice:
         self.h_grid = g.h_grid
         self.band = np.array([gr.nyquist for gr in g.n_grids])
         self._pts = [gr.points() for gr in g.n_grids]
-        self._n_weight = float(np.prod([gr.spacing for gr in g.n_grids]))
+        self._n_weight = cell_weight(g.n_grids)
         if g.dim_N > 1:
             last_behind_h = np.ascontiguousarray(np.moveaxis(g.values, -2, -1))
             self._contracted_shape = last_behind_h.shape[:-1]

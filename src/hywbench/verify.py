@@ -36,6 +36,7 @@ from .grids import (
     Grid1D,
     SampledFunction,
     TestFunctionSpec,
+    cell_weight,
     lp_norm_G,
     make_grids,
     modular_on_grid,
@@ -72,7 +73,6 @@ __all__ = [
     "random_fixtures",
     "sample_fixture",
     "check_plancherel",
-    "check_hausdorff_young",
     "hausdorff_young_margins",
     "spectral_record",
     "proof_chain_quantities",
@@ -249,21 +249,22 @@ def spectral_record(
 ) -> SpectralRecord:
     """Pair every orbit of g once and reduce its kernels at every exponent.
 
-    The exponents of chain are added to ps.  On a unimodular group the
-    modular function is 1 on the grid, so the kernel does not depend on the
-    exponent: it is built once per orbit, and with two or more exponents
-    below 2 one SVD per orbit serves them all.  Elsewhere Delta^(1/q) changes
-    the spectrum, so every exponent gets its own kernel and SVD.
+    The exponents of chain are added to ps.  Where the modular function is
+    1 on every grid point (on a unimodular group), the kernel does not depend
+    on the exponent: it is built once per orbit, and with two or more
+    exponents below 2 one SVD per orbit serves them all.  Elsewhere
+    Delta^(1/q) changes the spectrum, so every exponent gets its own kernel
+    and SVD.  The test reads Delta itself, not the model's unimodular flag.
     """
-    model = dual.group
     chain = {float(p) for p in chain}
     ps = sorted({float(p) for p in ps} | chain)
     if not all(1.0 < p <= 2.0 for p in ps):
         raise ValueError("need 1 < p <= 2")
     qs = [conjugate_exponent(p) for p in ps]
-    shared_svd = model.unimodular and sum(p < 2.0 for p in ps) >= 2
     h = g.h_grid
-    delta = modular_on_grid(model, h)
+    delta = modular_on_grid(dual.group, h)
+    flat = bool(np.all(delta == 1.0))
+    shared_svd = flat and sum(p < 2.0 for p in ps) >= 2
     measure = g.h_measure()
     cs = CharacterSlice(g)
     params, nu = dual.transversal(config)
@@ -275,7 +276,7 @@ def spectral_record(
         if shared_svd:
             norms = schatten_norms(weighted_operator_matrix(k), qs)
         for i, (p, q) in enumerate(zip(ps, qs)):
-            if i and not model.unimodular:  # Delta^(1/q) changes the kernel
+            if i and not flat:  # Delta^(1/q) changes the kernel
                 k = kernel_from_pair_table(table, h, delta, 1.0 / q)
             norm = norms[i] if shared_svd else schatten_norm(weighted_operator_matrix(k), q)
             sq[p].append(norm**q)
@@ -315,17 +316,6 @@ def check_plancherel(
     tolerance = TOLERANCES["equality"] if g.dim_N == 1 else 2 * TOLERANCES["equality"]
     (hy,) = hausdorff_young_margins(g, dual, (2.0,), config=config, record=record)
     return equality_result("plancherel", hy.lhs**2, hy.rhs**2, tolerance, detail=dual.group.name)
-
-
-def check_hausdorff_young(
-    g: SampledFunction,
-    dual: DualOrbitModel,
-    p: float,
-    constants: str = "sharp",
-    config: DualSamplingConfig | None = None,
-) -> CheckResult:
-    """hausdorff_young_margins at the single exponent p."""
-    return hausdorff_young_margins(g, dual, (p,), constants, config)[0]
 
 
 def hausdorff_young_margins(
@@ -417,12 +407,8 @@ def slice_ratios(g: SampledFunction, p: float):
     q = conjugate_exponent(p)
     cs = CharacterSlice(g)
     rgrids, vals = cs.transform_reciprocal()
-    w_dual = np.array([1.0])
-    for gr in rgrids:
-        w_dual = np.multiply.outer(w_dual, gr.weights()).ravel()
-    w_prim = g.n_weight_flat()
-    num = (np.abs(vals.reshape(-1, g.h_grid.n)) ** q * w_dual[:, None]).sum(axis=0) ** (1 / q)
-    den = (np.abs(g.flat_n()) ** p * w_prim[:, None]).sum(axis=0) ** (1 / p)
+    num = (np.abs(vals.reshape(-1, g.h_grid.n)) ** q * cell_weight(rgrids)).sum(axis=0) ** (1 / q)
+    den = (np.abs(g.flat_n()) ** p * cell_weight(g.n_grids)).sum(axis=0) ** (1 / p)
     keep = np.nonzero(den > 1e-9 * den.max())[0]
     return num[keep] / den[keep], keep
 

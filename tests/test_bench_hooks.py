@@ -5,11 +5,15 @@ methods by name.  If a refactor deletes, renames or aliases one of them, the
 tracer either fails to install or counts zero calls; the first test catches
 both without running the benchmark.  perfbench/workloads.py calls verify
 directly, with the dual sampling passed positionally; the second test runs
-those workloads at small scale, so a changed signature fails here.  Both
-only read perfbench/.
+those workloads at small scale, so a changed signature fails here.  The
+last test grades full-scale seed-0 passes of axb-run and heis-hy-sweep
+against perfbench/reference/, as the benchmark does.  All only read
+perfbench/.
 """
 
 import os
+
+import pytest
 
 from hywbench import make_group, sample
 from hywbench import verify
@@ -43,3 +47,16 @@ def test_direct_workloads_pass_and_repeat(monkeypatch):
     assert workloads.run_pass(sweep)[1] == body
     records, _, _ = workloads.run_pass(workloads.prepare("refine", 0, scale="small"))
     assert records and all(r["passed"] for r in records)
+
+
+@pytest.mark.parametrize("name", ["axb-run", "heis-hy-sweep"])
+def test_seed_zero_passes_match_the_references(monkeypatch, name):
+    # the benchmark's reference gate (rel 1e-9 on every lhs and rhs) on a
+    # full-scale pass, so a last-bit drift in a roundoff-sized record fails here
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import run
+    import workloads
+
+    records, body, _ = workloads.run_pass(workloads.prepare(name, 0))
+    passes = [{"records": records, "body": body}]
+    assert run.grade(passes, run.load_reference(name)) == (len(records), 0)

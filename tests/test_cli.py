@@ -12,6 +12,7 @@ from hywbench.cli import (
     RunConfig,
     build_config,
     _build_parser,
+    _write_atomic,
     explain,
     main,
     run_suite,
@@ -50,6 +51,8 @@ def test_config_validation_errors():
         RunConfig(constants="lucky").validate()
     with pytest.raises(ConfigError):
         RunConfig(tolerances={"vibes": 1.0}).validate()
+    with pytest.raises(ConfigError):
+        RunConfig(out="").validate()  # not a path: would write beside the working directory
     assert RunConfig().validate().group == "axb"
 
 
@@ -173,6 +176,44 @@ def test_empty_selection_is_exit_zero(tmp_path):
     _, _, records = parse_report(out)
     summary = records[-1]
     assert summary["checks"] == 0 and summary["passed"] == 0
+
+
+def one_line(err, prefix):
+    return err.startswith(prefix) and err.count("\n") == 1
+
+
+def test_out_directory_is_rejected_before_any_check(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setitem(CHECK_FAMILIES, "minkowski", lambda cfg, _: ran.append(cfg) or [])
+    out = tmp_path / "reports"
+    out.mkdir()
+    assert run_main(["--group", "axb", "--checks", "minkowski", "--out", str(out)]) == 2
+    assert one_line(capsys.readouterr().err, "configuration error: ")
+    assert not ran  # no family ran
+    assert os.listdir(tmp_path) == ["reports"] and os.listdir(out) == []
+
+
+def test_unwritable_report_path_exits_two(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "report.jsonl"  # its directory is a regular file
+    assert run_main(["--group", "axb", "--checks", "", "--out", str(out)]) == 2
+    assert one_line(capsys.readouterr().err, "cannot write output: ")
+
+
+def test_failed_rename_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(OSError):
+        _write_atomic(str(target), "body\n")  # a file cannot replace a directory
+    assert os.listdir(tmp_path) == ["taken"]
+
+
+def test_fixtures_out_existing_file_exits_two(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["fixtures", "--group", "axb", "--out", str(blocker)]) == 2
+    assert one_line(capsys.readouterr().err, "cannot write output: ")
 
 
 # extents of the wrong shape or type: the message names the field and its form

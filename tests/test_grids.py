@@ -1,5 +1,7 @@
 """Grids, sampled test functions, weighted norms, fixture serialization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -82,6 +84,19 @@ def test_spec_validation():
         TestFunctionSpec(kind="sinc")
     with pytest.raises(ValueError):
         TestFunctionSpec(kind="bump")
+
+
+def test_spec_key_names_every_field():
+    base = TestFunctionSpec(kind="gaussian")
+    # the key of a spec is the repr of its field values, in field order
+    assert base.key() == repr(("gaussian", (0.0,), 0.0, (1.0,), 1.0, 0, 6))
+    changes = dict(
+        kind="random-bandlimited", center_n=(0.5,), center_h=0.5, width_n=(2.0,),
+        width_h=2.0, seed=1, n_modes=7,
+    )
+    assert set(changes) == {f.name for f in dataclasses.fields(TestFunctionSpec)}
+    for name, value in changes.items():
+        assert dataclasses.replace(base, **{name: value}).key() != base.key(), name
 
 
 def test_gaussian_sample_matches_callable():

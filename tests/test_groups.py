@@ -151,17 +151,6 @@ def test_array_dual_action_equals_scalar_calls(name):
         assert np.array_equal(rows, scalar)
 
 
-@pytest.mark.parametrize("name", ["axb", "heisenberg"])
-def test_cocycle_is_trivial(name):
-    model, _ = make_group(name)
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        g_h = model.h_parametrization(rng.uniform(-2, 2))
-        x_h = model.h_parametrization(rng.uniform(-2, 2))
-        c = model.cocycle(g_h, x_h)
-        assert c.close_to(model.identity(), tol=1e-9)
-
-
 def test_conjugation_matrix_matches_action():
     for name in ("axb", "heisenberg"):
         model, _ = make_group(name)

@@ -5,6 +5,7 @@ independent route (loops, closed forms) or frozen from a slow reference run
 and asserted as a regression value.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,7 +26,6 @@ from hywbench.verify import (
     babenko_constant,
     check_dual_measure_scaling,
     check_gaussian_extremality,
-    check_hausdorff_young,
     check_minkowski,
     check_nilpotent_bound,
     check_plancherel,
@@ -49,7 +49,7 @@ from hywbench.verify import (
     slice_ratios,
     spectral_record,
 )
-from hywbench.groups import GroupElement
+from hywbench.groups import DualOrbitModel, GroupElement
 
 
 def axb_base():
@@ -256,7 +256,7 @@ def test_plancherel_heisenberg_desk_scale():
 def test_hausdorff_young_consistent_with_chain():
     _, dual, g = axb_base()
     p = 1.5
-    r = check_hausdorff_young(g, dual, p)
+    (r,) = hausdorff_young_margins(g, dual, (p,))
     vals = proof_chain_quantities(g, dual, p)
     assert r.passed
     assert r.lhs == pytest.approx(vals["v0"] ** (1 / vals["q"]), rel=1e-12)
@@ -281,7 +281,7 @@ def test_hausdorff_young_margins_match_single_checks():
     _, dual, g = axb_base()
     batch = hausdorff_young_margins(g, dual, (1.2, 1.8))
     for p, r in zip((1.2, 1.8), batch):
-        single = check_hausdorff_young(g, dual, p)
+        (single,) = hausdorff_young_margins(g, dual, (p,))
         assert r.lhs == pytest.approx(single.lhs, rel=1e-12)
         assert r.rhs == pytest.approx(single.rhs, rel=1e-12)
         assert r.passed
@@ -292,9 +292,23 @@ def test_hausdorff_young_margins_match_single_checks():
 def test_hausdorff_young_rejects_bad_exponent():
     _, dual, g = axb_base()
     with pytest.raises(ValueError):
-        check_hausdorff_young(g, dual, 1.0)
+        hausdorff_young_margins(g, dual, (1.0,))
     with pytest.raises(ValueError):
-        check_hausdorff_young(g, dual, 2.2)
+        hausdorff_young_margins(g, dual, (2.2,))
+
+
+def test_shared_kernel_reads_delta_not_the_unimodular_flag():
+    # ax+b declared unimodular: Delta is still not 1 on the grid, so every
+    # exponent keeps its own kernel and SVD and the record is the true one
+    model, dual = make_group("axb")
+    misdeclared = DualOrbitModel(dataclasses.replace(model, unimodular=True), dual.transversal)
+    g = sample_fixture("axb", random_fixtures("axb", 1)[0])
+    ps = (1.2, 1.5, 1.8)
+    true, mis = (spectral_record(g, d, ps, chain=(1.5,)) for d in (dual, misdeclared))
+    for p in ps:
+        assert np.array_equal(mis.sq[p], true.sq[p])
+    for a, b in zip(mis.chain[1.5], true.chain[1.5]):
+        assert np.array_equal(a, b)
 
 
 def test_one_svd_serves_every_exponent_on_heisenberg():
