@@ -8,7 +8,8 @@ the arithmetic shown here.
 
 import numpy as np
 
-from hywbench import GroupElement, check_semi_invariance, default_grids, make_group
+from hywbench.groups import GroupElement, make_group
+from hywbench.verify import check_semi_invariance, default_grids
 
 # -- the affine line -----------------------------------------------------------------
 

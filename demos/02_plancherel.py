@@ -9,9 +9,9 @@ balanced refinement (double the points, widen the extents by sqrt 2).
 
 import numpy as np
 
-from hywbench import check_plancherel, make_group, sample
-from hywbench.grids import TestFunctionSpec
-from hywbench.verify import default_grids, default_sampling_config
+from hywbench.grids import TestFunctionSpec, sample
+from hywbench.groups import make_group
+from hywbench.verify import check_plancherel, default_grids, default_sampling_config
 
 # -- affine group --------------------------------------------------------------------
 

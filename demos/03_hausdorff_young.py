@@ -10,13 +10,16 @@ hausdorff_young_margins pairs every dual orbit of a fixture once and returns
 one check per exponent, so one call covers both exponents of a fixture.
 """
 
-from hywbench import babenko_constant, make_group, sample, slice_ratios
+from hywbench.grids import sample
+from hywbench.groups import make_group
 from hywbench.verify import (
+    babenko_constant,
     default_grids,
     default_sampling_config,
     gaussian_fixtures,
     hausdorff_young_margins,
     random_fixtures,
+    slice_ratios,
 )
 
 for name in ("axb", "heisenberg"):

@@ -13,11 +13,14 @@ to the continuum once and is quadrature-limited.  At p = 2 everything
 collapses to the Plancherel identity, so the whole chain flattens.
 """
 
-from hywbench import make_group, proof_chain_quantities, check_proof_chain, sample
+from hywbench.grids import sample
+from hywbench.groups import make_group
 from hywbench.verify import (
+    check_proof_chain,
     default_grids,
     default_sampling_config,
     gaussian_fixtures,
+    proof_chain_quantities,
     random_fixtures,
 )
 

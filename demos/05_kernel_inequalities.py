@@ -11,17 +11,16 @@ synthetic kernels where each quantity can be read off by hand:
 
 import numpy as np
 
-from hywbench import (
+from hywbench.schatten import (
     WeightedKernel,
     adjoint_kernel,
-    check_minkowski,
-    check_russo_fournier,
     conjugate_exponent,
     cross_norm_qpq,
     russo_gap,
     schatten_norm,
     weighted_operator_matrix,
 )
+from hywbench.verify import check_minkowski, check_russo_fournier
 
 # a diagonal matrix makes the Schatten norm a plain lp norm of the diagonal
 d = np.diag([3.0, 2.0, 1.0]).astype(complex)

@@ -66,13 +66,18 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _is_extent(value) -> bool:
     """A [lo, hi] pair of numbers."""
-    return (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    )
+    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
+
+
+def _check_seed(seed):
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"seed={seed!r} is not a nonnegative integer")
 
 
 @dataclass
@@ -109,8 +114,7 @@ class RunConfig:
         for label, size in (("grid-n", self.grid_n), ("grid-h", self.grid_h)):
             if size is not None and not (_is_int(size) and size >= 4 and not size & (size - 1)):
                 raise ConfigError(f"{label}={size!r} is not an integer power of two >= 4")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ConfigError(f"seed={self.seed!r} is not a nonnegative integer")
+        _check_seed(self.seed)
         if self.constants not in ("sharp", "classical"):
             raise ConfigError(f"unknown constant regime {self.constants!r}")
         if not isinstance(self.tolerances, dict):
@@ -119,7 +123,7 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown tolerance classes {sorted(unknown)}")
         for name, tol in self.tolerances.items():
-            if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol >= 0):
+            if not (_is_number(tol) and math.isfinite(tol) and tol >= 0):
                 raise ConfigError(f"tolerance {name}={tol!r} is not a finite number >= 0")
         bad = [
             c
@@ -476,9 +480,11 @@ def explain(name: str) -> str:
 # -- fixtures ------------------------------------------------------------------------
 
 
-def write_fixture_files(group: str, out_dir: str, seed: int = 0):
+def write_fixture_files(group: str, out_dir: str, seed: int):
     """Sample the frozen fixture catalog and write HYW1 files plus a
-    sha256 manifest; returns the manifest path."""
+    sha256 manifest; returns the manifest path.  A negative seed is
+    rejected before any file is written."""
+    _check_seed(seed)
     model, _ = make_group(group)
     n_grids, h_grid = verify.default_grids(group)
     os.makedirs(out_dir, exist_ok=True)

@@ -37,6 +37,7 @@ __all__ = [
     "TestFunctionSpec",
     "SampledFunction",
     "sample",
+    "slice_lp_mass",
     "lp_norm_G",
     "modular_on_grid",
     "save_sampled",
@@ -54,8 +55,8 @@ class Grid1D:
     n: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.hi > self.lo):
-            raise ValueError("need finite extents with hi > lo")
+        if not (np.isfinite(self.hi - self.lo) and self.hi > self.lo):
+            raise ValueError("need finite extents with hi > lo and a finite width")
         if self.n < 2:
             raise ValueError("need at least two grid points")
 
@@ -193,27 +194,15 @@ class SampledFunction:
         """Quadrature weights on H including the modular density."""
         return self.h_grid.weights() * modular_on_grid(self.model, self.h_grid)
 
-    def flat_n(self) -> np.ndarray:
-        """Values reshaped to (N-flat, H)."""
-        return self.values.reshape(-1, self.h_grid.n)
-
     def boundary_mass_ratio(self) -> float:
         """Fraction of the weighted L1 mass sitting on the outermost cells."""
-        absv = np.abs(self.values)
-        w = cell_weight(self.n_grids) * self.h_measure()
-        total = float((absv.reshape(-1, self.h_grid.n) * w).sum())
+        total = float(slice_lp_mass(self.values, self.n_grids, 1.0) @ self.h_measure())
         if total == 0.0:
             return 0.0
-        shell = np.zeros(self.values.shape, dtype=bool)
-        for ax in range(self.values.ndim):
-            idx_lo = [slice(None)] * self.values.ndim
-            idx_hi = [slice(None)] * self.values.ndim
-            idx_lo[ax] = 0
-            idx_hi[ax] = -1
-            shell[tuple(idx_lo)] = True
-            shell[tuple(idx_hi)] = True
-        edge = float(((absv * shell).reshape(-1, self.h_grid.n) * w).sum())
-        return edge / total
+        interior = np.zeros(self.values.shape, dtype=bool)
+        interior[(slice(1, -1),) * self.values.ndim] = True
+        shell = np.where(interior, 0.0, self.values)
+        return float(slice_lp_mass(shell, self.n_grids, 1.0) @ self.h_measure()) / total
 
 
 def sample(spec: TestFunctionSpec, n_grids, h_grid, model) -> SampledFunction:
@@ -253,13 +242,18 @@ def sample(spec: TestFunctionSpec, n_grids, h_grid, model) -> SampledFunction:
     return SampledFunction(model=model, n_grids=tuple(n_grids), h_grid=h_grid, values=values, spec=spec)
 
 
+def slice_lp_mass(values: np.ndarray, n_grids, p: float) -> np.ndarray:
+    """sum_n |values|^p w_N(n) for every index of the last axis: the p-th
+    power of the L^p norm of each slice over the N grids."""
+    return (np.abs(values.reshape(-1, values.shape[-1])) ** p * cell_weight(n_grids)).sum(axis=0)
+
+
 def lp_norm_G(g: SampledFunction, p: float) -> float:
     """Weighted L^p norm on the group: quadrature includes Delta_G(h) w_H(h)."""
     p = float(p)
     if not (np.isfinite(p) and p >= 1.0):
         raise ValueError("lp_norm_G needs a finite exponent p >= 1")
-    per_h = (np.abs(g.flat_n()) ** p * cell_weight(g.n_grids)).sum(axis=0)
-    return float((per_h @ g.h_measure()) ** (1.0 / p))
+    return float((slice_lp_mass(g.values, g.n_grids, p) @ g.h_measure()) ** (1.0 / p))
 
 
 # -- fixture I/O ----------------------------------------------------------------

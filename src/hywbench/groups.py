@@ -41,8 +41,6 @@ __all__ = [
     "DualOrbitModel",
     "DualSamplingConfig",
     "character_value",
-    "make_axb",
-    "make_heisenberg",
     "make_group",
     "GROUPS",
 ]
@@ -58,12 +56,6 @@ class GroupElement:
     def __post_init__(self):
         object.__setattr__(self, "n", np.atleast_1d(np.asarray(self.n, dtype=float)))
         object.__setattr__(self, "h", float(self.h))
-
-    def close_to(self, other, tol=1e-12):
-        return (
-            np.max(np.abs(self.n - other.n)) <= tol
-            and abs(self.h - other.h) <= tol
-        )
 
 
 @dataclass(frozen=True)
@@ -182,7 +174,7 @@ def _heisenberg_transversal(config):
     return params, weights
 
 
-def make_axb():
+def _make_axb():
     """The affine group of the line: N = R (translations), H = R_+ (dilations).
 
     (b, a)(b', a') = (b + a b', a a'), modular function 1/a, H gridded in
@@ -213,7 +205,7 @@ def _heis_conjugation(x, n):
     return np.stack(np.broadcast_arrays(n[0], n[1] + x * n[0]), axis=-1)
 
 
-def make_heisenberg():
+def _make_heisenberg():
     """The 3-D Heisenberg group in coordinates (n, h) = ((y, z), x).
 
     Triple product (x,y,z)(x',y',z') = (x+x', y+y', z+z'+x y'); N is the
@@ -240,7 +232,7 @@ def make_heisenberg():
     return model, dual
 
 
-GROUPS = {"axb": make_axb, "heisenberg": make_heisenberg}
+GROUPS = {"axb": _make_axb, "heisenberg": _make_heisenberg}
 
 
 def make_group(name: str):

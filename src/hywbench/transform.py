@@ -36,7 +36,6 @@ import numpy as np
 from .grids import Grid1D, SampledFunction, cell_weight
 from .groups import (
     DualOrbitModel,
-    DualSamplingConfig,
     GroupElement,
     GroupExtensionModel,
     character_value,
@@ -147,7 +146,7 @@ def kernel_from_pair_table(
     P: np.ndarray,
     h_grid: Grid1D,
     delta_h: np.ndarray,
-    dimension_exponent: float = 0.0,
+    dimension_exponent: float,
 ) -> WeightedKernel:
     """Turn a pairing table into the operator kernel.
 

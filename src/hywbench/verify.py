@@ -36,11 +36,11 @@ from .grids import (
     Grid1D,
     SampledFunction,
     TestFunctionSpec,
-    cell_weight,
     lp_norm_G,
     make_grids,
     modular_on_grid,
     sample,
+    slice_lp_mass,
 )
 from .groups import (
     DualOrbitModel,
@@ -195,7 +195,7 @@ def _scaled_spec(group_name, kind, factor=1.0, center_n=None, center_h=0.0, seed
     )
 
 
-def gaussian_fixtures(group_name: str, count: int = 5):
+def gaussian_fixtures(group_name: str, count: int):
     """Deterministic Gaussian fixture family, widths kept inside the regime
     the default grids are budgeted for."""
     dim = len(FIXTURE_WIDTHS[group_name][0])
@@ -407,8 +407,8 @@ def slice_ratios(g: SampledFunction, p: float):
     q = conjugate_exponent(p)
     cs = CharacterSlice(g)
     rgrids, vals = cs.transform_reciprocal()
-    num = (np.abs(vals.reshape(-1, g.h_grid.n)) ** q * cell_weight(rgrids)).sum(axis=0) ** (1 / q)
-    den = (np.abs(g.flat_n()) ** p * cell_weight(g.n_grids)).sum(axis=0) ** (1 / p)
+    num = slice_lp_mass(vals, rgrids, q) ** (1 / q)
+    den = slice_lp_mass(g.values, g.n_grids, p) ** (1 / p)
     keep = np.nonzero(den > 1e-9 * den.max())[0]
     return num[keep] / den[keep], keep
 
@@ -501,7 +501,7 @@ def check_semi_invariance(
     )
 
 
-def semi_invariance_suite(group_name: str, count: int = 20, seed: int = 0) -> list:
+def semi_invariance_suite(group_name: str, count: int, seed: int) -> list:
     model, dual = make_group(group_name)
     _, h_grid = default_grids(group_name)
     params, _ = dual.transversal(default_sampling_config(group_name))
@@ -553,7 +553,7 @@ def check_dual_measure_scaling(model: GroupExtensionModel, h, box_lo, box_hi) ->
     )
 
 
-def dual_measure_suite(group_name: str, count: int = 100, seed: int = 0) -> list:
+def dual_measure_suite(group_name: str, count: int, seed: int) -> list:
     model, _ = make_group(group_name)
     rng = np.random.default_rng(seed)
     out = [
@@ -603,7 +603,7 @@ def _russo_trial(rng):
     return russo_gap(k, conjugate_exponent(p), p)
 
 
-def russo_fournier_random_suite(count: int = 1000, seed: int = 0) -> CheckResult:
+def russo_fournier_random_suite(count: int, seed: int) -> CheckResult:
     """Summary over random weighted kernels and random exponents."""
     return _random_suite("russo-fournier-random-suite", count, seed, _russo_trial)
 
@@ -634,7 +634,7 @@ def _minkowski_trial(rng):
     return r.lhs, r.rhs
 
 
-def minkowski_random_suite(count: int = 1000, seed: int = 0) -> CheckResult:
+def minkowski_random_suite(count: int, seed: int) -> CheckResult:
     return _random_suite("minkowski-random-suite", count, seed, _minkowski_trial)
 
 
@@ -670,7 +670,7 @@ def check_nilpotent_bound(
     return inequality_result("nilpotent-bound", hy.lhs, rhs, hy.tolerance, detail=f"p={p:g}")
 
 
-def schatten_property_suite(count: int = 20, size: int = 64, seed: int = 0) -> CheckResult:
+def schatten_property_suite(count: int, size: int, seed: int) -> CheckResult:
     """Property battery for the Schatten norms on random complex matrices:
     ||A||_S4^2 = ||AA*||_S2 (singular values against the Frobenius formula),
     monotonicity in the exponent, unitary invariance, and the triangle

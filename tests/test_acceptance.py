@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from hywbench import make_group
 from hywbench.grids import lp_norm_G, sample
+from hywbench.groups import make_group
 from hywbench.verify import (
     babenko_constant,
     check_gaussian_extremality,

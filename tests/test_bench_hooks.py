@@ -15,9 +15,9 @@ import os
 
 import pytest
 
-from hywbench import make_group, sample
 from hywbench import verify
-from hywbench.grids import Grid1D, TestFunctionSpec
+from hywbench.grids import Grid1D, TestFunctionSpec, sample
+from hywbench.groups import make_group
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 

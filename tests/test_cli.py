@@ -216,6 +216,14 @@ def test_fixtures_out_existing_file_exits_two(tmp_path, capsys):
     assert one_line(capsys.readouterr().err, "cannot write output: ")
 
 
+def test_fixtures_negative_seed_exits_two_before_writing(tmp_path, capsys):
+    out = tmp_path / "fixtures"
+    assert main(["fixtures", "--group", "axb", "--out", str(out), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert one_line(err, "configuration error: ") and "seed=-1" in err
+    assert not out.exists()
+
+
 # extents of the wrong shape or type: the message names the field and its form
 MALFORMED_EXTENTS = [
     {"h_extent": [1]},
@@ -232,6 +240,14 @@ NAMED_GRID_ERRORS = {
     '{"n_extents": [[1, -1]]}': "n_extents[0] [1, -1]: need finite extents with hi > lo",
 }
 
+# numbers of the right type that still make no run: an extent whose width
+# overflows a float, and a boolean tolerance
+NAMED_VALUE_ERRORS = {
+    '{"h_extent": [-1e+308, 1e+308]}': "h_extent [-1e+308, 1e+308]: need finite extents",
+    '{"n_extents": [[-1e+308, 1e+308]]}': "n_extents[0] [-1e+308, 1e+308]: need finite extents",
+    '{"tolerances": {"bound": true}}': "tolerance bound=True",
+}
+
 
 @pytest.mark.parametrize(
     "config",
@@ -245,6 +261,7 @@ NAMED_GRID_ERRORS = {
         *MALFORMED_EXTENTS,
         *map(json.loads, NAMED_GRID_ERRORS),
         {"checks": ["nilpotent-bound"]},  # the bound is specific to heisenberg
+        *map(json.loads, NAMED_VALUE_ERRORS),
     ],
 )
 def test_config_file_errors_exit_two(tmp_path, capsys, config):
@@ -260,6 +277,8 @@ def test_config_file_errors_exit_two(tmp_path, capsys, config):
         assert f"{field} must be" in err and "[lo, hi]" in err
     if json.dumps(config) in NAMED_GRID_ERRORS:
         assert NAMED_GRID_ERRORS[json.dumps(config)] in err
+    if json.dumps(config) in NAMED_VALUE_ERRORS:
+        assert NAMED_VALUE_ERRORS[json.dumps(config)] in err
 
 
 # -- explain ------------------------------------------------------------------------

@@ -7,22 +7,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hywbench import (
+from hywbench.grids import (
     Grid1D,
     SampledFunction,
     TestFunctionSpec,
     fixture_checksum,
     load_sampled,
     lp_norm_G,
-    make_axb,
     make_grids,
-    make_heisenberg,
     sample,
     save_sampled,
 )
+from hywbench.groups import make_group
 
-AXB, _ = make_axb()
-HEIS, _ = make_heisenberg()
+AXB, _ = make_group("axb")
+HEIS, _ = make_group("heisenberg")
 
 
 def test_grid_layout():
@@ -167,8 +166,6 @@ def test_lp_norm_heisenberg_gaussian_closed_form():
 
 
 def test_lp_norm_against_naive_loop():
-    from hywbench import SampledFunction
-
     g = Grid1D(-3.0, 3.0, 16)
     h = Grid1D(-2.0, 2.0, 8)
     rng = np.random.default_rng(0)
@@ -197,12 +194,14 @@ def test_boundary_mass_ratio_flags_truncation():
     shifted = sample(TestFunctionSpec(kind="gaussian", center_n=(7.5,)), (g,), g, AXB)
     assert centered.boundary_mass_ratio() < 1e-8
     assert shifted.boundary_mass_ratio() > 1e-3
+    # against |g| w_N Delta w_H summed cell by cell: all cells less the interior
+    cells = np.abs(shifted.values) * g.spacing * shifted.h_measure()[None, :]
+    edge = cells.sum() - cells[1:-1, 1:-1].sum()
+    assert shifted.boundary_mass_ratio() == pytest.approx(edge / cells.sum(), rel=1e-12)
 
 
 def test_values_shape_is_validated():
     g = Grid1D(-3.0, 3.0, 16)
-    from hywbench import SampledFunction
-
     with pytest.raises(ValueError):
         SampledFunction(model=AXB, n_grids=(g,), h_grid=g, values=np.zeros((16, 15)))
     with pytest.raises(ValueError):

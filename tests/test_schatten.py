@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hywbench import (
+from hywbench.schatten import (
     NumericalError,
     WeightedKernel,
     adjoint_kernel,
@@ -18,9 +18,9 @@ from hywbench import (
     cross_norm_qpq,
     russo_gap,
     schatten_norm,
+    schatten_norms,
     weighted_operator_matrix,
 )
-from hywbench.schatten import schatten_norms
 
 complex_mats = hnp.arrays(
     np.complex128,

@@ -8,17 +8,15 @@ sum_x g(x) Delta(x) w(x) rep(x) over the whole group grid.
 import numpy as np
 import pytest
 
-from hywbench import (
-    GroupElement,
+from hywbench.grids import (
     Grid1D,
     SampledFunction,
     TestFunctionSpec,
     lp_norm_G,
-    make_axb,
-    make_heisenberg,
+    modular_on_grid,
     sample,
 )
-from hywbench.grids import modular_on_grid
+from hywbench.groups import GroupElement, make_group
 from hywbench.schatten import weighted_operator_matrix
 from hywbench.transform import (
     CharacterSlice,
@@ -28,8 +26,8 @@ from hywbench.transform import (
 )
 from hywbench.verify import check_plancherel, hausdorff_young_margins
 
-AXB, AXB_DUAL = make_axb()
-HEIS, HEIS_DUAL = make_heisenberg()
+AXB, AXB_DUAL = make_group("axb")
+HEIS, HEIS_DUAL = make_group("heisenberg")
 
 
 def axb_function(n=32, h=8, kind="random-bandlimited", seed=1):

@@ -11,8 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from hywbench import make_group
 from hywbench.grids import lp_norm_G, modular_on_grid
+from hywbench.groups import make_group
 from hywbench.schatten import (
     WeightedKernel,
     conjugate_exponent,
