@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``run``      execute selected check families and write a report;
-* ``explain``  print what a check family asserts and how;
+* ``explain``  print what a check family asserts and at which slack: the
+  docstring of the ``verify`` check behind it;
 * ``fixtures`` regenerate the frozen fixture files with checksums.
 
 Report format (versioned): the first line is ``HYWREPORT 1``; every other
@@ -13,7 +14,11 @@ family (``# family <name> <seconds>s``) and human-oriented prose, and are
 excluded from the determinism contract; the non-comment body is
 byte-identical across runs with the same configuration and seed, numpy/BLAS
 build and BLAS thread count.  The report is written atomically (temp file,
-then rename) even when checks fail.
+then rename) even when checks fail.  JSON has no non-finite numbers, so an
+overflowed or undefined value (exponents within about 0.005 of 1 overflow
+the q-th powers of the norm chain) is written as the string ``"inf"``,
+``"-inf"`` or ``"nan"``; a check holding one fails.  gaussian-extremality,
+like the transform families, samples its fixture on the run's grids.
 
 Exit codes: 0 all selected checks pass, 1 at least one check failed,
 2 configuration or usage error, or an output path that cannot be written
@@ -25,6 +30,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
+import inspect
 import json
 import math
 import os
@@ -39,10 +45,12 @@ from .grids import fixture_checksum, make_grids, sample, save_sampled
 from .groups import GROUPS, make_group
 from . import verify
 from .verify import (
+    check_dual_measure_scaling,
     check_gaussian_extremality,
     check_nilpotent_bound,
     check_plancherel,
     check_proof_chain,
+    check_semi_invariance,
     default_sampling_config,
     dual_measure_suite,
     gaussian_fixtures,
@@ -274,6 +282,12 @@ def _family_proof_chain(cfg, records):
     ]
 
 
+def _family_gaussian_extremality(cfg, records):
+    model, _ = make_group(cfg.group)
+    g = sample(gaussian_fixtures(cfg.group, 1)[0], *cfg.grids(), model)
+    return [check_gaussian_extremality(g, p) for p in cfg.p]
+
+
 def _family_nilpotent(cfg, records):
     pool = _fixture_pool(cfg, "nilpotent-bound")
     return [
@@ -293,9 +307,7 @@ CHECK_FAMILIES = {
     "plancherel": _family_plancherel,
     "hausdorff-young": _family_hausdorff_young,
     "proof-chain": _family_proof_chain,
-    "gaussian-extremality": lambda cfg, _: [
-        check_gaussian_extremality(cfg.group, p) for p in cfg.p
-    ],
+    "gaussian-extremality": _family_gaussian_extremality,
     "nilpotent-bound": _family_nilpotent,
 }
 
@@ -303,9 +315,18 @@ CHECK_FAMILIES = {
 # -- report --------------------------------------------------------------------------
 
 
+def _json_safe(value):
+    """value with every non-finite float, at any dict depth, written as the
+    string "inf", "-inf" or "nan", which JSON has no numbers for."""
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    return value
+
+
 def _json_line(record_kind, payload):
-    body = {"record": record_kind}
-    body.update(payload)
+    body = _json_safe({"record": record_kind, **payload})
     return json.dumps(body, sort_keys=True, allow_nan=False)
 
 
@@ -395,86 +416,30 @@ def _write_atomic(path, text):
 
 # -- explain -------------------------------------------------------------------------
 
-EXPLANATIONS = {
-    "schatten-suite": (
-        "Property battery for the Schatten norms ||A||_p = (sum s_k(A)^p)^(1/p)\n"
-        "over singular values: ||A||_S4^2 = ||AA*||_S2, which compares the\n"
-        "singular values with the Frobenius formula used at p = 2, monotone\n"
-        "decrease in p, unitary invariance, and the triangle inequality,\n"
-        "each on random complex matrices at roundoff slack."
-    ),
-    "russo-fournier": (
-        "Russo and Fournier's kernel bound: for an integral kernel k on a\n"
-        "product measure space and conjugate exponents 1/p + 1/q = 1 with\n"
-        "p <= 2, the Schatten q-norm of the associated operator is at most\n"
-        "the geometric mean of the two mixed (q, p) iterated norms of k and\n"
-        "of its adjoint.  Checked on random weighted kernels; exact on the\n"
-        "grid, slack 1e-10."
-    ),
-    "minkowski": (
-        "Generalized Minkowski inequality for iterated weighted norms with\n"
-        "q/p >= 1: putting the larger exponent inside,\n"
-        "  ( sum_b w_b ( sum_a w_a F(a,b)^p )^(q/p) )^(1/q)\n"
-        "    <= ( sum_a w_a ( sum_b w_b F(a,b)^q )^(p/q) )^(1/p).\n"
-        "Checked on random nonnegative kernels at roundoff slack."
-    ),
-    "dual-measure-scaling": (
-        "The quotient group acts on the frequency space of the normal\n"
-        "subgroup; the image of a box under one group element scales its\n"
-        "Lebesgue measure by exactly the modular function of that element.\n"
-        "Image measure computed from transformed corners, slack 1e-12."
-    ),
-    "semi-invariance": (
-        "The representation conjugates the formal-dimension operator K into\n"
-        "a scalar multiple of itself: rep(x) K rep(x)* = K / Delta(x).\n"
-        "Both sides built as matrices on the quotient grid and compared on\n"
-        "the window the translation keeps on the lattice, slack 1e-10."
-    ),
-    "plancherel": (
-        "Plancherel identity for the operator-valued transform: the\n"
-        "direct-integral squared norm sum_orbits nu ||M K^(1/2)||_S2^2\n"
-        "equals ||g||_2^2.  Quadrature-limited at desk grids; slack 1e-2\n"
-        "relative (2e-2 for the two-dimensional normal subgroup)."
-    ),
-    "hausdorff-young": (
-        "Sharp Hausdorff-Young bound for 1 < p <= 2, q = p/(p-1): the\n"
-        "direct-integral Schatten q-norm of the exponent-q transform is at\n"
-        "most A_p^dim ||g||_p with the Babenko-Beckner constant\n"
-        "A_p = (p^(1/p)/q^(1/q))^(1/2) per frequency dimension.  Slack 1e-6\n"
-        "below p = 2; at p = 2 the bound saturates and the check widens to\n"
-        "the quadrature slack."
-    ),
-    "proof-chain": (
-        "Every intermediate majorization between the direct-integral norm\n"
-        "and the abelian bound: per-orbit kernel averaging, Cauchy-Schwarz\n"
-        "across the orbit transversal, the generalized Minkowski swap of\n"
-        "the iterated sums (exact on the grid because the index substitution\n"
-        "only drops nonnegative terms), and the per-slice abelian\n"
-        "Hausdorff-Young step.  The values must form a monotone sequence;\n"
-        "at p = 2 every link collapses to an equality within quadrature."
-    ),
-    "gaussian-extremality": (
-        "Gaussians saturate the abelian Babenko-Beckner inequality, so each\n"
-        "Gaussian slice must realize at least 0.99 of the sharp constant\n"
-        "A_p^dim on the default grids."
-    ),
-    "nilpotent-bound": (
-        "Bound specific to the three-dimensional nilpotent instance: its\n"
-        "generic dual orbits are two-dimensional, so the transform norm is\n"
-        "at most A_p^(3 - 2/2) ||g||_p = A_p^2 ||g||_p, the same constant\n"
-        "the two-dimensional normal subgroup supplies slice by slice."
-    ),
+# the check whose docstring states what each family asserts and at which slack
+EXPLAINED_BY = {
+    "schatten-suite": schatten_property_suite,
+    "russo-fournier": russo_fournier_random_suite,
+    "minkowski": minkowski_random_suite,
+    "dual-measure-scaling": check_dual_measure_scaling,
+    "semi-invariance": check_semi_invariance,
+    "plancherel": check_plancherel,
+    "hausdorff-young": hausdorff_young_margins,
+    "proof-chain": check_proof_chain,
+    "gaussian-extremality": check_gaussian_extremality,
+    "nilpotent-bound": check_nilpotent_bound,
 }
 
-assert set(EXPLANATIONS) == set(CHECK_FAMILIES)
+assert set(EXPLAINED_BY) == set(CHECK_FAMILIES)
 
 
 def explain(name: str) -> str:
-    if name not in EXPLANATIONS:
+    """The docstring of the check behind family name."""
+    if name not in EXPLAINED_BY:
         raise KeyError(
-            f"unknown check {name!r}; valid names: {', '.join(sorted(EXPLANATIONS))}"
+            f"unknown check {name!r}; valid names: {', '.join(sorted(EXPLAINED_BY))}"
         )
-    return EXPLANATIONS[name]
+    return inspect.getdoc(EXPLAINED_BY[name])
 
 
 # -- fixtures ------------------------------------------------------------------------

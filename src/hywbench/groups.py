@@ -80,11 +80,6 @@ class GroupExtensionModel:
     conjugation_action: Callable[[float, np.ndarray], np.ndarray]
     modular_on_H: Callable[[float], float]
 
-    # -- element construction -------------------------------------------------
-
-    def identity(self) -> GroupElement:
-        return GroupElement(np.zeros(self.dim_N), self.h_identity)
-
     # -- group operations ------------------------------------------------------
 
     def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:

@@ -11,19 +11,8 @@ Three kinds of assertion, three kinds of slack:
   measured refinement behavior (errors land near 5e-3 on the defaults and
   shrink about 25x under one balanced refinement).
 
-The norm chain: with M = the exponent-q transform kernels and q = p',
-
-    V0 = sum nu ||M||_Sq^q            direct-integral norm, q-th power
-    V1 = sum nu sqrt(c c*)            per-orbit kernel averaging bound
-    V2 = sqrt(sum nu c  sum nu c*)    Cauchy-Schwarz over the transversal
-    V3 = swapped iterated form        generalized Minkowski + exact index
-                                      substitution on the quotient lattice
-    V4 = (A_p ||g||_p)^q              per-slice abelian Hausdorff-Young
-
-V0 <= V1 <= V2 <= V3 holds exactly on the grid (the substitution only drops
-nonnegative terms), so those links get roundoff slack; V3 <= V4 crosses from
-the grid to the continuum once, so it gets the quadrature slack.  At p = 2
-every link collapses to an equality up to quadrature error.
+The docstring of the check behind each ``hyw run`` family states what that
+family asserts and at which default slack; ``hyw explain`` prints it.
 """
 
 from __future__ import annotations
@@ -39,7 +28,6 @@ from .grids import (
     lp_norm_G,
     make_grids,
     modular_on_grid,
-    sample,
     slice_lp_mass,
 )
 from .groups import (
@@ -71,7 +59,6 @@ __all__ = [
     "default_sampling_config",
     "gaussian_fixtures",
     "random_fixtures",
-    "sample_fixture",
     "check_plancherel",
     "hausdorff_young_margins",
     "spectral_record",
@@ -219,12 +206,6 @@ def random_fixtures(group_name: str, count: int, base_seed: int = 0):
     ]
 
 
-def sample_fixture(group_name: str, spec: TestFunctionSpec) -> SampledFunction:
-    model, _ = make_group(group_name)
-    n_grids, h_grid = default_grids(group_name)
-    return sample(spec, n_grids, h_grid, model)
-
-
 # -- the spectral record: one pairing pass per fixture --------------------------------
 
 
@@ -279,11 +260,12 @@ def spectral_record(
             if i and not flat:  # Delta^(1/q) changes the kernel
                 k = kernel_from_pair_table(table, h, delta, 1.0 / q)
             norm = norms[i] if shared_svd else schatten_norm(weighted_operator_matrix(k), q)
-            sq[p].append(norm**q)
+            # numpy powers overflow to inf where a Python float raises
+            sq[p].append(np.float64(norm) ** q)
             if p in chain:
                 direct, adjoint, slice_mass = extras[p]
-                direct.append(cross_norm_qpq(k, q, p) ** q)
-                adjoint.append(cross_norm_qpq(adjoint_kernel(k), q, p) ** q)
+                direct.append(np.float64(cross_norm_qpq(k, q, p)) ** q)
+                adjoint.append(np.float64(cross_norm_qpq(adjoint_kernel(k), q, p)) ** q)
                 # dual-side q-mass of every slice, row s contributing its orbit weight
                 slice_mass += weight * (measure @ np.abs(table) ** q)
     return SpectralRecord(
@@ -308,10 +290,14 @@ def check_plancherel(
     config: DualSamplingConfig | None = None,
     record: SpectralRecord | None = None,
 ) -> CheckResult:
-    """Direct-integral squared norm of the exponent-2 transform vs ||g||_2^2.
+    """Plancherel identity for the operator-valued transform: the
+    direct-integral squared norm sum_orbits nu ||M K^(1/2)||_S2^2 equals
+    ||g||_2^2, slack 1e-2 relative (2e-2 for a two-dimensional normal
+    subgroup).
 
-    The Hausdorff-Young check at p = 2, squared: A_2 = 1, so its right side
-    is ||g||_2.
+    The slack is quadrature-limited at desk grids.  This is the
+    Hausdorff-Young check at p = 2, squared: A_2 = 1, so its right side is
+    ||g||_2.
     """
     tolerance = TOLERANCES["equality"] if g.dim_N == 1 else 2 * TOLERANCES["equality"]
     (hy,) = hausdorff_young_margins(g, dual, (2.0,), config=config, record=record)
@@ -326,15 +312,17 @@ def hausdorff_young_margins(
     config: DualSamplingConfig | None = None,
     record: SpectralRecord | None = None,
 ) -> list:
-    """Direct-integral q-norm of the transform vs A_p ||g||_p, for each p.
+    """Sharp Hausdorff-Young bound for each p in ps, 1 < p <= 2: the
+    direct-integral Schatten q-norm of the exponent-q transform, q = p/(p-1),
+    is at most A_p^dim ||g||_p, slack 1e-6 below p = 2.
 
-    lhs is (sum_sigma nu ||k_sigma||_{S_q}^q)^(1/q) over the exponent-q
-    transform kernels, reduced from the spectral record of g (built here at
-    ps when none is given).
-
-    For p < 2 the sharp bound carries real margin on generic fixtures and the
-    slack is 1e-6.  At p = 2 the bound saturates (it is the Plancherel
-    identity), so the slack widens to the quadrature tolerance.
+    A_p = (p^(1/p)/q^(1/q))^(1/2) is the Babenko-Beckner constant per
+    frequency dimension (1 in the classical regime).  lhs is
+    (sum_sigma nu ||k_sigma||_{S_q}^q)^(1/q) over the exponent-q transform
+    kernels, reduced from the spectral record of g (built here at ps when
+    none is given).  For p < 2 the sharp bound carries real margin on
+    generic fixtures.  At p = 2 the bound saturates (it is the Plancherel
+    identity), so the slack widens to the quadrature tolerance, 1e-2.
     """
     model = dual.group
     ps = [float(p) for p in ps]
@@ -361,7 +349,7 @@ def proof_chain_quantities(
     config: DualSamplingConfig | None = None,
     record: SpectralRecord | None = None,
 ) -> dict:
-    """All intermediate chain values for one function; see the module docstring.
+    """All intermediate chain values for one function; see check_proof_chain.
 
     They reduce the spectral record of g, which must carry p in its chain;
     one is built here when none is given.
@@ -381,7 +369,7 @@ def proof_chain_quantities(
     big_c2 = float(nu @ c_adjoint)
     v2 = float(np.sqrt(big_c1 * big_c2))
     v3 = float((measure @ slice_mass ** (p / q)) ** (q / p))
-    v4 = float((babenko_constant(p, model.dim_N, constants) * lp_norm_G(g, p)) ** q)
+    v4 = float(np.float64(babenko_constant(p, model.dim_N, constants) * lp_norm_G(g, p)) ** q)
     return {
         "p": p,
         "q": q,
@@ -421,8 +409,26 @@ def check_proof_chain(
     config: DualSamplingConfig | None = None,
     record: SpectralRecord | None = None,
 ) -> list:
-    """Assert every adjacent pair of the norm chain, plus the per-orbit and
-    per-slice facts feeding it.  At p = 2 equality variants are added."""
+    """Every majorization between the direct-integral norm and the abelian
+    bound, slack 1e-10 on the links exact on the grid and 1e-2 on the one
+    link that crosses to the continuum.
+
+    With M = the exponent-q transform kernels and q = p', the chain is
+
+        V0 = sum nu ||M||_Sq^q            direct-integral norm, q-th power
+        V1 = sum nu sqrt(c c*)            per-orbit kernel averaging bound
+        V2 = sqrt(sum nu c  sum nu c*)    Cauchy-Schwarz over the transversal
+        V3 = swapped iterated form        generalized Minkowski + exact index
+                                          substitution on the quotient lattice
+        V4 = (A_p ||g||_p)^q              per-slice abelian Hausdorff-Young
+
+    V0 <= V1 <= V2 <= V3 holds exactly on the grid (the substitution only
+    drops nonnegative terms), so those links, the averaging bound at the
+    worst orbit and sum nu c, sum nu c* <= V3 get slack 1e-10.  V3 <= V4 crosses from the
+    grid to the continuum once, so it gets the quadrature slack 1e-2.  The
+    brute-force per-slice bound behind that link gets 1e-6.  At p = 2 every
+    link of the V chain collapses to an equality, added at 1e-2 relative.
+    """
     vals = proof_chain_quantities(g, dual, p, constants, config, record)
     lin, quad, eq = TOLERANCES["linalg"], TOLERANCES["quadrature"], TOLERANCES["equality"]
 
@@ -477,9 +483,13 @@ def check_semi_invariance(
     x: GroupElement,
     h_grid: Grid1D,
 ) -> CheckResult:
-    """rep(x) K rep(x)* = K / Delta(x), compared entrywise on the window the
-    shift keeps on the grid.  Reports the max-entry deviation relative to the
-    largest entry (the diagonal grows like the modular function)."""
+    """The representation conjugates the formal-dimension operator K into a
+    scalar multiple of itself, rep(x) K rep(x)* = K / Delta(x); slack 1e-10.
+
+    Both sides are built as matrices on the quotient grid and compared
+    entrywise on the window the shift keeps on the grid.  Reports the
+    max-entry deviation relative to the largest entry (the diagonal grows
+    like the modular function)."""
     a = induced_rep_matrix(model, sigma0, x, h_grid)
     kvals = modular_on_grid(model, h_grid)  # the formal dimension operator K
     lhs = (a * kvals[None, :]) @ a.conj().T
@@ -517,7 +527,9 @@ def semi_invariance_suite(group_name: str, count: int, seed: int) -> list:
 
 
 def check_dual_measure_scaling(model: GroupExtensionModel, h, box_lo, box_hi) -> CheckResult:
-    """Lebesgue measure of the dual image of a box vs the modular factor.
+    """The quotient group acts on the frequency space of the normal subgroup,
+    and the image of a box under h scales its Lebesgue measure by exactly the
+    modular function of h; slack 1e-12 relative.
 
     The image measure is computed geometrically from the transformed corners
     (interval length in one dimension, shoelace area in two), the reference
@@ -604,7 +616,14 @@ def _russo_trial(rng):
 
 
 def russo_fournier_random_suite(count: int, seed: int) -> CheckResult:
-    """Summary over random weighted kernels and random exponents."""
+    """Russo and Fournier's kernel bound, slack 1e-10: for an integral kernel
+    k on a product measure space and conjugate exponents 1/p + 1/q = 1 with
+    p <= 2, the Schatten q-norm of the associated operator is at most the
+    geometric mean of the mixed (q, p) iterated norms of k and of its adjoint.
+
+    Exact on the grid.  Checked on count random weighted complex kernels at
+    random exponents; one result carries the worst lhs/rhs ratio and the
+    number of violations."""
     return _random_suite("russo-fournier-random-suite", count, seed, _russo_trial)
 
 
@@ -635,6 +654,14 @@ def _minkowski_trial(rng):
 
 
 def minkowski_random_suite(count: int, seed: int) -> CheckResult:
+    """Generalized Minkowski inequality for iterated weighted norms with
+    q/p >= 1, slack 1e-10: putting the larger exponent inside,
+
+      ( sum_b w_b ( sum_a w_a F(a,b)^p )^(q/p) )^(1/q)
+        <= ( sum_a w_a ( sum_b w_b F(a,b)^q )^(p/q) )^(1/p).
+
+    Checked on count random nonnegative kernels with q = p'; one result
+    carries the worst lhs/rhs ratio and the number of violations."""
     return _random_suite("minkowski-random-suite", count, seed, _minkowski_trial)
 
 
@@ -648,7 +675,9 @@ def check_nilpotent_bound(
     config: DualSamplingConfig | None = None,
     record: SpectralRecord | None = None,
 ) -> CheckResult:
-    """Two-step nilpotent bound on the Heisenberg instance.
+    """Two-step nilpotent bound on the Heisenberg instance: the transform
+    norm is at most A_p^(3 - 2/2) ||g||_p = A_p^2 ||g||_p, slack 1e-6 below
+    p = 2.
 
     The exponent is hard-coded: the group is three-dimensional and its
     generic dual orbits are two-dimensional, so the bound carries the
@@ -671,10 +700,11 @@ def check_nilpotent_bound(
 
 
 def schatten_property_suite(count: int, size: int, seed: int) -> CheckResult:
-    """Property battery for the Schatten norms on random complex matrices:
-    ||A||_S4^2 = ||AA*||_S2 (singular values against the Frobenius formula),
-    monotonicity in the exponent, unitary invariance, and the triangle
-    inequality, all to roundoff slack."""
+    """Property battery for the Schatten norms ||A||_p = (sum s_k(A)^p)^(1/p)
+    over singular values, slack 1e-10: ||A||_S4^2 = ||AA*||_S2 (singular
+    values against the Frobenius formula used at p = 2), monotone decrease
+    in p, unitary invariance, and the triangle inequality, each on count
+    random complex size x size matrices."""
     rng = np.random.default_rng(seed)
     tol = TOLERANCES["linalg"]
     worst = 0.0
@@ -709,9 +739,13 @@ def schatten_property_suite(count: int, size: int, seed: int) -> CheckResult:
     )
 
 
-def check_gaussian_extremality(group_name: str, p: float) -> CheckResult:
-    """Gaussian slices must realize at least 0.99 of the sharp slice bound."""
-    g = sample_fixture(group_name, gaussian_fixtures(group_name, 1)[0])
+def check_gaussian_extremality(g: SampledFunction, p: float) -> CheckResult:
+    """Gaussians saturate the abelian Babenko-Beckner inequality, so each
+    slice of the Gaussian g must realize at least 0.99 of the sharp constant
+    A_p^dim, with no further slack.
+
+    Slices of negligible mass are dropped (see slice_ratios); g is sampled
+    on whatever grids the caller chose."""
     ratios, kept = slice_ratios(g, p)
     bound = babenko_constant(p, g.dim_N)
     return inequality_result(
@@ -719,5 +753,5 @@ def check_gaussian_extremality(group_name: str, p: float) -> CheckResult:
         0.99 * bound,
         float(ratios.min()),
         0.0,
-        detail=f"{group_name} p={p:g} {kept.size} slices",
+        detail=f"{g.model.name} p={p:g} {kept.size} slices",
     )

@@ -1,11 +1,13 @@
 """End-to-end checks for the batch entry point and its report contract."""
 
 import hashlib
+import inspect
 import json
 import os
 
 import pytest
 
+from hywbench import verify
 from hywbench.cli import (
     CHECK_FAMILIES,
     ConfigError,
@@ -178,6 +180,22 @@ def test_empty_selection_is_exit_zero(tmp_path):
     assert summary["checks"] == 0 and summary["passed"] == 0
 
 
+def test_exponent_near_one_fails_closed_with_a_parseable_report(tmp_path, capsys):
+    out = tmp_path / "near-one.jsonl"
+    rc = run_main(["--group", "axb", "--p", "1.001", "--checks", "hausdorff-young,proof-chain",
+                   "--out", str(out)])
+    assert rc == 1 and "Traceback" not in capsys.readouterr().err
+    _, _, records = parse_report(out)
+    checks = [r for r in records if r["record"] == "check"]
+    overflowed = [r for r in checks if "inf" in (r["lhs"], r["rhs"])]
+    assert {r["family"] for r in overflowed} == {"hausdorff-young", "proof-chain"}
+    assert not any(r["passed"] for r in overflowed)
+    for r in checks:  # every number is finite or one of the three strings
+        assert all(isinstance(r[k], float) or r[k] in ("inf", "-inf", "nan") for k in ("lhs", "rhs"))
+    assert records[-1]["failed"] >= len(overflowed)
+    assert records[-1]["worst_inequality"]["ratio"] == "inf"  # the summary too
+
+
 def one_line(err, prefix):
     return err.startswith(prefix) and err.count("\n") == 1
 
@@ -284,10 +302,30 @@ def test_config_file_errors_exit_two(tmp_path, capsys, config):
 # -- explain ------------------------------------------------------------------------
 
 
+# the verify check behind each family, and the default slack its docstring
+# must state in the opening paragraph
+EXPLAINED = {
+    "schatten-suite": (verify.schatten_property_suite, "1e-10"),
+    "russo-fournier": (verify.russo_fournier_random_suite, "1e-10"),
+    "minkowski": (verify.minkowski_random_suite, "1e-10"),
+    "dual-measure-scaling": (verify.check_dual_measure_scaling, "1e-12"),
+    "semi-invariance": (verify.check_semi_invariance, "1e-10"),
+    "plancherel": (verify.check_plancherel, "1e-2"),
+    "hausdorff-young": (verify.hausdorff_young_margins, "1e-6"),
+    "proof-chain": (verify.check_proof_chain, "1e-10"),
+    "gaussian-extremality": (verify.check_gaussian_extremality, "0.99"),
+    "nilpotent-bound": (verify.check_nilpotent_bound, "1e-6"),
+}
+
+
 def test_explain_covers_every_family():
+    assert set(EXPLAINED) == set(CHECK_FAMILIES)
     for name in CHECK_FAMILIES:
         text = explain(name)
         assert len(text) > 40
+        check, slack = EXPLAINED[name]
+        assert text == inspect.getdoc(check)
+        assert slack in text.split("\n\n")[0], name
 
 
 def test_explain_unknown_name(capsys):
@@ -336,6 +374,24 @@ def test_run_suite_returns_consistent_records():
     assert len(records) == 1 and summary["checks"] == 1
     assert text.startswith("HYWREPORT 1\n")
     assert records[0]["family"] == "gaussian-extremality"
+
+
+def test_gaussian_extremality_samples_once_on_the_run_grids(monkeypatch):
+    import hywbench.cli as cli
+
+    sampled = []
+    sample = cli.sample
+
+    def counted(spec, n_grids, h_grid, model):
+        sampled.append(h_grid.n)
+        return sample(spec, n_grids, h_grid, model)
+
+    monkeypatch.setattr(cli, "sample", counted)
+    cfg = RunConfig(group="axb", grid_h=32, p=(1.2, 1.5), checks=("gaussian-extremality",))
+    records, _, _ = run_suite(cfg.validate())
+    assert sampled == [32]  # one fixture for both exponents, on the 32-point H grid
+    for r in records:
+        assert 0 < int(r["detail"].split()[-2]) <= 32  # "<n> slices"
 
 
 def test_family_wall_times_are_comment_lines():

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from hywbench.grids import lp_norm_G, modular_on_grid
+from hywbench.grids import lp_norm_G, modular_on_grid, sample
 from hywbench.groups import make_group
 from hywbench.schatten import (
     WeightedKernel,
@@ -43,13 +43,19 @@ from hywbench.verify import (
     proof_chain_quantities,
     random_fixtures,
     russo_fournier_random_suite,
-    sample_fixture,
     schatten_property_suite,
     semi_invariance_suite,
     slice_ratios,
     spectral_record,
 )
 from hywbench.groups import DualOrbitModel, GroupElement
+
+
+def sample_fixture(group_name, spec):
+    """spec sampled on the default grids of group_name."""
+    model, _ = make_group(group_name)
+    n_grids, h_grid = default_grids(group_name)
+    return sample(spec, n_grids, h_grid, model)
 
 
 def axb_base():
@@ -413,7 +419,8 @@ def test_slice_ratios_constant_for_gaussian():
 
 def test_gaussian_extremality_both_groups():
     for name in ("axb", "heisenberg"):
-        r = check_gaussian_extremality(name, 4 / 3)
+        g = sample_fixture(name, gaussian_fixtures(name, 1)[0])
+        r = check_gaussian_extremality(g, 4 / 3)
         assert r.passed
         assert r.rhs >= 0.999 * babenko_constant(4 / 3, 2 if name == "heisenberg" else 1)
 
