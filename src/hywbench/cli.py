@@ -17,8 +17,9 @@ build and BLAS thread count.  The report is written atomically (temp file,
 then rename) even when checks fail.  JSON has no non-finite numbers, so an
 overflowed or undefined value (exponents within about 0.005 of 1 overflow
 the q-th powers of the norm chain) is written as the string ``"inf"``,
-``"-inf"`` or ``"nan"``; a check holding one fails.  gaussian-extremality,
-like the transform families, samples its fixture on the run's grids.
+``"-inf"`` or ``"nan"``; a check holding one fails (numpy does not warn).
+Every family, semi-invariance included, runs on the run's grids, the ones
+the ``model`` record shows.
 
 Exit codes: 0 all selected checks pass, 1 at least one check failed,
 2 configuration or usage error, or an output path that cannot be written
@@ -203,51 +204,56 @@ def _tolerance_overrides(overrides):
 
 # -- check families ------------------------------------------------------------------
 #
-# Every family takes the run configuration and the run's spectral records.
+# Every family takes the run configuration and the run.
 
-# fixture pool of each transform family: (catalog Gaussians, seeded randoms)
+# fixture pool of each sampling family: (catalog Gaussians, seeded randoms)
 POOLS = {
     "plancherel": (5, 5),
     "hausdorff-young": (2, 4),
     "proof-chain": (2, 1),
+    "gaussian-extremality": (1, 0),
     "nilpotent-bound": (2, 3),
 }
 
 
-def _pool_specs(cfg: RunConfig, family: str):
-    gaussians, randoms = POOLS[family]
-    return gaussian_fixtures(cfg.group, gaussians) + random_fixtures(
-        cfg.group, randoms, base_seed=cfg.seed
-    )
-
-
-def _fixture_pool(cfg: RunConfig, family: str):
-    model, _ = make_group(cfg.group)
-    n_grids, h_grid = cfg.grids()
-    return [sample(s, n_grids, h_grid, model) for s in _pool_specs(cfg, family)]
-
-
-class _Records:
-    """The spectral records of one run, one per fixture recipe.  The plan holds
-    what the selected families need of each fixture (exponents, and the
-    norm-chain exponents of proof-chain); the first family to ask builds it."""
+class _Run:
+    """What the families of one run read: the group model and dual, the grids,
+    the dual sampling, the fixture pools and a spectral record per pooled recipe,
+    built on first request at what the plan says the selected families need."""
 
     def __init__(self, cfg: RunConfig):
-        _, self.dual = make_group(cfg.group)
+        self.p = cfg.p
+        self.model, self.dual = make_group(cfg.group)
+        self.n_grids, self.h_grid = cfg.grids()
         self.sampling = default_sampling_config(cfg.group)
-        self.plan = {}
+        self.pools = {
+            family: gaussian_fixtures(cfg.group, n)
+            + random_fixtures(cfg.group, m, base_seed=cfg.seed)
+            for family, (n, m) in POOLS.items()
+        }
+        self.plan, self.built = {}, {}
         for family in cfg.selected_families():
-            if family not in POOLS:
+            if family not in POOLS or family == "gaussian-extremality":  # reads no record
                 continue
-            ps = (2.0,) if family == "plancherel" else cfg.p
-            chain = cfg.p if family == "proof-chain" else ()
-            for spec in _pool_specs(cfg, family):
+            ps = self.exponents(family)
+            chain = ps if family == "proof-chain" else ()
+            for spec in self.pools[family]:
                 need_ps, need_chain = self.plan.setdefault(spec.key(), (set(), set()))
                 need_ps.update(ps)
                 need_chain.update(chain)
-        self.built = {}
 
-    def __call__(self, g):
+    def exponents(self, family):
+        """plancherel checks only p = 2, nilpotent-bound only p < 2, the rest the run's p."""
+        if family == "plancherel":
+            return (2.0,)
+        return tuple(p for p in self.p if p < 2.0 or family != "nilpotent-bound")
+
+    def cases(self, family):
+        """(p, fixture) exponent-major, the pool sampled once on the run's grids."""
+        pool = [sample(s, self.n_grids, self.h_grid, self.model) for s in self.pools[family]]
+        return [(p, g) for p in self.exponents(family) for g in pool]
+
+    def record(self, g):
         key = g.spec.key()
         if key not in self.built:
             ps, chain = self.plan[key]
@@ -255,46 +261,39 @@ class _Records:
         return self.built[key]
 
 
-def _family_plancherel(cfg, records):
+def _family_plancherel(cfg, run):
     return [
-        check_plancherel(g, records.dual, records.sampling, record=records(g))
-        for g in _fixture_pool(cfg, "plancherel")
+        check_plancherel(g, run.dual, run.sampling, record=run.record(g))
+        for _, g in run.cases("plancherel")
     ]
 
 
-def _family_hausdorff_young(cfg, records):
-    per_fixture = [
-        hausdorff_young_margins(
-            g, records.dual, cfg.p, cfg.constants, records.sampling, records(g)
-        )
-        for g in _fixture_pool(cfg, "hausdorff-young")
-    ]
-    return [m[i] for i in range(len(cfg.p)) for m in per_fixture]
-
-
-def _family_proof_chain(cfg, records):
-    pool = _fixture_pool(cfg, "proof-chain")
+def _family_hausdorff_young(cfg, run):
     return [
         r
-        for p in cfg.p
-        for g in pool
-        for r in check_proof_chain(g, records.dual, p, cfg.constants, records.sampling, records(g))
+        for p, g in run.cases("hausdorff-young")
+        for r in hausdorff_young_margins(
+            g, run.dual, (p,), cfg.constants, run.sampling, run.record(g)
+        )
     ]
 
 
-def _family_gaussian_extremality(cfg, records):
-    model, _ = make_group(cfg.group)
-    g = sample(gaussian_fixtures(cfg.group, 1)[0], *cfg.grids(), model)
-    return [check_gaussian_extremality(g, p) for p in cfg.p]
-
-
-def _family_nilpotent(cfg, records):
-    pool = _fixture_pool(cfg, "nilpotent-bound")
+def _family_proof_chain(cfg, run):
     return [
-        check_nilpotent_bound(g, records.dual, p, records.sampling, records(g))
-        for p in cfg.p
-        if p < 2.0
-        for g in pool
+        r
+        for p, g in run.cases("proof-chain")
+        for r in check_proof_chain(g, run.dual, p, cfg.constants, run.sampling, run.record(g))
+    ]
+
+
+def _family_gaussian_extremality(cfg, run):
+    return [check_gaussian_extremality(g, p) for p, g in run.cases("gaussian-extremality")]
+
+
+def _family_nilpotent(cfg, run):
+    return [
+        check_nilpotent_bound(g, run.dual, p, run.sampling, run.record(g))
+        for p, g in run.cases("nilpotent-bound")
     ]
 
 
@@ -302,8 +301,12 @@ CHECK_FAMILIES = {
     "schatten-suite": lambda cfg, _: [schatten_property_suite(count=20, size=32, seed=cfg.seed)],
     "russo-fournier": lambda cfg, _: [russo_fournier_random_suite(count=1000, seed=cfg.seed)],
     "minkowski": lambda cfg, _: [minkowski_random_suite(count=1000, seed=cfg.seed)],
-    "dual-measure-scaling": lambda cfg, _: dual_measure_suite(cfg.group, count=100, seed=cfg.seed),
-    "semi-invariance": lambda cfg, _: semi_invariance_suite(cfg.group, count=20, seed=cfg.seed),
+    "dual-measure-scaling": lambda cfg, run: dual_measure_suite(
+        run.model, count=100, seed=cfg.seed
+    ),
+    "semi-invariance": lambda cfg, run: semi_invariance_suite(
+        run.dual, run.sampling, run.h_grid, count=20, seed=cfg.seed
+    ),
     "plancherel": _family_plancherel,
     "hausdorff-young": _family_hausdorff_young,
     "proof-chain": _family_proof_chain,
@@ -330,17 +333,15 @@ def _json_line(record_kind, payload):
     return json.dumps(body, sort_keys=True, allow_nan=False)
 
 
-def _model_record(cfg: RunConfig):
-    model, _ = make_group(cfg.group)
-    n_grids, h_grid = cfg.grids()
+def _model_record(run: _Run):
+    model, sampling = run.model, run.sampling
     rec = {
         "group": model.name,
         "dim_N": model.dim_N,
         "unimodular": model.unimodular,
-        "n_grids": [[g.lo, g.hi, g.n] for g in n_grids],
-        "h_grid": [h_grid.lo, h_grid.hi, h_grid.n],
+        "n_grids": [[g.lo, g.hi, g.n] for g in run.n_grids],
+        "h_grid": [run.h_grid.lo, run.h_grid.hi, run.h_grid.n],
     }
-    sampling = default_sampling_config(cfg.group)
     if sampling is not None:
         rec["dual_sampling"] = [sampling.lambda_min, sampling.lambda_max, sampling.lambda_points]
     return rec
@@ -375,11 +376,12 @@ def run_suite(cfg: RunConfig, stream=None):
     echo = asdict(cfg)
     echo.pop("out")  # destination is not part of the deterministic body
     echo["checks"] = cfg.selected_families()
-    records, timings, spectral = [], [], _Records(cfg)
-    with _tolerance_overrides(cfg.tolerances):
+    records, timings, run = [], [], _Run(cfg)
+    # a non-finite value fails its check closed and is reported: no numpy warning
+    with _tolerance_overrides(cfg.tolerances), np.errstate(over="ignore", invalid="ignore"):
         for family in cfg.selected_families():
             start = time.perf_counter()
-            for res in CHECK_FAMILIES[family](cfg, spectral):
+            for res in CHECK_FAMILIES[family](cfg, run):
                 rec = asdict(res)
                 rec["family"] = family
                 records.append(rec)
@@ -390,7 +392,7 @@ def run_suite(cfg: RunConfig, stream=None):
     lines = ["HYWREPORT 1"]
     lines.append("# generated " + datetime.datetime.now(datetime.timezone.utc).isoformat())
     lines.append(_json_line("config", {**echo, "version": __version__, "numpy": np.__version__}))
-    lines.append(_json_line("model", _model_record(cfg)))
+    lines.append(_json_line("model", _model_record(run)))
     lines.extend(_json_line("check", r) for r in records)
     lines.append(_json_line("summary", summary))
     lines.append(

@@ -35,7 +35,6 @@ from .groups import (
     DualSamplingConfig,
     GroupElement,
     GroupExtensionModel,
-    make_group,
 )
 from .schatten import (
     WeightedKernel,
@@ -511,10 +510,9 @@ def check_semi_invariance(
     )
 
 
-def semi_invariance_suite(group_name: str, count: int, seed: int) -> list:
-    model, dual = make_group(group_name)
-    _, h_grid = default_grids(group_name)
-    params, _ = dual.transversal(default_sampling_config(group_name))
+def semi_invariance_suite(dual: DualOrbitModel, config, h_grid, count: int, seed: int) -> list:
+    model = dual.group
+    params, _ = dual.transversal(config)
     rng = np.random.default_rng(seed)
     out = []
     for i in range(count):
@@ -565,8 +563,7 @@ def check_dual_measure_scaling(model: GroupExtensionModel, h, box_lo, box_hi) ->
     )
 
 
-def dual_measure_suite(group_name: str, count: int, seed: int) -> list:
-    model, _ = make_group(group_name)
+def dual_measure_suite(model: GroupExtensionModel, count: int, seed: int) -> list:
     rng = np.random.default_rng(seed)
     out = [
         check_dual_measure_scaling(

@@ -129,7 +129,9 @@ def test_criterion_04_proof_chain_monotone_and_equalities(group):
 
 @pytest.mark.parametrize("group", ["axb", "heisenberg"])
 def test_criterion_05_semi_invariance(group):
-    results = semi_invariance_suite(group, count=20, seed=500)
+    _, dual = make_group(group)
+    sampling, h_grid = default_sampling_config(group), default_grids(group)[1]
+    results = semi_invariance_suite(dual, sampling, h_grid, count=20, seed=500)
     assert len(results) == 20
     worst = max(r.lhs for r in results)
     assert all(r.passed and r.tolerance == 1e-10 for r in results)
@@ -149,7 +151,7 @@ def test_criterion_06_kernel_inequality_suites():
 
 @pytest.mark.parametrize("group", ["axb", "heisenberg"])
 def test_criterion_07_dual_measure_scaling(group):
-    results = dual_measure_suite(group, count=100, seed=70)
+    results = dual_measure_suite(make_group(group)[0], count=100, seed=70)
     assert len(results) == 100
     assert all(r.passed and r.tolerance == 1e-12 for r in results)
     worst = max(abs(r.lhs - r.rhs) / max(abs(r.rhs), 1e-300) for r in results)

@@ -411,7 +411,8 @@ def test_family_wall_times_are_comment_lines():
     ]
 
 
-def test_nilpotent_bound_reads_the_hausdorff_young_margins(monkeypatch):
+def count_record_builds(patch):
+    """Every spectral record build in the package, by fixture key."""
     import hywbench.cli as cli
 
     builds = []
@@ -421,13 +422,36 @@ def test_nilpotent_bound_reads_the_hausdorff_young_margins(monkeypatch):
         builds.append(g.spec.key())
         return build(g, *args)
 
-    monkeypatch.setattr(cli, "spectral_record", counted)
+    patch.setattr(cli, "spectral_record", counted)
+    return builds
+
+
+@pytest.fixture(scope="module")
+def heisenberg_run():
+    """One Heisenberg run of every family at p = 1.2, 1.5: its check records,
+    the fixture keys of its spectral record builds and of its pairings."""
+    from hywbench.transform import CharacterSlice
+
+    paired = []
+    pair = CharacterSlice.pair
+
+    def counted(self, omegas):
+        paired.append(self.g.spec.key())
+        return pair(self, omegas)
+
+    with pytest.MonkeyPatch.context() as patch:
+        builds = count_record_builds(patch)
+        patch.setattr(CharacterSlice, "pair", counted)
+        records, _, _ = run_suite(RunConfig(group="heisenberg", p=(1.2, 1.5)).validate())
+    return records, builds, paired
+
+
+def test_nilpotent_bound_reads_the_hausdorff_young_margins(heisenberg_run, monkeypatch):
+    records, builds, _ = heisenberg_run
     ps = (1.2, 1.5)
-    cfg = RunConfig(group="heisenberg", p=ps, checks=("hausdorff-young", "nilpotent-bound"))
-    records, _, _ = run_suite(cfg.validate())
     hy = [r for r in records if r["family"] == "hausdorff-young"]
     nil = [r for r in records if r["family"] == "nilpotent-bound"]
-    assert len(builds) == len(set(builds)) == 6  # one spectral record per fixture
+    assert len(builds) == len(set(builds)) == 10  # one spectral record per fixture
     # p-major: all fixtures at 1.2, then all at 1.5
     assert [r["detail"] for r in hy] == [f"heisenberg p={p:g} sharp" for p in ps for _ in range(6)]
     # nilpotent-bound's 5 fixtures are the first 5 of hausdorff-young's 6
@@ -438,22 +462,36 @@ def test_nilpotent_bound_reads_the_hausdorff_young_margins(monkeypatch):
             assert nil[5 * i + j]["lhs"] == hy[6 * i + j]["lhs"]
 
     # the records live for one run: a second run builds its own
-    run_suite(RunConfig(group="heisenberg", p=(1.5,), checks=("nilpotent-bound",)).validate())
-    assert len(builds) == 11
+    builds = count_record_builds(monkeypatch)
+    cfg = RunConfig(group="heisenberg", p=(1.5,), grid_n=16, grid_h=16, checks=("nilpotent-bound",))
+    run_suite(cfg.validate())
+    assert len(builds) == 5
 
 
-def test_default_heisenberg_run_pairs_each_fixture_once(monkeypatch):
-    from hywbench.transform import CharacterSlice
-
-    paired = []
-    pair = CharacterSlice.pair
-
-    def counted(self, omegas):
-        paired.append(self.g.spec.key())
-        return pair(self, omegas)
-
-    monkeypatch.setattr(CharacterSlice, "pair", counted)
-    run_suite(RunConfig(group="heisenberg").validate())
+def test_default_heisenberg_run_pairs_each_fixture_once(heisenberg_run):
+    _, _, paired = heisenberg_run
     # 10 distinct fixtures across plancherel, hausdorff-young, proof-chain and
     # nilpotent-bound, each paired once at its 64 transversal points
     assert len(paired) == 640 and len(set(paired)) == 10
+
+
+def test_every_family_reads_the_run_grids(monkeypatch):
+    import hywbench.cli as cli
+
+    def derived(group_name):
+        raise AssertionError("a family derived its own discretization")
+
+    monkeypatch.setattr(verify, "default_grids", derived)
+    monkeypatch.setattr(verify, "default_sampling_config", derived)
+    made = []
+
+    def counted(fn):
+        return lambda group_name: made.append(fn.__name__) or fn(group_name)
+
+    for fn in (cli.default_sampling_config, cli.make_group):
+        monkeypatch.setattr(cli, fn.__name__, counted(fn))
+    records, _, _ = run_suite(RunConfig(group="axb", grid_h=32).validate())
+    assert sorted(made) == ["default_sampling_config", "make_group"]  # once per run
+    semi = [r["detail"] for r in records if r["family"] == "semi-invariance"]
+    windows = [int(detail.split("window=")[1]) for detail in semi]
+    assert len(windows) == 20 and max(windows) <= 32  # the run's H grid has 32 points

@@ -197,7 +197,7 @@ def test_dual_measure_heisenberg_shear_preserves_area():
 
 def test_dual_measure_suites():
     for name in ("axb", "heisenberg"):
-        results = dual_measure_suite(name, count=100, seed=5)
+        results = dual_measure_suite(make_group(name)[0], count=100, seed=5)
         assert len(results) == 100
         assert all(r.passed for r in results)
 
@@ -225,7 +225,9 @@ def test_semi_invariance_identity_is_exact():
 
 def test_semi_invariance_suites():
     for name in ("axb", "heisenberg"):
-        results = semi_invariance_suite(name, count=8, seed=2)
+        _, dual = make_group(name)
+        sampling, h_grid = default_sampling_config(name), default_grids(name)[1]
+        results = semi_invariance_suite(dual, sampling, h_grid, count=8, seed=2)
         assert all(r.passed for r in results)
         assert all(r.lhs <= 1e-10 for r in results)
 
