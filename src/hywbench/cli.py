@@ -236,11 +236,10 @@ class _Run:
             if family not in POOLS or family == "gaussian-extremality":  # reads no record
                 continue
             ps = self.exponents(family)
-            chain = ps if family == "proof-chain" else ()
             for spec in self.pools[family]:
                 need_ps, need_chain = self.plan.setdefault(spec.key(), (set(), set()))
                 need_ps.update(ps)
-                need_chain.update(chain)
+                need_chain.update(ps if family == "proof-chain" else ())
 
     def exponents(self, family):
         """plancherel checks only p = 2, nilpotent-bound only p < 2, the rest the run's p."""
@@ -249,9 +248,12 @@ class _Run:
         return tuple(p for p in self.p if p < 2.0 or family != "nilpotent-bound")
 
     def cases(self, family):
-        """(p, fixture) exponent-major, the pool sampled once on the run's grids."""
+        """(p, fixture) exponent-major, the pool sampled once on the run's grids (not if no p)."""
+        ps = self.exponents(family)
+        if not ps:
+            return []
         pool = [sample(s, self.n_grids, self.h_grid, self.model) for s in self.pools[family]]
-        return [(p, g) for p in self.exponents(family) for g in pool]
+        return [(p, g) for p in ps for g in pool]
 
     def record(self, g):
         key = g.spec.key()
@@ -278,6 +280,7 @@ def _family_hausdorff_young(cfg, run):
     ]
 
 
+@np.errstate(invalid="ignore")  # an overflowed link times 0 or minus itself: nan, failed closed
 def _family_proof_chain(cfg, run):
     return [
         r
@@ -349,8 +352,7 @@ def _model_record(run: _Run):
 
 def _summary(records):
     passed = sum(r["passed"] for r in records)
-    worst_ineq = None
-    worst_eq = None
+    worst_ineq = worst_eq = None
     for r in records:
         if r["kind"] == "inequality" and r["rhs"] > 0:
             ratio = r["lhs"] / r["rhs"]
@@ -377,8 +379,8 @@ def run_suite(cfg: RunConfig, stream=None):
     echo.pop("out")  # destination is not part of the deterministic body
     echo["checks"] = cfg.selected_families()
     records, timings, run = [], [], _Run(cfg)
-    # a non-finite value fails its check closed and is reported: no numpy warning
-    with _tolerance_overrides(cfg.tolerances), np.errstate(over="ignore", invalid="ignore"):
+    # an overflowed value fails its check closed and is reported: no numpy warning
+    with _tolerance_overrides(cfg.tolerances), np.errstate(over="ignore"):
         for family in cfg.selected_families():
             start = time.perf_counter()
             for res in CHECK_FAMILIES[family](cfg, run):
@@ -438,9 +440,7 @@ assert set(EXPLAINED_BY) == set(CHECK_FAMILIES)
 def explain(name: str) -> str:
     """The docstring of the check behind family name."""
     if name not in EXPLAINED_BY:
-        raise KeyError(
-            f"unknown check {name!r}; valid names: {', '.join(sorted(EXPLAINED_BY))}"
-        )
+        raise KeyError(f"unknown check {name!r}; valid names: {', '.join(sorted(EXPLAINED_BY))}")
     return inspect.getdoc(EXPLAINED_BY[name])
 
 

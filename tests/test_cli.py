@@ -394,6 +394,22 @@ def test_gaussian_extremality_samples_once_on_the_run_grids(monkeypatch):
         assert 0 < int(r["detail"].split()[-2]) <= 32  # "<n> slices"
 
 
+def test_a_family_checking_no_exponent_samples_nothing(monkeypatch):
+    import hywbench.cli as cli
+
+    sampled = []
+    sample = cli.sample
+
+    def counted(*args):
+        sampled.append(args)
+        return sample(*args)
+
+    monkeypatch.setattr(cli, "sample", counted)
+    cfg = RunConfig(group="heisenberg", p=(2.0,), checks=("nilpotent-bound",))
+    records, _, _ = run_suite(cfg.validate())
+    assert records == [] and sampled == []  # nilpotent-bound checks only p < 2
+
+
 def test_family_wall_times_are_comment_lines():
     cfg = RunConfig(group="axb", seed=3, checks=("minkowski", "dual-measure-scaling")).validate()
     _, _, text = run_suite(cfg)
@@ -461,11 +477,13 @@ def test_nilpotent_bound_reads_the_hausdorff_young_margins(heisenberg_run, monke
             assert nil[5 * i + j]["detail"] == f"p={p:g}"
             assert nil[5 * i + j]["lhs"] == hy[6 * i + j]["lhs"]
 
-    # the records live for one run: a second run builds its own
+    # the records live for one run: the same run again builds its own
     builds = count_record_builds(monkeypatch)
     cfg = RunConfig(group="heisenberg", p=(1.5,), grid_n=16, grid_h=16, checks=("nilpotent-bound",))
     run_suite(cfg.validate())
     assert len(builds) == 5
+    run_suite(cfg.validate())
+    assert len(builds) == 10
 
 
 def test_default_heisenberg_run_pairs_each_fixture_once(heisenberg_run):
