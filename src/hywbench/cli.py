@@ -145,6 +145,9 @@ class RunConfig:
             )
         if "nilpotent-bound" in self.checks and self.group != "heisenberg":
             raise ConfigError(f"nilpotent-bound is specific to heisenberg, not {self.group}")
+        families = self.selected_families()
+        if families and not any(_exponents(f, self.p) for f in families):
+            raise ConfigError(f"{families} check no p in {list(self.p)} (nilpotent-bound: p < 2)")
         if not (isinstance(self.out, str) and self.out):
             raise ConfigError(f"out={self.out!r} is not a path")
         if os.path.isdir(self.out):
@@ -206,6 +209,13 @@ def _tolerance_overrides(overrides):
 #
 # Every family takes the run configuration and the run.
 
+def _exponents(family, ps):
+    """plancherel checks only p = 2, nilpotent-bound only p < 2, the rest the run's p."""
+    if family == "plancherel":
+        return (2.0,)
+    return tuple(p for p in ps if p < 2.0 or family != "nilpotent-bound")
+
+
 # fixture pool of each sampling family: (catalog Gaussians, seeded randoms)
 POOLS = {
     "plancherel": (5, 5),
@@ -235,21 +245,15 @@ class _Run:
         for family in cfg.selected_families():
             if family not in POOLS or family == "gaussian-extremality":  # reads no record
                 continue
-            ps = self.exponents(family)
+            ps = _exponents(family, self.p)
             for spec in self.pools[family]:
                 need_ps, need_chain = self.plan.setdefault(spec.key(), (set(), set()))
                 need_ps.update(ps)
                 need_chain.update(ps if family == "proof-chain" else ())
 
-    def exponents(self, family):
-        """plancherel checks only p = 2, nilpotent-bound only p < 2, the rest the run's p."""
-        if family == "plancherel":
-            return (2.0,)
-        return tuple(p for p in self.p if p < 2.0 or family != "nilpotent-bound")
-
     def cases(self, family):
         """(p, fixture) exponent-major, the pool sampled once on the run's grids (not if no p)."""
-        ps = self.exponents(family)
+        ps = _exponents(family, self.p)
         if not ps:
             return []
         pool = [sample(s, self.n_grids, self.h_grid, self.model) for s in self.pools[family]]

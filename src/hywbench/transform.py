@@ -19,9 +19,12 @@ hold with constant one on both shipped groups.
 Band discipline: pair() returns 0 for frequencies beyond the per-axis band
 edge of the N grids.  A uniform grid carries no information there and the
 aliased value it would produce is order-one garbage, while the true value for
-the shipped fixture families is below roundoff.  Pointwise character values
-(induced_rep_matrix) are exact evaluations, not quadratures, so no band
-restriction applies to them.
+the shipped fixture families is below roundoff.  A kernel row whose dual
+parameter leaves the band is therefore exactly zero, and the kernel keeps only
+its nonzero rows: restricting the codomain to them is an isometry, so every
+Schatten and cross norm is unchanged (on Heisenberg about 78% of the rows go).
+Pointwise character values (induced_rep_matrix) are exact evaluations, not
+quadratures, so no band restriction applies to them.
 
 Index bookkeeping: quotient translations act by index shifts, so the kernel
 only ever reads g at h-differences that land back on the quotient grid;
@@ -127,6 +130,13 @@ class CharacterSlice:
         return tuple(grids), vals
 
 
+def _orbit_map(model: GroupExtensionModel, h_grid: Grid1D, sigma0) -> np.ndarray:
+    """h(t_s).sigma0 at every quotient point t_s, one row each, from one
+    array dual_action call."""
+    hs = np.array([model.h_parametrization(t) for t in h_grid.points()])
+    return model.dual_action(hs, sigma0)
+
+
 def pair_rows(cs: CharacterSlice, dual: DualOrbitModel, sigma0):
     """Dual parameters at every quotient point, and the full pairing table.
 
@@ -135,10 +145,7 @@ def pair_rows(cs: CharacterSlice, dual: DualOrbitModel, sigma0):
     the kernel's left variable) and the disintegrated majorant of the norm
     chain (columns are the slice variable).
     """
-    model = dual.group
-    sigma0 = np.atleast_1d(np.asarray(sigma0, dtype=float))
-    hs = np.array([model.h_parametrization(t) for t in cs.h_grid.points()])
-    omegas = model.dual_action(hs, sigma0)
+    omegas = _orbit_map(dual.group, cs.h_grid, sigma0)
     return omegas, cs.pair(omegas)
 
 
@@ -148,22 +155,25 @@ def kernel_from_pair_table(
     delta_h: np.ndarray,
     dimension_exponent: float,
 ) -> WeightedKernel:
-    """Turn a pairing table into the operator kernel.
+    """Turn a pairing table into the operator kernel, on its nonzero rows.
 
     P[s, j] pairs slice j with the dual parameter of row s; the kernel entry
     (i, m) reads the table at slice index i - m + origin, scaled by the
     modular function at that difference.  Differences off the quotient grid
-    give zero entries.
+    give zero entries.  Only the rows where P is not identically zero are
+    kept, with their weights (see the band discipline above); an orbit with
+    no row in band gives a (0, n) kernel, every norm of which is 0.
     """
     n, i0 = h_grid.n, h_grid.origin_index
-    idx = np.arange(n)
-    D = idx[:, None] - idx[None, :] + i0
+    rows = np.flatnonzero(P.any(axis=1))
+    D = rows[:, None] - np.arange(n)[None, :] + i0
     valid = (D >= 0) & (D < n)
     Dc = np.clip(D, 0, n - 1)
-    vals = np.take_along_axis(P, Dc, axis=1) * delta_h[Dc] * valid
+    vals = np.take_along_axis(P[rows], Dc, axis=1) * delta_h[Dc] * valid
     if dimension_exponent:
         vals = vals * delta_h[None, :] ** dimension_exponent
-    return WeightedKernel(vals, h_grid.weights(), h_grid.weights())
+    w = h_grid.weights()
+    return WeightedKernel(vals, w[rows], w)
 
 
 def induced_rep_matrix(
@@ -175,19 +185,12 @@ def induced_rep_matrix(
     times an index shift.  x must translate the quotient grid onto its own
     lattice; rows shifted off the grid are zero.
     """
-    sigma0 = np.atleast_1d(np.asarray(sigma0, dtype=float))
     t_x = model.h_coordinate(x.h)
     s = t_x / h_grid.spacing
     si = int(round(s))
     if abs(s - si) > 1e-9:
         raise ValueError("group element must shift the quotient grid onto itself")
-    ts = h_grid.points()
-    chi = np.array(
-        [
-            character_value(model.dual_action(model.h_parametrization(t), sigma0), x.n)
-            for t in ts
-        ]
-    )
+    chi = np.array([character_value(om, x.n) for om in _orbit_map(model, h_grid, sigma0)])
     n = h_grid.n
     a = np.zeros((n, n), dtype=np.complex128)
     rows = np.arange(max(0, si), min(n, n + si))

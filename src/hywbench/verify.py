@@ -235,6 +235,9 @@ def spectral_record(
     exponents below 2 one SVD per orbit serves them all.  Elsewhere
     Delta^(1/q) changes the spectrum, so every exponent gets its own kernel
     and SVD.  The test reads Delta itself, not the model's unimodular flag.
+    Each kernel holds only the rows of its orbit that stay in band, so the
+    SVD and both cross norms run on an r x n matrix; the slice mass reads the
+    full pairing table, whose out-of-band rows add exact zeros.
     """
     chain = {float(p) for p in chain}
     ps = sorted({float(p) for p in ps} | chain)

@@ -405,9 +405,17 @@ def test_a_family_checking_no_exponent_samples_nothing(monkeypatch):
         return sample(*args)
 
     monkeypatch.setattr(cli, "sample", counted)
-    cfg = RunConfig(group="heisenberg", p=(2.0,), checks=("nilpotent-bound",))
+    cfg = RunConfig(group="heisenberg", p=(2.0,), checks=("gaussian-extremality", "nilpotent-bound"))
     records, _, _ = run_suite(cfg.validate())
-    assert records == [] and sampled == []  # nilpotent-bound checks only p < 2
+    # nilpotent-bound checks only p < 2: the one sample is gaussian-extremality's
+    assert [r["family"] for r in records] == ["gaussian-extremality"] and len(sampled) == 1
+
+
+def test_a_selection_checking_no_exponent_exits_two(tmp_path, capsys):
+    out = tmp_path / "never.jsonl"
+    args = ["--group", "heisenberg", "--p", "2", "--checks", "nilpotent-bound", "--out", str(out)]
+    assert run_main(args) == 2 and not out.exists()
+    assert one_line(capsys.readouterr().err, "configuration error: ")
 
 
 def test_family_wall_times_are_comment_lines():

@@ -8,6 +8,7 @@ sum_x g(x) Delta(x) w(x) rep(x) over the whole group grid.
 import numpy as np
 import pytest
 
+from hywbench.cli import RunConfig, run_suite
 from hywbench.grids import (
     Grid1D,
     SampledFunction,
@@ -16,15 +17,28 @@ from hywbench.grids import (
     modular_on_grid,
     sample,
 )
-from hywbench.groups import GroupElement, make_group
-from hywbench.schatten import weighted_operator_matrix
+from hywbench.groups import GroupElement, character_value, make_group
+from hywbench.schatten import (
+    WeightedKernel,
+    adjoint_kernel,
+    conjugate_exponent,
+    cross_norm_qpq,
+    schatten_norms,
+    weighted_operator_matrix,
+)
 from hywbench.transform import (
     CharacterSlice,
     induced_rep_matrix,
     kernel_from_pair_table,
     pair_rows,
 )
-from hywbench.verify import check_plancherel, hausdorff_young_margins
+from hywbench.verify import (
+    check_plancherel,
+    default_grids,
+    default_sampling_config,
+    hausdorff_young_margins,
+    random_fixtures,
+)
 
 AXB, AXB_DUAL = make_group("axb")
 HEIS, HEIS_DUAL = make_group("heisenberg")
@@ -158,6 +172,27 @@ def test_induced_rep_unitary_for_unimodular():
     np.testing.assert_allclose(a @ a.conj().T, np.eye(16), atol=1e-12)
 
 
+@pytest.mark.parametrize("model", [AXB, HEIS], ids=["axb", "heisenberg"])
+def test_induced_rep_phases_equal_the_per_point_construction(model):
+    """One array dual_action call gives the phases of one call per quotient
+    point bit for bit, so the semi-invariance records do not move."""
+    gh = Grid1D(-4.0, 4.0, 32)
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        sigma0 = rng.uniform(-2.0, 2.0, model.dim_N)
+        si = int(rng.integers(-5, 6))
+        x = GroupElement(rng.uniform(-3.0, 3.0, model.dim_N), model.h_parametrization(si * gh.spacing))
+        want = np.array(
+            [
+                character_value(model.dual_action(model.h_parametrization(t), sigma0), x.n)
+                for t in gh.points()
+            ]
+        )
+        a = induced_rep_matrix(model, sigma0, x, gh)
+        assert np.count_nonzero(a) == gh.n - abs(si)
+        np.testing.assert_array_equal(np.diagonal(a, -si), want[max(0, si) : gh.n + min(0, si)])
+
+
 def test_induced_rep_rejects_off_grid_shift():
     gh = Grid1D(-2.0, 2.0, 16)
     x = GroupElement(np.array([0.0]), AXB.h_parametrization(0.3 * gh.spacing))
@@ -241,3 +276,68 @@ def test_bq_norm_at_two_is_weighted_frobenius():
         acc += w * (np.abs(weighted_operator_matrix(k)) ** 2).sum()
     (r,) = hausdorff_young_margins(f, AXB_DUAL, (2.0,))
     assert r.lhs == pytest.approx(np.sqrt(acc), rel=1e-12)
+
+
+def default_fixture(group_name):
+    model, dual = make_group(group_name)
+    n_grids, h_grid = default_grids(group_name)
+    return sample(random_fixtures(group_name, 1)[0], n_grids, h_grid, model), dual
+
+
+def test_kernel_keeps_only_the_nonzero_rows_and_every_norm():
+    """At lambda = 1.5 on the default Heisenberg grids 7 of 128 rows stay in
+    band.  The kernel is those rows of the n x n formula, and its Schatten
+    and cross norms are those of the zero-padded n x n kernel."""
+    f, dual = default_fixture("heisenberg")
+    h, i0 = f.h_grid, f.h_grid.origin_index
+    _, P = pair_rows(CharacterSlice(f), dual, np.array([0.0, 1.5]))
+    delta = modular_on_grid(HEIS, h)
+    k = kernel_from_pair_table(P, h, delta, 0.0)
+    full = np.zeros((h.n, h.n), dtype=np.complex128)
+    for i in range(h.n):
+        for m in range(h.n):
+            if 0 <= i - m + i0 < h.n:
+                full[i, m] = P[i, i - m + i0] * delta[i - m + i0]
+    rows = np.flatnonzero(np.abs(full).sum(axis=1))
+    assert rows.size == 7 and k.values.shape == (7, h.n)
+    np.testing.assert_array_equal(k.values, full[rows])
+    padded = WeightedKernel(full, h.weights(), h.weights())
+    qs = (2.0, 2.25, 3.0, 6.0, np.inf)
+    got = schatten_norms(weighted_operator_matrix(k), qs)
+    want = schatten_norms(weighted_operator_matrix(padded), qs)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+    for q in qs[:-1]:
+        p = conjugate_exponent(q)
+        for side in (lambda kk: kk, adjoint_kernel):
+            got, want = cross_norm_qpq(side(k), q, p), cross_norm_qpq(side(padded), q, p)
+            assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("group_name, kept, rows", [("heisenberg", 1764, 8192), ("axb", 150, 256)])
+def test_kernel_rows_are_the_in_band_rows(group_name, kept, rows):
+    f, dual = default_fixture(group_name)
+    cs, delta = CharacterSlice(f), modular_on_grid(dual.group, f.h_grid)
+    params, _ = dual.transversal(default_sampling_config(group_name))
+    in_band = total = 0
+    for sigma0 in params:
+        omegas, P = pair_rows(cs, dual, sigma0)
+        total += kernel_from_pair_table(P, f.h_grid, delta, 0.5).values.shape[0]
+        in_band += int(cs.in_band(omegas).sum())
+    assert total == in_band == kept and len(params) * f.h_grid.n == rows
+
+
+def test_orbits_with_no_row_in_band_give_empty_kernels():
+    """At grid_n = 4 the band is so narrow that most orbits keep no row: their
+    kernels are (0, n), every norm 0, and the run stays finite and quiet."""
+    checks = ("plancherel", "hausdorff-young", "proof-chain")
+    cfg = RunConfig(group="heisenberg", grid_n=4, p=(1.2, 1.5), checks=checks).validate()
+    n_grids, h_grid = cfg.grids()
+    f = sample(random_fixtures("heisenberg", 1)[0], n_grids, h_grid, HEIS)
+    params, _ = HEIS_DUAL.transversal(default_sampling_config("heisenberg"))
+    kernels = [kernel_at(f, HEIS_DUAL, sigma0)[0] for sigma0 in params]
+    empty = [k for k in kernels if k.values.shape == (0, h_grid.n)]
+    assert len(empty) == 56 and len(kernels) == 64
+    assert schatten_norms(weighted_operator_matrix(empty[0]), (2.0, 3.0, np.inf)) == [0.0] * 3
+    assert cross_norm_qpq(empty[0], 3.0, 1.5) == cross_norm_qpq(adjoint_kernel(empty[0]), 3.0, 1.5) == 0.0
+    records, _, _ = run_suite(cfg)
+    assert records and np.all(np.isfinite([(r["lhs"], r["rhs"]) for r in records]))
