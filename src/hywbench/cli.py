@@ -10,14 +10,16 @@ Subcommands:
 Report format (versioned): the first line is ``HYWREPORT 1``; every other
 line is either a JSON record (``config``, ``model``, ``check``, ``summary``)
 or a ``#`` comment.  Comment lines carry timestamps, the wall time of each
-family (``# family <name> <seconds>s``) and human-oriented prose, and are
-excluded from the determinism contract; the non-comment body is
-byte-identical across runs with the same configuration and seed, numpy/BLAS
-build and BLAS thread count.  The report is written atomically (temp file,
-then rename) even when checks fail.  JSON has no non-finite numbers, so an
-overflowed or undefined value (exponents within about 0.005 of 1 overflow
-the q-th powers of the norm chain) is written as the string ``"inf"``,
-``"-inf"`` or ``"nan"``; a check holding one fails (numpy does not warn).
+family net of building spectral records (``# family <name> <seconds>s``), the
+records built and their time (``# records <n> built <seconds>s``) and
+human-oriented prose, and are excluded from the determinism contract; the
+non-comment body is byte-identical across runs with the same configuration
+and seed, numpy/BLAS build and BLAS thread count.  The report is written
+atomically (temp file, then rename) even when checks fail.  JSON has no
+non-finite numbers, so an overflowed or undefined value (exponents within
+about 0.005 of 1 overflow the q-th powers of the norm chain) is written as
+the string ``"inf"``, ``"-inf"`` or ``"nan"``; a check holding one fails
+(numpy does not warn).
 Every family, semi-invariance included, runs on the run's grids, the ones
 the ``model`` record shows.
 
@@ -229,7 +231,8 @@ POOLS = {
 class _Run:
     """What the families of one run read: the group model and dual, the grids,
     the dual sampling, the fixture pools and a spectral record per pooled recipe,
-    built on first request at what the plan says the selected families need."""
+    built on first request at what the plan says the selected families need.
+    record_s sums the time spent building records."""
 
     def __init__(self, cfg: RunConfig):
         self.p = cfg.p
@@ -241,7 +244,7 @@ class _Run:
             + random_fixtures(cfg.group, m, base_seed=cfg.seed)
             for family, (n, m) in POOLS.items()
         }
-        self.plan, self.built = {}, {}
+        self.plan, self.built, self.record_s = {}, {}, 0.0
         for family in cfg.selected_families():
             if family not in POOLS or family == "gaussian-extremality":  # reads no record
                 continue
@@ -262,8 +265,9 @@ class _Run:
     def record(self, g):
         key = g.spec.key()
         if key not in self.built:
-            ps, chain = self.plan[key]
+            start, (ps, chain) = time.perf_counter(), self.plan[key]
             self.built[key] = spectral_record(g, self.dual, ps, self.sampling, chain)
+            self.record_s += time.perf_counter() - start
         return self.built[key]
 
 
@@ -386,14 +390,15 @@ def run_suite(cfg: RunConfig, stream=None):
     # an overflowed value fails its check closed and is reported: no numpy warning
     with _tolerance_overrides(cfg.tolerances), np.errstate(over="ignore"):
         for family in cfg.selected_families():
-            start = time.perf_counter()
+            start = time.perf_counter() - run.record_s  # a clock that stops while records build
             for res in CHECK_FAMILIES[family](cfg, run):
                 rec = asdict(res)
                 rec["family"] = family
                 records.append(rec)
                 if stream is not None:
                     print(res, file=stream)
-            timings.append(f"# family {family} {time.perf_counter() - start:.3f}s")
+            timings.append(f"# family {family} {time.perf_counter() - run.record_s - start:.3f}s")
+    timings.append(f"# records {len(run.built)} built {run.record_s:.3f}s")
     summary = _summary(records)
     lines = ["HYWREPORT 1"]
     lines.append("# generated " + datetime.datetime.now(datetime.timezone.utc).isoformat())

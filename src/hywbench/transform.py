@@ -26,6 +26,12 @@ Schatten and cross norm is unchanged (on Heisenberg about 78% of the rows go).
 Pointwise character values (induced_rep_matrix) are exact evaluations, not
 quadratures, so no band restriction applies to them.
 
+Pairing in chunks: spectral_record pairs the orbits of a transversal 16 at a
+time through pair_orbits.  The trailing frequency is constant along a dual
+orbit, so one pair call contracts the trailing N axis for every orbit of the
+chunk with a single GEMM.  The ax+b group has no trailing axis; its two orbits
+share one call.
+
 Index bookkeeping: quotient translations act by index shifts, so the kernel
 only ever reads g at h-differences that land back on the quotient grid;
 entries whose difference falls off the grid vanish, consistent with treating
@@ -47,7 +53,7 @@ from .schatten import WeightedKernel
 
 __all__ = [
     "CharacterSlice",
-    "pair_rows",
+    "pair_orbits",
     "kernel_from_pair_table",
     "induced_rep_matrix",
 ]
@@ -64,9 +70,10 @@ class CharacterSlice:
     frequency leaves the band of the N grids on any axis are zero (see the
     module docstring).  Rows that share their trailing frequency components
     are contracted together, which is what keeps the two-step groups fast:
-    the center frequency is constant along each dual orbit.  The last N axis
-    is moved behind H once here, so its contraction is one matrix product
-    without a transposed copy of g per call.
+    the center frequency is constant along each dual orbit, so one GEMM
+    contracts the last N axis at every distinct trailing frequency of the
+    call (one per orbit when pair_orbits pairs a chunk of orbits), and each
+    orbit is then one product over the leading axis.
     """
 
     def __init__(self, g: SampledFunction):
@@ -76,10 +83,6 @@ class CharacterSlice:
         self.band = np.array([gr.nyquist for gr in g.n_grids])
         self._pts = [gr.points() for gr in g.n_grids]
         self._n_weight = cell_weight(g.n_grids)
-        if g.dim_N > 1:
-            last_behind_h = np.ascontiguousarray(np.moveaxis(g.values, -2, -1))
-            self._contracted_shape = last_behind_h.shape[:-1]
-            self._last_axis_rows = last_behind_h.reshape(-1, last_behind_h.shape[-1])
 
     def in_band(self, omegas) -> np.ndarray:
         om = np.atleast_2d(np.asarray(omegas, dtype=float))
@@ -97,18 +100,17 @@ class CharacterSlice:
             return out
 
         # group in-band rows by their trailing frequency (axis 1 when d = 2);
-        # each group costs one contraction plus one matmul
+        # one GEMM contracts that axis at every group, one matmul per group follows
         tails, group_of = np.unique(om[rows, 1:], axis=0, return_inverse=True)
-        for k, tail in enumerate(tails):
+        arr = self.g.values
+        if tails.size:  # (n_0, tails, h)
+            arr = np.exp(2j * np.pi * np.outer(tails[:, -1], self._pts[-1])) @ arr
+        for k in range(len(tails)):
             members = rows[group_of.ravel() == k]
-            arr = self.g.values
-            if tail.size:
-                ph = np.exp(2j * np.pi * tail[-1] * self._pts[-1])
-                arr = np.dot(self._last_axis_rows, ph.reshape(-1, 1))
-                arr = arr.reshape(self._contracted_shape)
             lead = np.exp(2j * np.pi * np.outer(om[members, 0], self._pts[0]))
-            out[members] = lead @ arr
-        return out * self._n_weight
+            out[members] = lead @ (arr[:, k] if tails.size else arr)
+        out *= self._n_weight
+        return out
 
     def transform_reciprocal(self):
         """Transform of every slice on the full reciprocal grid, via the FFT.
@@ -137,16 +139,19 @@ def _orbit_map(model: GroupExtensionModel, h_grid: Grid1D, sigma0) -> np.ndarray
     return model.dual_action(hs, sigma0)
 
 
-def pair_rows(cs: CharacterSlice, dual: DualOrbitModel, sigma0):
-    """Dual parameters at every quotient point, and the full pairing table.
+def pair_orbits(cs: CharacterSlice, dual: DualOrbitModel, sigma0s):
+    """Dual parameters at every quotient point of k orbits, and their pairing tables.
 
-    Row s of the table pairs every h-slice of g with the character at
-    h(t_s).sigma0.  The same table backs both the operator kernel (rows are
-    the kernel's left variable) and the disintegrated majorant of the norm
-    chain (columns are the slice variable).
+    Returns (omegas, tables) of shapes (k, n, d) and (k, n, n): row s of
+    table i pairs every h-slice of g with the character at h(t_s).sigma0_i.
+    The k orbit maps go to one pair call, so the trailing N axis is
+    contracted for all k orbits with one GEMM.  The same table backs both
+    the operator kernel (rows are the kernel's left variable) and the
+    disintegrated majorant of the norm chain (columns are the slice variable).
     """
-    omegas = _orbit_map(dual.group, cs.h_grid, sigma0)
-    return omegas, cs.pair(omegas)
+    omegas = np.array([_orbit_map(dual.group, cs.h_grid, s) for s in sigma0s])
+    tables = cs.pair(omegas.reshape(-1, omegas.shape[-1]))
+    return omegas, tables.reshape(*omegas.shape[:2], -1)
 
 
 def kernel_from_pair_table(

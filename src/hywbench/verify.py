@@ -46,7 +46,7 @@ from .schatten import (
     schatten_norms,
     weighted_operator_matrix,
 )
-from .transform import CharacterSlice, induced_rep_matrix, kernel_from_pair_table, pair_rows
+from .transform import CharacterSlice, induced_rep_matrix, kernel_from_pair_table, pair_orbits
 
 __all__ = [
     "TOLERANCES",
@@ -207,6 +207,12 @@ def random_fixtures(group_name: str, count: int, base_seed: int = 0):
 
 # -- the spectral record: one pairing pass per fixture --------------------------------
 
+# orbits per pair call, one trailing-axis GEMM each: on the once-refined
+# Heisenberg grids (128 x 128 N points, 256 H points) a chunk is an 8 MB
+# contracted block and a 16 MB table, where a whole transversal would add
+# about 96 MB
+_PAIR_CHUNK = 16
+
 
 @dataclass(frozen=True)
 class SpectralRecord:
@@ -228,6 +234,9 @@ def spectral_record(
     chain=(),
 ) -> SpectralRecord:
     """Pair every orbit of g once and reduce its kernels at every exponent.
+
+    The orbits are paired 16 at a time (pair_orbits), so on Heisenberg one
+    GEMM contracts the trailing N axis for a whole chunk of orbits.
 
     The exponents of chain are added to ps.  Where the modular function is
     1 on every grid point (on a unimodular group), the kernel does not depend
@@ -253,8 +262,9 @@ def spectral_record(
     params, nu = dual.transversal(config)
     sq = {p: [] for p in ps}
     extras = {p: ([], [], np.zeros(h.n)) for p in chain}
-    for sigma0, weight in zip(params, nu):
-        table = pair_rows(cs, dual, sigma0)[1]
+    chunks = range(0, len(params), _PAIR_CHUNK)
+    tables = (t for i in chunks for t in pair_orbits(cs, dual, params[i : i + _PAIR_CHUNK])[1])
+    for table, weight in zip(tables, nu):
         k = kernel_from_pair_table(table, h, delta, 1.0 / qs[0])
         if shared_svd:
             norms = schatten_norms(weighted_operator_matrix(k), qs)

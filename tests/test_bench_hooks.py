@@ -6,8 +6,9 @@ tracer either fails to install or counts zero calls; the first test catches
 both without running the benchmark.  perfbench/workloads.py calls verify
 directly, with the dual sampling passed positionally; the second test runs
 those workloads at small scale, so a changed signature fails here.  The
-last test grades full-scale seed-0 passes of axb-run, heis-hy-sweep and
-heis-run against perfbench/reference/, as the benchmark does.  All only read
+last test grades full-scale seed-0 passes of all four workloads against
+perfbench/reference/, as the benchmark does; refine is the only one on
+refined grids, where the pairing GEMMs are largest.  All only read
 perfbench/.
 """
 
@@ -49,7 +50,7 @@ def test_direct_workloads_pass_and_repeat(monkeypatch):
     assert records and all(r["passed"] for r in records)
 
 
-@pytest.mark.parametrize("name", ["axb-run", "heis-hy-sweep", "heis-run"])
+@pytest.mark.parametrize("name", ["axb-run", "heis-hy-sweep", "heis-run", "refine"])
 def test_seed_zero_passes_match_the_references(monkeypatch, name):
     # the benchmark's reference gate (rel 1e-9 on every lhs and rhs) on a
     # full-scale pass, so a last-bit drift in a roundoff-sized record fails here

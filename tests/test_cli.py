@@ -4,7 +4,10 @@ import hashlib
 import inspect
 import json
 import os
+import time
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from hywbench import verify
@@ -453,25 +456,29 @@ def count_record_builds(patch):
 @pytest.fixture(scope="module")
 def heisenberg_run():
     """One Heisenberg run of every family at p = 1.2, 1.5: its check records,
-    the fixture keys of its spectral record builds and of its pairings."""
+    report text and wall time, the fixture keys of its spectral record
+    builds, and the rows of every pairing by fixture key."""
     from hywbench.transform import CharacterSlice
 
-    paired = []
+    paired = {}
     pair = CharacterSlice.pair
 
     def counted(self, omegas):
-        paired.append(self.g.spec.key())
+        paired.setdefault(self.g.spec.key(), []).append(np.atleast_2d(omegas))
         return pair(self, omegas)
 
     with pytest.MonkeyPatch.context() as patch:
         builds = count_record_builds(patch)
         patch.setattr(CharacterSlice, "pair", counted)
-        records, _, _ = run_suite(RunConfig(group="heisenberg", p=(1.2, 1.5)).validate())
-    return records, builds, paired
+        cfg = RunConfig(group="heisenberg", p=(1.2, 1.5)).validate()
+        start = time.perf_counter()
+        records, _, text = run_suite(cfg)
+        seconds = time.perf_counter() - start
+    return SimpleNamespace(records=records, text=text, seconds=seconds, builds=builds, paired=paired)
 
 
 def test_nilpotent_bound_reads_the_hausdorff_young_margins(heisenberg_run, monkeypatch):
-    records, builds, _ = heisenberg_run
+    records, builds = heisenberg_run.records, heisenberg_run.builds
     ps = (1.2, 1.5)
     hy = [r for r in records if r["family"] == "hausdorff-young"]
     nil = [r for r in records if r["family"] == "nilpotent-bound"]
@@ -495,10 +502,23 @@ def test_nilpotent_bound_reads_the_hausdorff_young_margins(heisenberg_run, monke
 
 
 def test_default_heisenberg_run_pairs_each_fixture_once(heisenberg_run):
-    _, _, paired = heisenberg_run
     # 10 distinct fixtures across plancherel, hausdorff-young, proof-chain and
-    # nilpotent-bound, each paired once at its 64 transversal points
-    assert len(paired) == 640 and len(set(paired)) == 10
+    # nilpotent-bound, each paired once at its 64 transversal points x 128
+    # quotient points, however the orbits are grouped into pair calls
+    paired = heisenberg_run.paired
+    assert len(paired) == 10
+    for calls in paired.values():
+        rows = np.concatenate(calls)
+        assert rows.shape == (64 * 128, 2) and len(np.unique(rows, axis=0)) == 64 * 128
+
+
+def test_family_and_record_lines_add_up_to_the_suite_time(heisenberg_run):
+    lines = heisenberg_run.text.splitlines()
+    families = [float(ln.split()[3][:-1]) for ln in lines if ln.startswith("# family ")]
+    (built,) = [ln.split() for ln in lines if ln.startswith("# records ")]
+    assert built[:4] == ["#", "records", "10", "built"]
+    total = sum(families) + float(built[4][:-1])
+    assert total == pytest.approx(heisenberg_run.seconds, rel=0.05)
 
 
 def test_every_family_reads_the_run_grids(monkeypatch):

@@ -17,7 +17,7 @@ from hywbench.grids import (
     modular_on_grid,
     sample,
 )
-from hywbench.groups import GroupElement, character_value, make_group
+from hywbench.groups import DualSamplingConfig, GroupElement, character_value, make_group
 from hywbench.schatten import (
     WeightedKernel,
     adjoint_kernel,
@@ -30,7 +30,7 @@ from hywbench.transform import (
     CharacterSlice,
     induced_rep_matrix,
     kernel_from_pair_table,
-    pair_rows,
+    pair_orbits,
 )
 from hywbench.verify import (
     check_plancherel,
@@ -38,6 +38,7 @@ from hywbench.verify import (
     default_sampling_config,
     hausdorff_young_margins,
     random_fixtures,
+    spectral_record,
 )
 
 AXB, AXB_DUAL = make_group("axb")
@@ -202,7 +203,7 @@ def test_induced_rep_rejects_off_grid_shift():
 
 def kernel_at(f, dual, sigma0, dimension_exponent=0.0):
     """Operator kernel at one transversal point, and the dual parameters of its rows."""
-    omegas, P = pair_rows(CharacterSlice(f), dual, sigma0)
+    (omegas,), (P,) = pair_orbits(CharacterSlice(f), dual, [sigma0])
     delta = modular_on_grid(dual.group, f.h_grid)
     return kernel_from_pair_table(P, f.h_grid, delta, dimension_exponent), omegas
 
@@ -290,7 +291,7 @@ def test_kernel_keeps_only_the_nonzero_rows_and_every_norm():
     and cross norms are those of the zero-padded n x n kernel."""
     f, dual = default_fixture("heisenberg")
     h, i0 = f.h_grid, f.h_grid.origin_index
-    _, P = pair_rows(CharacterSlice(f), dual, np.array([0.0, 1.5]))
+    _, (P,) = pair_orbits(CharacterSlice(f), dual, [np.array([0.0, 1.5])])
     delta = modular_on_grid(HEIS, h)
     k = kernel_from_pair_table(P, h, delta, 0.0)
     full = np.zeros((h.n, h.n), dtype=np.complex128)
@@ -319,8 +320,7 @@ def test_kernel_rows_are_the_in_band_rows(group_name, kept, rows):
     cs, delta = CharacterSlice(f), modular_on_grid(dual.group, f.h_grid)
     params, _ = dual.transversal(default_sampling_config(group_name))
     in_band = total = 0
-    for sigma0 in params:
-        omegas, P = pair_rows(cs, dual, sigma0)
+    for omegas, P in zip(*pair_orbits(cs, dual, params)):
         total += kernel_from_pair_table(P, f.h_grid, delta, 0.5).values.shape[0]
         in_band += int(cs.in_band(omegas).sum())
     assert total == in_band == kept and len(params) * f.h_grid.n == rows
@@ -341,3 +341,48 @@ def test_orbits_with_no_row_in_band_give_empty_kernels():
     assert cross_norm_qpq(empty[0], 3.0, 1.5) == cross_norm_qpq(adjoint_kernel(empty[0]), 3.0, 1.5) == 0.0
     records, _, _ = run_suite(cfg)
     assert records and np.all(np.isfinite([(r["lhs"], r["rhs"]) for r in records]))
+
+
+@pytest.mark.parametrize("group_name", ["axb", "heisenberg"])
+def test_pair_orbits_matches_one_pair_call_per_orbit(group_name):
+    """Pairing every orbit of the transversal in one call (one trailing-axis
+    GEMM on Heisenberg) gives each orbit the table of its own pair call, to
+    roundoff, with the same nonzero rows."""
+    f, dual = default_fixture(group_name)
+    cs = CharacterSlice(f)
+    params, _ = dual.transversal(default_sampling_config(group_name))
+    omegas, tables = pair_orbits(cs, dual, params)
+    assert tables.shape == (len(params), f.h_grid.n, f.h_grid.n)
+    for om, table in zip(omegas, tables):
+        alone = cs.pair(om)
+        assert np.abs(table - alone).max() <= 1e-12 * np.abs(alone).max()
+        np.testing.assert_array_equal(table.any(axis=1), alone.any(axis=1))
+
+
+def test_a_transversal_of_18_orbits_is_paired_in_chunks_of_16_and_2(monkeypatch):
+    f, dual = default_fixture("heisenberg")
+    config = DualSamplingConfig(lambda_points=18)
+    rows = []
+    pair = CharacterSlice.pair
+    monkeypatch.setattr(CharacterSlice, "pair", lambda cs, om: rows.append(len(om)) or pair(cs, om))
+    chunked = spectral_record(f, dual, (1.5, 2.0), config, chain=(1.5,))
+    assert rows == [16 * f.h_grid.n, 2 * f.h_grid.n]
+    monkeypatch.setattr("hywbench.verify._PAIR_CHUNK", 1)
+    alone = spectral_record(f, dual, (1.5, 2.0), config, chain=(1.5,))
+    assert len(rows) == 2 + 18 and chunked.nu.shape == (18,)
+    for p in (1.5, 2.0):
+        np.testing.assert_allclose(chunked.sq[p], alone.sq[p], rtol=1e-12)
+    for a, b in zip(chunked.chain[1.5], alone.chain[1.5]):
+        np.testing.assert_allclose(a, b, rtol=1e-12)
+
+
+def test_a_chunk_of_orbits_all_out_of_band_gives_empty_kernels():
+    """At grid_n = 4 the first 16 orbits (the largest |lambda|) keep no row."""
+    n_grids, h_grid = RunConfig(group="heisenberg", grid_n=4).grids()
+    f = sample(random_fixtures("heisenberg", 1)[0], n_grids, h_grid, HEIS)
+    params, _ = HEIS_DUAL.transversal(default_sampling_config("heisenberg"))
+    _, tables = pair_orbits(CharacterSlice(f), HEIS_DUAL, params[:16])
+    assert tables.shape == (16, h_grid.n, h_grid.n) and not tables.any()
+    delta = modular_on_grid(HEIS, h_grid)
+    for table in tables:
+        assert kernel_from_pair_table(table, h_grid, delta, 0.5).values.shape == (0, h_grid.n)
