@@ -20,9 +20,18 @@ from hywbench.verify import (
     default_grids,
     default_sampling_config,
     gaussian_fixtures,
-    proof_chain_quantities,
     random_fixtures,
 )
+
+
+def chain_values(results):
+    """V0..V4 off the links averaging (V0 <= V1), cauchy-schwarz (V1 <= V2),
+    minkowski-swap (V2 <= V3) and slice-hausdorff-young (V3 <= V4)."""
+    links = {r.name: r for r in results}
+    names = ("averaging", "cauchy-schwarz", "minkowski-swap", "slice-hausdorff-young")
+    steps = [links[f"proof-chain:{name}"] for name in names]
+    return [steps[0].lhs] + [r.rhs for r in steps]
+
 
 model, dual = make_group("axb")
 n_grids, h_grid = default_grids("axb")
@@ -31,9 +40,7 @@ g = sample(gaussian_fixtures("axb", 1)[0], n_grids, h_grid, model)
 print("axb, Gaussian fixture:")
 print(f"{'p':>5} {'V0':>12} {'V1':>12} {'V2':>12} {'V3':>12} {'V4':>12}")
 for p in (1.2, 1.5, 1.8, 2.0):
-    v = proof_chain_quantities(g, dual, p)
-    print(f"{p:5.1f} {v['v0']:12.6f} {v['v1']:12.6f} {v['v2']:12.6f} "
-          f"{v['v3']:12.6f} {v['v4']:12.6f}")
+    print(f"{p:5.1f}" + "".join(f" {v:12.6f}" for v in chain_values(check_proof_chain(g, dual, p))))
 
 print("\nall chain checks on a random fixture at p = 1.5:")
 g_r = sample(random_fixtures("axb", 1, base_seed=3)[0], n_grids, h_grid, model)
@@ -44,8 +51,8 @@ for r in check_proof_chain(g_r, dual, 1.5):
 model_h, dual_h = make_group("heisenberg")
 n_grids_h, h_grid_h = default_grids("heisenberg")
 gh = sample(gaussian_fixtures("heisenberg", 1)[0], n_grids_h, h_grid_h, model_h)
-v = proof_chain_quantities(gh, dual_h, 1.5, config=default_sampling_config("heisenberg"))
-print(f"\nheisenberg p=1.5: V0={v['v0']:.4f} <= V1={v['v1']:.4f} <= "
-      f"V2={v['v2']:.4f} <= V3={v['v3']:.4f} ~ V4={v['v4']:.4f}")
+v = chain_values(check_proof_chain(gh, dual_h, 1.5, config=default_sampling_config("heisenberg")))
+print(f"\nheisenberg p=1.5: V0={v[0]:.4f} <= V1={v[1]:.4f} <= "
+      f"V2={v[2]:.4f} <= V3={v[3]:.4f} ~ V4={v[4]:.4f}")
 print("(the last link is quadrature-tight for Gaussians: the dual-side")
 print(" Riemann sum slightly overshoots the continuum value it converges to)")

@@ -119,9 +119,11 @@ class RunConfig:
             raise ConfigError(f"exponents p={self.p!r} are not a list of numbers") from None
         if not self.p:
             raise ConfigError("need at least one exponent p")
-        for p in self.p:
+        for i, p in enumerate(self.p):
             if not 1.0 < p <= 2.0:
                 raise ConfigError(f"exponent p={p} outside (1, 2]")
+            if p in self.p[:i]:
+                raise ConfigError(f"exponent p={p} repeated in {list(self.p)}")
         for label, size in (("grid-n", self.grid_n), ("grid-h", self.grid_h)):
             if size is not None and not (_is_int(size) and size >= 4 and not size & (size - 1)):
                 raise ConfigError(f"{label}={size!r} is not an integer power of two >= 4")

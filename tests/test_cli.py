@@ -174,6 +174,15 @@ def test_exit_two_on_bad_config(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_repeated_exponent_exits_two(tmp_path, capsys):
+    # each exponent once: a repeat would write every check of its families twice
+    out = tmp_path / "never.jsonl"
+    args = ["--group", "axb", "--p", "1.5,1.5", "--checks", "hausdorff-young", "--out", str(out)]
+    assert run_main(args) == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert one_line(err, "configuration error: ") and "p=1.5 repeated" in err
+
+
 def test_empty_selection_is_exit_zero(tmp_path):
     out = tmp_path / "empty.jsonl"
     assert run_main(["--group", "axb", "--seed", "1", "--checks", "",
@@ -262,11 +271,12 @@ NAMED_GRID_ERRORS = {
 }
 
 # numbers of the right type that still make no run: an extent whose width
-# overflows a float, and a boolean tolerance
+# overflows a float, a boolean tolerance, and a repeated exponent
 NAMED_VALUE_ERRORS = {
     '{"h_extent": [-1e+308, 1e+308]}': "h_extent [-1e+308, 1e+308]: need finite extents",
     '{"n_extents": [[-1e+308, 1e+308]]}': "n_extents[0] [-1e+308, 1e+308]: need finite extents",
     '{"tolerances": {"bound": true}}': "tolerance bound=True",
+    '{"p": [1.5, 1.5]}': "exponent p=1.5 repeated",
 }
 
 
@@ -510,6 +520,41 @@ def test_default_heisenberg_run_pairs_each_fixture_once(heisenberg_run):
     for calls in paired.values():
         rows = np.concatenate(calls)
         assert rows.shape == (64 * 128, 2) and len(np.unique(rows, axis=0)) == 64 * 128
+
+
+@pytest.mark.parametrize(
+    "p, checks, calls",  # calls: lp_norm_G, transform_reciprocal, sample
+    [
+        # 10 records at p = 2, 6 of them also at 1.5; one FFT for each of the
+        # 3 proof-chain fixtures, and gaussian-extremality's own
+        ((1.5,), ("all",), (16, 4, 25)),
+        # one FFT per fixture serves the chain at all three exponents
+        ((1.2, 1.5, 1.8), ("proof-chain",), (9, 3, 3)),
+    ],
+)
+def test_a_run_takes_each_norm_and_fft_once_per_record(monkeypatch, p, checks, calls):
+    # the counts do not depend on the grid sizes, so small grids keep this quick
+    import hywbench.cli as cli
+    from hywbench.transform import CharacterSlice
+
+    counted = {}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+        counted[name] = 0
+
+        def wrapper(*args):
+            counted[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(verify, "lp_norm_G")
+    count(CharacterSlice, "transform_reciprocal")
+    count(cli, "sample")
+    cfg = RunConfig(group="heisenberg", p=p, checks=checks, grid_n=16, grid_h=16)
+    run_suite(cfg.validate())
+    assert tuple(counted.values()) == calls
 
 
 def test_family_and_record_lines_add_up_to_the_suite_time(heisenberg_run):

@@ -40,7 +40,6 @@ from hywbench.verify import (
     hausdorff_young_margins,
     inequality_result,
     minkowski_random_suite,
-    proof_chain_quantities,
     random_fixtures,
     russo_fournier_random_suite,
     schatten_property_suite,
@@ -48,7 +47,7 @@ from hywbench.verify import (
     slice_ratios,
     spectral_record,
 )
-from hywbench.groups import DualOrbitModel, GroupElement
+from hywbench.groups import DualOrbitModel, DualSamplingConfig, GroupElement
 
 
 def sample_fixture(group_name, spec):
@@ -62,6 +61,17 @@ def axb_base():
     model, dual = make_group("axb")
     g = sample_fixture("axb", gaussian_fixtures("axb", 1)[0])
     return model, dual, g
+
+
+def chain_values(results):
+    """[V0, ..., V4] read off the proof-chain links: averaging is V0 <= V1,
+    cauchy-schwarz V1 <= V2, minkowski-swap V2 <= V3 and
+    slice-hausdorff-young V3 <= V4; each link starts where the last ended."""
+    links = {r.name: r for r in results}
+    names = ("averaging", "cauchy-schwarz", "minkowski-swap", "slice-hausdorff-young")
+    steps = [links[f"proof-chain:{name}"] for name in names]
+    assert all(a.rhs == b.lhs for a, b in zip(steps, steps[1:]))
+    return [steps[0].lhs] + [r.rhs for r in steps]
 
 
 # -- result plumbing ---------------------------------------------------------------
@@ -265,10 +275,11 @@ def test_hausdorff_young_consistent_with_chain():
     _, dual, g = axb_base()
     p = 1.5
     (r,) = hausdorff_young_margins(g, dual, (p,))
-    vals = proof_chain_quantities(g, dual, p)
+    v = chain_values(check_proof_chain(g, dual, p))
+    q = conjugate_exponent(p)
     assert r.passed
-    assert r.lhs == pytest.approx(vals["v0"] ** (1 / vals["q"]), rel=1e-12)
-    assert r.rhs == pytest.approx(vals["v4"] ** (1 / vals["q"]), rel=1e-12)
+    assert r.lhs == pytest.approx(v[0] ** (1 / q), rel=1e-12)
+    assert r.rhs == pytest.approx(v[4] ** (1 / q), rel=1e-12)
 
 
 def test_every_check_reads_one_orbit_sum():
@@ -279,8 +290,8 @@ def test_every_check_reads_one_orbit_sum():
     cfg = default_sampling_config("heisenberg")
     record = spectral_record(g, dual, (1.5,), cfg, chain=(1.5,))
     (hy,) = hausdorff_young_margins(g, dual, (1.5,), config=cfg, record=record)
-    vals = proof_chain_quantities(g, dual, 1.5, config=cfg, record=record)
-    assert hy.lhs == vals["v0"] ** (1 / vals["q"])
+    v = chain_values(check_proof_chain(g, dual, 1.5, config=cfg, record=record))
+    assert hy.lhs == v[0] ** (1 / conjugate_exponent(1.5))
     nil = check_nilpotent_bound(g, dual, 1.5, cfg, record)
     assert (nil.lhs, nil.tolerance) == (hy.lhs, hy.tolerance)
 
@@ -335,18 +346,56 @@ def test_one_svd_serves_every_exponent_on_heisenberg():
 
 @pytest.mark.parametrize("group, ps", [("axb", (1.2, 1.8)), ("heisenberg", (1.5, 1.8))])
 def test_record_backed_checks_equal_standalone_calls(group, ps):
+    # given its record, a check reads no sample of g: on g with its values
+    # zeroed it still equals the standalone call on g
     _, dual = make_group(group)
     g = sample_fixture(group, random_fixtures(group, 1, base_seed=5)[0])
+    blank = dataclasses.replace(g, values=np.zeros_like(g.values))
     cfg = default_sampling_config(group)
     record = spectral_record(g, dual, (2.0,), cfg, chain=ps)
-    assert check_plancherel(g, dual, cfg, record=record) == check_plancherel(g, dual, cfg)
-    assert hausdorff_young_margins(g, dual, ps, config=cfg, record=record) == (
-        hausdorff_young_margins(g, dual, ps, config=cfg)
-    )
+    planch = check_plancherel(g, dual, cfg)
+    hy = hausdorff_young_margins(g, dual, ps, config=cfg)
+    chains = {p: check_proof_chain(g, dual, p, config=cfg) for p in ps}
+    for f in (g, blank):
+        assert check_plancherel(f, dual, cfg, record=record) == planch
+        assert hausdorff_young_margins(f, dual, ps, config=cfg, record=record) == hy
+        for p in ps:
+            assert check_proof_chain(f, dual, p, config=cfg, record=record) == chains[p]
+            if group == "heisenberg":
+                nil = check_nilpotent_bound(f, dual, p, cfg, record)
+                assert nil == check_nilpotent_bound(g, dual, p, cfg)
+
+
+def test_record_carries_each_exponents_norm_and_slice_ratios():
+    # ||g||_p and the slice bound's ratios are what lp_norm_G and slice_ratios
+    # give at that exponent, bit for bit: no exponent's value is read for another
+    _, dual = make_group("axb")
+    g = sample_fixture("axb", random_fixtures("axb", 1)[0])
+    ps = (1.2, 1.5, 1.8)
+    record = spectral_record(g, dual, (2.0,), chain=ps)
+    assert record.lp == {p: lp_norm_G(g, p) for p in (*ps, 2.0)}
     for p in ps:
-        assert check_proof_chain(g, dual, p, config=cfg, record=record) == check_proof_chain(
-            g, dual, p, config=cfg
-        )
+        results = check_proof_chain(g, dual, p, record=record)
+        (bound,) = [r for r in results if r.name == "proof-chain:slice-bound"]
+        assert bound.lhs == slice_ratios(g, p)[0].max()
+
+
+@pytest.mark.parametrize("group", ["axb", "heisenberg"])
+def test_plancherel_error_falls_under_refinement(group):
+    # one balanced refinement of the N and H grids; on Heisenberg the
+    # lambda_min window is not refined with them, so it is taken a quarter of
+    # its default too (measured: Gaussian 0 2.9e-3 -> 5.5e-5, random 3.6e-4 -> 7.5e-5)
+    model, dual = make_group(group)
+    n_grids, h_grid = default_grids(group)
+    fine = tuple(gr.balanced_refine() for gr in n_grids), h_grid.balanced_refine()
+    cfg = default_sampling_config(group)
+    fine_cfg = cfg and DualSamplingConfig(lambda_min=cfg.lambda_min / 4)
+    for spec in gaussian_fixtures(group, 1) + random_fixtures(group, 1):
+        errors = []
+        for grids, sampling in (((n_grids, h_grid), cfg), (fine, fine_cfg)):
+            r = check_plancherel(sample(spec, *grids, model), dual, sampling)
+            errors.append(abs(r.lhs - r.rhs) / r.rhs)
+        assert errors[1] < errors[0] / 4, f"{spec.kind}: {errors}"
 
 
 # -- the chain ----------------------------------------------------------------------
@@ -354,25 +403,18 @@ def test_record_backed_checks_equal_standalone_calls(group, ps):
 
 def test_chain_values_axb_frozen():
     _, dual, g = axb_base()
-    vals = proof_chain_quantities(g, dual, 1.5)
-    frozen = {
-        "v0": 23.1873467558,
-        "v1": 26.4241724734,
-        "v2": 26.4241724734,
-        "v3": 29.5045946456,
-        "v4": 29.5963057277,
-    }
-    for key, ref in frozen.items():
-        assert vals[key] == pytest.approx(ref, rel=1e-9), key
+    v = chain_values(check_proof_chain(g, dual, 1.5))
+    frozen = [23.1873467558, 26.4241724734, 26.4241724734, 29.5045946456, 29.5963057277]
+    for i, ref in enumerate(frozen):
+        assert v[i] == pytest.approx(ref, rel=1e-9), f"V{i}"
 
 
 def test_chain_is_monotone_axb():
     _, dual, g = axb_base()
     for p in (1.2, 1.5, 2.0):
-        vals = proof_chain_quantities(g, dual, p)
-        seq = [vals[k] for k in ("v0", "v1", "v2", "v3")]
-        assert all(a <= b * (1 + 1e-10) for a, b in zip(seq, seq[1:]))
-        assert vals["v3"] <= vals["v4"] * 1.01
+        v = chain_values(check_proof_chain(g, dual, p))
+        assert all(a <= b * (1 + 1e-10) for a, b in zip(v[:3], v[1:4]))
+        assert v[3] <= v[4] * 1.01
 
 
 def test_chain_checks_pass_both_groups():
@@ -390,8 +432,8 @@ def test_chain_collapses_at_two():
     names = [r.name for r in results]
     assert sum(n.startswith("proof-chain:equal-at-two") for n in names) == 4
     assert all(r.passed for r in results)
-    vals = proof_chain_quantities(g, dual, 2.0)
-    assert vals["v0"] == pytest.approx(vals["v2"], rel=1e-12)
+    v = chain_values(results)
+    assert v[0] == pytest.approx(v[2], rel=1e-12)
 
 
 def test_chain_random_fixture_ordered():
@@ -403,7 +445,7 @@ def test_chain_random_fixture_ordered():
 def test_chain_rejects_bad_exponent():
     _, dual, g = axb_base()
     with pytest.raises(ValueError):
-        proof_chain_quantities(g, dual, 2.5)
+        check_proof_chain(g, dual, 2.5)
 
 
 # -- slice diagnostics and instance bounds -------------------------------------------
