@@ -2,26 +2,40 @@
 
 A defect is patched from outside the package, the way perfbench/tracer.py
 counts layers: a module-level function is rebound in every hywbench module
-that imported it by name.  Each case runs the smallest family selection that
-catches its defect, checks that the selection passes without it, and names
-the checks the defect must fail.
+that imported it by name, and a method is rebound on its class.  Each case
+runs the smallest family selection that catches its defect, checks that the
+selection passes without it, and names the checks the defect must fail.
+
+Two defects fail no family and are not cases here: the pairing table read
+one slice off on Heisenberg, which the direct-representation tests in
+tests/test_transform.py catch, and the first kept row of each kernel
+dropped, which fails nothing because edge rows carry negligible mass.
+
+A defect must fail a check, not raise out of one, so no function in the
+package asserts: an assert turns a wrong value into a traceback, and under
+python -O it is gone.
 """
+
+import ast
+import pathlib
 
 import numpy as np
 import pytest
 
 from hywbench import cli, grids, groups, schatten, transform, verify
 from hywbench.cli import RunConfig, run_suite
+from hywbench.schatten import WeightedKernel
 
 MODULES = (groups, grids, schatten, transform, verify, cli)
 
 
-def plant(monkeypatch, module, name, defect):
-    """Rebind module.name to defect(original) wherever it was imported by name."""
-    original = getattr(module, name)
-    for mod in MODULES:
-        if getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, defect(original))
+def plant(monkeypatch, owner, name, defect):
+    """Rebind owner.name to defect(original), and wherever it was imported by name."""
+    original = getattr(owner, name)
+    planted = defect(original)
+    for where in (owner, *MODULES):
+        if getattr(where, name, None) is original:
+            monkeypatch.setattr(where, name, planted)
 
 
 def constant_too_small(babenko_constant):
@@ -38,6 +52,29 @@ def flat_weights(transversal):
         return params, np.full_like(weights, weights.mean())
 
     return flattened
+
+
+def no_modular_factor(kernel_from_pair_table):
+    return lambda P, h_grid, delta_h, exponent: kernel_from_pair_table(P, h_grid, delta_h, 0.0)
+
+
+def one_slice_off(kernel_from_pair_table):
+    return lambda P, *rest: kernel_from_pair_table(np.roll(P, 1, axis=1), *rest)
+
+
+def heaviest_row_dropped(kernel_from_pair_table):
+    def dropped(*args):
+        k = kernel_from_pair_table(*args)
+        if not len(k.values):
+            return k
+        i = int(np.argmax(np.sum(np.abs(k.values) ** 2, axis=1)))
+        return WeightedKernel(np.delete(k.values, i, 0), np.delete(k.xi_weights, i), k.gamma_weights)
+
+    return dropped
+
+
+def action_at_h(dual_action):
+    return lambda model, h, omega: dual_action(model, model.h_inverse(h), omega)
 
 
 # defect -> (where it is planted, the run that catches it, the checks it fails)
@@ -62,15 +99,67 @@ MUTANTS = {
         RunConfig(group="heisenberg", checks=("proof-chain",)),
         {"proof-chain:slice-hausdorff-young": 3},
     ),
+    # the same constant on Heisenberg, where nilpotent-bound squares it: only
+    # the slice bound fails, and no check raises
+    "constant-too-small-heisenberg": (
+        (verify, "babenko_constant", constant_too_small),
+        RunConfig(group="heisenberg", checks=("proof-chain", "nilpotent-bound")),
+        {"proof-chain:slice-bound": 2},
+    ),
+    # the Delta^(1/q) column factor of the kernel dropped
+    "no-modular-factor": (
+        (transform, "kernel_from_pair_table", no_modular_factor),
+        RunConfig(group="axb", checks=("plancherel",)),
+        {"plancherel": 10},
+    ),
+    # the kernel reads the pairing table one slice off
+    "table-one-slice-off": (
+        (transform, "kernel_from_pair_table", one_slice_off),
+        RunConfig(group="axb", checks=("plancherel",)),
+        {"plancherel": 10},
+    ),
+    # the row of each kernel that carries the most mass dropped
+    "heaviest-row-dropped-axb": (
+        (transform, "kernel_from_pair_table", heaviest_row_dropped),
+        RunConfig(group="axb", checks=("plancherel",)),
+        {"plancherel": 10},
+    ),
+    "heaviest-row-dropped-heisenberg": (
+        (transform, "kernel_from_pair_table", heaviest_row_dropped),
+        RunConfig(group="heisenberg", checks=("plancherel",)),
+        {"plancherel": 10},
+    ),
+    # the dual action taken at h instead of h^-1: on ax+b the image measure
+    # scales by 1/Delta(h), so every box but the identity's fails (the
+    # Heisenberg shear preserves area either way)
+    "dual-action-at-h": (
+        (groups.GroupExtensionModel, "dual_action", action_at_h),
+        RunConfig(group="axb", checks=("dual-measure-scaling",)),
+        {"dual-measure-scaling": 99},
+    ),
 }
 
 
 @pytest.mark.parametrize("mutant", MUTANTS)
 def test_planted_defect_fails_a_family(monkeypatch, mutant):
-    (module, name, defect), cfg, expected = MUTANTS[mutant]
+    (owner, name, defect), cfg, expected = MUTANTS[mutant]
     _, summary, _ = run_suite(cfg.validate())
     assert summary["failed"] == 0
-    plant(monkeypatch, module, name, defect)
+    plant(monkeypatch, owner, name, defect)
     records, _, _ = run_suite(cfg.validate())
     failed = [r["name"] for r in records if not r["passed"]]
     assert {n: failed.count(n) for n in failed} == expected
+
+
+def test_no_function_in_the_package_asserts():
+    # the import-time assert in cli (every family is explained) is module-level
+    root = pathlib.Path(cli.__file__).parent
+    found = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    f"{path.name}:{node.lineno}" for node in ast.walk(fn) if isinstance(node, ast.Assert)
+                ]
+    assert not found
