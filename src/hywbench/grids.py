@@ -137,14 +137,18 @@ def modular_on_grid(model: GroupExtensionModel, h_grid: Grid1D) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TestFunctionSpec:
-    """Recipe for a deterministic test function.
+    """Recipe for a deterministic test function: a sum of separable terms,
+    each a coefficient times, on every axis, the Gaussian envelope
+    exp(-(x - c)^2 / (2 s^2)) times a plane wave exp(2 pi i (k / L) x), L the
+    grid length of the axis (see sample).  Widths broadcast from a scalar.
 
     kind is one of:
 
-    * "gaussian":  exp(-sum_i (n_i - c_i)^2 / (2 s_i^2)) * exp(-(t - c_h)^2 / (2 s_h^2)),
-      widths broadcast from a scalar;
-    * "random-bandlimited": a Gaussian envelope times a low-frequency random
-      trigonometric polynomial drawn reproducibly from `seed`.
+    * "gaussian":  the one term with coefficient 1 and every k = 0, i.e.
+      exp(-sum_i (n_i - c_i)^2 / (2 s_i^2)) * exp(-(t - c_h)^2 / (2 s_h^2));
+    * "random-bandlimited": n_modes terms with small integer k and complex
+      coefficients drawn reproducibly from `seed`, i.e. the Gaussian envelope
+      times a low-frequency random trigonometric polynomial.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -206,39 +210,44 @@ class SampledFunction:
 
 
 def sample(spec: TestFunctionSpec, n_grids, h_grid, model) -> SampledFunction:
-    """Evaluate the test function described by spec on the grids."""
-    widths = np.broadcast_to(np.asarray(spec.width_n, dtype=float), (len(n_grids),))
-    centers = np.broadcast_to(np.asarray(spec.center_n, dtype=float), (len(n_grids),))
-    axes = [g.points() for g in n_grids] + [h_grid.points()]
-    profs = [
-        np.exp(-((x - c) ** 2) / (2.0 * s**2))
-        for x, c, s in zip(axes[:-1], centers, widths)
-    ]
-    profs.append(np.exp(-((axes[-1] - spec.center_h) ** 2) / (2.0 * spec.width_h**2)))
+    """Evaluate the test function described by spec on the grids.
 
-    env = profs[0]
-    for p in profs[1:]:
-        env = np.multiply.outer(env, p)
-    values = env.astype(np.complex128)
+    Both kinds are one sum of separable terms,
 
+        sum_j c_j prod_axes env(x) exp(2 pi i (k_j / L) x),
+
+    env the Gaussian envelope of the axis and L its grid length: a Gaussian
+    is the single term c = 1, k = 0, and only the drawing of the terms
+    depends on the kind.  Each axis gives a (terms, points) factor; the
+    leading axes are multiplied out term by term and one matrix product with
+    the last axis's factor sums the terms, so the result is the only
+    full-size array.
+    """
+    grids, d = (*n_grids, h_grid), len(n_grids)
+    centers = (*np.broadcast_to(spec.center_n, d), spec.center_h)
+    widths = (*np.broadcast_to(spec.width_n, d), spec.width_h)
+    coeffs, ks = np.ones(1, dtype=np.complex128), np.zeros((1, d + 1))
     if spec.kind == "random-bandlimited":
         # Low-frequency random modulation under the Gaussian envelope.  Mode
         # numbers are kept small so the sampled model stays far inside the
-        # band the dual-side quadrature can resolve.  The phase of a mode is
-        # a sum of per-axis terms, so the mode is an outer product of
-        # per-axis exponentials.
+        # band the dual-side quadrature can resolve.  The draw order (the
+        # mode numbers axis by axis, then the coefficient) fixes the function
+        # a seed names.
         rng = np.random.default_rng(spec.seed)
-        lengths = [g.hi - g.lo for g in n_grids] + [h_grid.hi - h_grid.lo]
-        max_k = [2] * len(n_grids) + [3]
-        total = np.zeros(values.shape, dtype=np.complex128)
+        max_k = [2] * d + [3]
+        coeffs, ks = np.empty(spec.n_modes, dtype=np.complex128), np.empty((spec.n_modes, d + 1))
         for j in range(spec.n_modes):
-            ks = [int(rng.integers(-m, m + 1)) for m in max_k]
-            mode = (rng.standard_normal() + 1j * rng.standard_normal()) * 0.7**j
-            for x, k, length in zip(axes, ks, lengths):
-                mode = np.multiply.outer(mode, np.exp(2j * np.pi * (k / length) * x))
-            total += mode
-        values = values * total
-
+            ks[j] = [int(rng.integers(-m, m + 1)) for m in max_k]
+            coeffs[j] = (rng.standard_normal() + 1j * rng.standard_normal()) * 0.7**j
+    factors = [
+        np.exp(-((g.points() - c) ** 2) / (2.0 * s**2))
+        * np.exp(2j * np.pi * (k / (g.hi - g.lo))[:, None] * g.points())
+        for g, c, s, k in zip(grids, centers, widths, ks.T)
+    ]
+    lead = coeffs[:, None]
+    for f in factors[:-1]:
+        lead = (lead[:, :, None] * f[:, None, :]).reshape(len(coeffs), -1)
+    values = (lead.T @ factors[-1]).reshape([g.n for g in grids])
     return SampledFunction(model=model, n_grids=tuple(n_grids), h_grid=h_grid, values=values, spec=spec)
 
 

@@ -110,7 +110,9 @@ class GroupExtensionModel:
     def dual_action(self, h, omega) -> np.ndarray:
         """Parameter of the character chi_omega composed with conjugation by h^-1.
 
-        For an array of quotient points, one row per point.
+        For an array of quotient points, one row per point.  omega may hold
+        one parameter per column; the image of column j is then column j of
+        the answer (of each row's answer, for an array of points).
         """
         a = self.conjugation_matrix(self.h_inverse(h))
         return np.swapaxes(a, -1, -2) @ np.atleast_1d(np.asarray(omega, dtype=float))

@@ -132,11 +132,11 @@ class CharacterSlice:
         return tuple(grids), vals
 
 
-def _orbit_map(model: GroupExtensionModel, h_grid: Grid1D, sigma0) -> np.ndarray:
-    """h(t_s).sigma0 at every quotient point t_s, one row each, from one
-    array dual_action call."""
+def _orbit_map(model: GroupExtensionModel, h_grid: Grid1D, sigma0s) -> np.ndarray:
+    """h(t_s).sigma0 at every quotient point t_s of k orbits, shape (k, n, d),
+    from one array dual_action call."""
     hs = np.array([model.h_parametrization(t) for t in h_grid.points()])
-    return model.dual_action(hs, sigma0)
+    return np.moveaxis(model.dual_action(hs, np.transpose(sigma0s)), -1, 0)
 
 
 def pair_orbits(cs: CharacterSlice, dual: DualOrbitModel, sigma0s):
@@ -144,12 +144,13 @@ def pair_orbits(cs: CharacterSlice, dual: DualOrbitModel, sigma0s):
 
     Returns (omegas, tables) of shapes (k, n, d) and (k, n, n): row s of
     table i pairs every h-slice of g with the character at h(t_s).sigma0_i.
-    The k orbit maps go to one pair call, so the trailing N axis is
-    contracted for all k orbits with one GEMM.  The same table backs both
-    the operator kernel (rows are the kernel's left variable) and the
-    disintegrated majorant of the norm chain (columns are the slice variable).
+    The k orbit maps come from one dual_action call and go to one pair
+    call, so the trailing N axis is contracted for all k orbits with one
+    GEMM.  The same table backs both the operator kernel (rows are the
+    kernel's left variable) and the disintegrated majorant of the norm chain
+    (columns are the slice variable).
     """
-    omegas = np.array([_orbit_map(dual.group, cs.h_grid, s) for s in sigma0s])
+    omegas = _orbit_map(dual.group, cs.h_grid, sigma0s)
     tables = cs.pair(omegas.reshape(-1, omegas.shape[-1]))
     return omegas, tables.reshape(*omegas.shape[:2], -1)
 
@@ -195,7 +196,7 @@ def induced_rep_matrix(
     si = int(round(s))
     if abs(s - si) > 1e-9:
         raise ValueError("group element must shift the quotient grid onto itself")
-    chi = np.array([character_value(om, x.n) for om in _orbit_map(model, h_grid, sigma0)])
+    chi = np.array([character_value(om, x.n) for om in _orbit_map(model, h_grid, [sigma0])[0]])
     n = h_grid.n
     a = np.zeros((n, n), dtype=np.complex128)
     rows = np.arange(max(0, si), min(n, n + si))

@@ -419,7 +419,8 @@ def check_proof_chain(
     drops nonnegative terms), so those links, the averaging bound at the
     worst orbit and sum nu c, sum nu c* <= V3 get slack 1e-10.  V3 <= V4 crosses from the
     grid to the continuum once, so it gets the quadrature slack 1e-2.  The
-    brute-force per-slice bound behind that link gets 1e-6.  At p = 2 every
+    brute-force per-slice bound behind that link gets 1e-6; it fails when
+    every slice has negligible mass (its ratio is then NaN).  At p = 2 every
     link of the V chain collapses to an equality, added at 1e-2 relative.
 
     The results carry every V: averaging reports V0 <= V1, cauchy-schwarz
@@ -464,7 +465,7 @@ def check_proof_chain(
     results.append(
         inequality_result(
             "proof-chain:slice-bound",
-            float(ratios.max()),
+            float(ratios.max()) if ratios.size else np.nan,
             bound,
             TOLERANCES["bound"],
             detail=f"{ratios.size} slices",
@@ -543,8 +544,7 @@ def check_dual_measure_scaling(model: GroupExtensionModel, h, box_lo, box_hi) ->
     box_hi = np.atleast_1d(np.asarray(box_hi, dtype=float))
     if box_lo.shape != (model.dim_N,) or np.any(box_hi <= box_lo):
         raise ValueError("need a nondegenerate box matching dim_N")
-    edges = np.diag(box_hi - box_lo)
-    image = abs(np.linalg.det(np.column_stack([model.dual_action(h, e) for e in edges])))
+    image = abs(np.linalg.det(model.dual_action(h, np.diag(box_hi - box_lo))))
     reference = model.modular_on_H(h) * float(np.prod(box_hi - box_lo))
     return equality_result(
         "dual-measure-scaling", image, reference, TOLERANCES["measure"], detail=model.name
@@ -728,14 +728,15 @@ def check_gaussian_extremality(g: SampledFunction, p: float) -> CheckResult:
     slice of the Gaussian g must realize at least 0.99 of the sharp constant
     A_p^dim, with no further slack.
 
-    Slices of negligible mass are dropped (see slice_ratios); g is sampled
-    on whatever grids the caller chose."""
+    Slices of negligible mass are dropped (see slice_ratios); when every
+    slice is, the ratio is NaN and the check fails.  g is sampled on
+    whatever grids the caller chose."""
     ratios, kept = slice_ratios(g, p)
     bound = babenko_constant(p, g.dim_N)
     return inequality_result(
         "gaussian-extremality",
         0.99 * bound,
-        float(ratios.min()),
+        float(ratios.min()) if ratios.size else np.nan,
         0.0,
         detail=f"{g.model.name} p={p:g} {kept.size} slices",
     )

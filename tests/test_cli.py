@@ -208,6 +208,21 @@ def test_exponent_near_one_fails_closed_with_a_parseable_report(tmp_path, capsys
     assert records[-1]["worst_inequality"]["ratio"] == "inf"  # the summary too
 
 
+@pytest.mark.parametrize("family, failed", [("gaussian-extremality", 1), ("proof-chain", 3)])
+def test_all_negligible_slices_fail_closed_with_a_parseable_report(tmp_path, capsys, family, failed):
+    # on N extent [50, 60] every fixture samples to zero, so no slice is kept
+    cfg_file = tmp_path / "far.json"
+    cfg_file.write_text(json.dumps({"group": "axb", "n_extents": [[50, 60]], "checks": [family]}))
+    out = tmp_path / "far.jsonl"
+    assert run_main(["--config", str(cfg_file), "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    _, _, records = parse_report(out)
+    failures = [r for r in records if r["record"] == "check" and not r["passed"]]
+    assert len(failures) == records[-1]["failed"] == failed
+    for r in failures:
+        assert r["detail"].split()[-2:] == ["0", "slices"] and "nan" in (r["lhs"], r["rhs"])
+
+
 def one_line(err, prefix):
     return err.startswith(prefix) and err.count("\n") == 1
 

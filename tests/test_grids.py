@@ -1,6 +1,7 @@
 """Grids, sampled test functions, weighted norms, fixture serialization."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hywbench.grids import (
     save_sampled,
 )
 from hywbench.groups import make_group
+from hywbench.verify import default_grids, gaussian_fixtures, random_fixtures
 
 AXB, _ = make_group("axb")
 HEIS, _ = make_group("heisenberg")
@@ -111,6 +113,31 @@ def test_gaussian_sample_matches_callable():
     )
     np.testing.assert_allclose(f.values, direct.values, atol=1e-15)
     assert f.values.shape == (64, 64)
+
+
+def test_catalog_gaussian_is_the_outer_product_of_its_envelopes():
+    # both accuracy metrics read catalog Gaussians, so their samples stay bit for bit
+    spec = gaussian_fixtures("heisenberg", 1)[0]
+    n_grids, h_grid = default_grids("heisenberg")
+    centers, widths = (*spec.center_n, spec.center_h), (*spec.width_n, spec.width_h)
+    p0, p1, ph = (
+        np.exp(-((g.points() - c) ** 2) / (2.0 * s**2))
+        for g, c, s in zip((*n_grids, h_grid), centers, widths)
+    )
+    f = sample(spec, n_grids, h_grid, HEIS)
+    assert np.array_equal(f.values, np.multiply.outer(np.multiply.outer(p0, p1), ph))
+
+
+def test_sampling_builds_no_full_size_temporary():
+    spec = random_fixtures("heisenberg", 1)[0]
+    n_grids, h_grid = default_grids("heisenberg")
+    tracemalloc.start()
+    try:
+        f = sample(spec, n_grids, h_grid, HEIS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * f.values.nbytes
 
 
 def test_random_bandlimited_is_seed_deterministic():

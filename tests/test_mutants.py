@@ -11,6 +11,11 @@ one slice off on Heisenberg, which the direct-representation tests in
 tests/test_transform.py catch, and the first kept row of each kernel
 dropped, which fails nothing because edge rows carry negligible mass.
 
+One change is planted to show that it changes nothing: an all-zero row
+appended to every kernel.  The kernel keeps only its nonzero rows, and
+restricting the codomain to them is an isometry, so a zero row must move no
+norm and no verdict.
+
 A defect must fail a check, not raise out of one, so no function in the
 package asserts: an assert turns a wrong value into a traceback, and under
 python -O it is gone.
@@ -71,6 +76,16 @@ def heaviest_row_dropped(kernel_from_pair_table):
         return WeightedKernel(np.delete(k.values, i, 0), np.delete(k.xi_weights, i), k.gamma_weights)
 
     return dropped
+
+
+def zero_row_appended(kernel_from_pair_table, calls):
+    def appended(*args):
+        calls.append(1)
+        k = kernel_from_pair_table(*args)
+        values = np.vstack([k.values, np.zeros((1, k.values.shape[1]))])
+        return WeightedKernel(values, np.append(k.xi_weights, k.gamma_weights[0]), k.gamma_weights)
+
+    return appended
 
 
 def action_at_h(dual_action):
@@ -163,3 +178,27 @@ def test_no_function_in_the_package_asserts():
                     f"{path.name}:{node.lineno}" for node in ast.walk(fn) if isinstance(node, ast.Assert)
                 ]
     assert not found
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        RunConfig(group="axb", p=(1.2, 1.5), checks=("plancherel", "hausdorff-young", "proof-chain")),
+        RunConfig(
+            group="heisenberg",
+            p=(1.2, 1.5),
+            checks=("plancherel", "hausdorff-young", "proof-chain", "nilpotent-bound"),
+        ),
+    ],
+    ids=["axb", "heisenberg"],
+)
+def test_a_zero_kernel_row_changes_no_record(monkeypatch, cfg):
+    before, _, _ = run_suite(cfg.validate())
+    calls = []
+    plant(monkeypatch, transform, "kernel_from_pair_table", lambda f: zero_row_appended(f, calls))
+    after, _, _ = run_suite(cfg.validate())
+    assert calls and len(after) == len(before)
+    for a, b in zip(before, after):
+        assert (a["name"], a["passed"]) == (b["name"], b["passed"])
+        for side in ("lhs", "rhs"):
+            assert abs(a[side] - b[side]) <= 1e-12 * max(abs(a[side]), abs(b[side])), (a["name"], side)
