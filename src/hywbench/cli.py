@@ -234,7 +234,8 @@ class _Run:
     """What the families of one run read: the group model and dual, the grids,
     the dual sampling, the fixture pools and a spectral record per pooled recipe,
     built on first request at what the plan says the selected families need.
-    record_s sums the time spent building records."""
+    record_s sums the time spent building records.  The run keeps no sampled
+    fixture: cases holds one at a time, and a record holds none."""
 
     def __init__(self, cfg: RunConfig):
         self.p = cfg.p
@@ -256,13 +257,22 @@ class _Run:
                 need_ps.update(ps)
                 need_chain.update(ps if family == "proof-chain" else ())
 
-    def cases(self, family):
-        """(p, fixture) exponent-major, the pool sampled once on the run's grids (not if no p)."""
+    def cases(self, family, check):
+        """The results of check(p, g) at every exponent p of family and every
+        fixture g of its pool, exponent-major as the report lists them.
+
+        The pool is walked fixture-major: each recipe is sampled once on the
+        run's grids, checked at every exponent and released before the next
+        is sampled, so one fixture is alive at a time.  Nothing is sampled
+        when the family checks no exponent."""
         ps = _exponents(family, self.p)
-        if not ps:
-            return []
-        pool = [sample(s, self.n_grids, self.h_grid, self.model) for s in self.pools[family]]
-        return [(p, g) for p in ps for g in pool]
+        by_p = [[] for _ in ps]
+        for spec in self.pools[family] if ps else ():
+            g = sample(spec, self.n_grids, self.h_grid, self.model)
+            for p, results in zip(ps, by_p):
+                results.extend(check(p, g))
+            del g  # before the next recipe is sampled
+        return [r for results in by_p for r in results]
 
     def record(self, g):
         key = g.spec.key()
@@ -274,40 +284,38 @@ class _Run:
 
 
 def _family_plancherel(cfg, run):
-    return [
-        check_plancherel(g, run.dual, run.sampling, record=run.record(g))
-        for _, g in run.cases("plancherel")
-    ]
+    return run.cases(
+        "plancherel",
+        lambda p, g: [check_plancherel(g, run.dual, run.sampling, record=run.record(g))],
+    )
 
 
 def _family_hausdorff_young(cfg, run):
-    return [
-        r
-        for p, g in run.cases("hausdorff-young")
-        for r in hausdorff_young_margins(
+    return run.cases(
+        "hausdorff-young",
+        lambda p, g: hausdorff_young_margins(
             g, run.dual, (p,), cfg.constants, run.sampling, run.record(g)
-        )
-    ]
+        ),
+    )
 
 
 @np.errstate(invalid="ignore")  # an overflowed link times 0 or minus itself: nan, failed closed
 def _family_proof_chain(cfg, run):
-    return [
-        r
-        for p, g in run.cases("proof-chain")
-        for r in check_proof_chain(g, run.dual, p, cfg.constants, run.sampling, run.record(g))
-    ]
+    return run.cases(
+        "proof-chain",
+        lambda p, g: check_proof_chain(g, run.dual, p, cfg.constants, run.sampling, run.record(g)),
+    )
 
 
 def _family_gaussian_extremality(cfg, run):
-    return [check_gaussian_extremality(g, p) for p, g in run.cases("gaussian-extremality")]
+    return run.cases("gaussian-extremality", lambda p, g: [check_gaussian_extremality(g, p)])
 
 
 def _family_nilpotent(cfg, run):
-    return [
-        check_nilpotent_bound(g, run.dual, p, run.sampling, run.record(g))
-        for p, g in run.cases("nilpotent-bound")
-    ]
+    return run.cases(
+        "nilpotent-bound",
+        lambda p, g: [check_nilpotent_bound(g, run.dual, p, run.sampling, run.record(g))],
+    )
 
 
 CHECK_FAMILIES = {

@@ -251,10 +251,26 @@ def sample(spec: TestFunctionSpec, n_grids, h_grid, model) -> SampledFunction:
     return SampledFunction(model=model, n_grids=tuple(n_grids), h_grid=h_grid, values=values, spec=spec)
 
 
+# rows per block of slice_lp_mass, a row being the values at one N-grid point:
+# a block's |values|^p is 1 MB on the default Heisenberg grids, 2 MB once refined
+_LP_ROWS = 1024
+
+
 def slice_lp_mass(values: np.ndarray, n_grids, p: float) -> np.ndarray:
     """sum_n |values|^p w_N(n) for every index of the last axis: the p-th
-    power of the L^p norm of each slice over the N grids."""
-    return (np.abs(values.reshape(-1, values.shape[-1])) ** p * cell_weight(n_grids)).sum(axis=0)
+    power of the L^p norm of each slice over the N grids.
+
+    The sum runs over blocks of _LP_ROWS rows, so no temporary of the size
+    of values is made.  Each block starts from the running sum, so the rows
+    are added in the same order, and to the same bits, as one sum over all
+    of them."""
+    rows, weight = values.reshape(-1, values.shape[-1]), cell_weight(n_grids)
+    mass = np.zeros(rows.shape[1])
+    for start in range(0, len(rows), _LP_ROWS):
+        block = np.abs(rows[start : start + _LP_ROWS]) ** p * weight
+        block[0] += mass
+        mass = block.sum(axis=0)
+    return mass
 
 
 def lp_norm_G(g: SampledFunction, p: float) -> float:

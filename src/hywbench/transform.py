@@ -116,7 +116,10 @@ class CharacterSlice:
         """Transform of every slice on the full reciprocal grid, via the FFT.
 
         Returns (reciprocal grids, values) with values indexed like g but with
-        each N axis replaced by its reciprocal grid.
+        each N axis replaced by its reciprocal grid.  values is the one copy
+        of g made here: the phases and every FFT are applied to it in place,
+        so no further array of g's size is held (the result is bit-identical
+        to the out-of-place products).
         """
         vals = np.array(self.g.values, dtype=np.complex128, copy=True)
         grids = []
@@ -126,9 +129,9 @@ class CharacterSlice:
             shape = [1] * vals.ndim
             shape[ax] = gr.n
             # fold the grid offset into pre and post phases around a plain FFT
-            pre = (-1.0) ** np.arange(gr.n)
-            post = gr.spacing * np.exp(-2j * np.pi * rgrid.points() * gr.lo)
-            vals = np.fft.fft(vals * pre.reshape(shape), axis=ax) * post.reshape(shape)
+            vals *= ((-1.0) ** np.arange(gr.n)).reshape(shape)
+            np.fft.fft(vals, axis=ax, out=vals)
+            vals *= (gr.spacing * np.exp(-2j * np.pi * rgrid.points() * gr.lo)).reshape(shape)
         return tuple(grids), vals
 
 

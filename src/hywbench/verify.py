@@ -26,7 +26,7 @@ family asserts and at which default slack; ``hyw explain`` prints it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -133,6 +133,15 @@ def equality_result(name, lhs, rhs, tolerance, detail="") -> CheckResult:
     finite = np.isfinite(lhs) and np.isfinite(rhs)
     passed = finite and (scale == 0 or abs(lhs - rhs) <= tolerance * scale)
     return CheckResult(name, "equality", lhs, rhs, tolerance, bool(passed), detail)
+
+
+def _require_mass(res: CheckResult) -> CheckResult:
+    """res, failed closed when its transform side (lhs) is exactly 0: a
+    fixture with no transform mass meets every bound and identity vacuously
+    and proves nothing."""
+    if res.lhs != 0.0:
+        return res
+    return replace(res, passed=False, detail=f"{res.detail}: no transform mass, lhs = 0")
 
 
 def babenko_constant(p: float, dim: int = 1, regime: str = "sharp") -> float:
@@ -248,7 +257,11 @@ def spectral_record(
     """Pair every orbit of g once and reduce its kernels at every exponent.
 
     The orbits are paired 16 at a time (pair_orbits), so on Heisenberg one
-    GEMM contracts the trailing N axis for a whole chunk of orbits.
+    GEMM contracts the trailing N axis for a whole chunk of orbits.  Besides
+    g, the build holds one chunk of pairing tables at a time (half of g's
+    size on the default Heisenberg grids, a quarter once refined), released before the next
+    chunk is paired, and then the one copy of g that transform_reciprocal
+    makes; the L^p masses are summed in blocks (slice_lp_mass).
 
     The exponents of chain are added to ps.  Where the modular function is
     1 on every grid point (on a unimodular group), the kernel does not depend
@@ -276,25 +289,25 @@ def spectral_record(
     params, nu = dual.transversal(config)
     sq = {p: [] for p in ps}
     extras = {p: ([], [], np.zeros(h.n)) for p in chain}
-    chunks = range(0, len(params), _PAIR_CHUNK)
-    tables = (t for i in chunks for t in pair_orbits(cs, dual, params[i : i + _PAIR_CHUNK])[1])
-    for table, weight in zip(tables, nu):
-        k = kernel_from_pair_table(table, h, delta, 1.0 / qs[0])
-        if shared_svd:
-            norms = schatten_norms(weighted_operator_matrix(k), qs)
-        for i, (p, q) in enumerate(zip(ps, qs)):
-            if i and not flat:  # Delta^(1/q) changes the kernel
-                k = kernel_from_pair_table(table, h, delta, 1.0 / q)
-            norm = norms[i] if shared_svd else schatten_norm(weighted_operator_matrix(k), q)
-            # numpy powers overflow to inf where a Python float raises
-            sq[p].append(np.float64(norm) ** q)
-            if p in chain:
-                direct, adjoint, slice_mass = extras[p]
-                direct.append(np.float64(cross_norm_qpq(k, q, p)) ** q)
-                adjoint.append(np.float64(cross_norm_qpq(adjoint_kernel(k), q, p)) ** q)
-                # dual-side q-mass of every slice, row s contributing its orbit weight
-                slice_mass += weight * (measure @ np.abs(table) ** q)
-    del table  # a view that keeps the last chunk of tables alive
+    for start in range(0, len(params), _PAIR_CHUNK):
+        tables = pair_orbits(cs, dual, params[start : start + _PAIR_CHUNK])[1]
+        for table, weight in zip(tables, nu[start : start + _PAIR_CHUNK]):
+            k = kernel_from_pair_table(table, h, delta, 1.0 / qs[0])
+            if shared_svd:
+                norms = schatten_norms(weighted_operator_matrix(k), qs)
+            for i, (p, q) in enumerate(zip(ps, qs)):
+                if i and not flat:  # Delta^(1/q) changes the kernel
+                    k = kernel_from_pair_table(table, h, delta, 1.0 / q)
+                norm = norms[i] if shared_svd else schatten_norm(weighted_operator_matrix(k), q)
+                # numpy powers overflow to inf where a Python float raises
+                sq[p].append(np.float64(norm) ** q)
+                if p in chain:
+                    direct, adjoint, slice_mass = extras[p]
+                    direct.append(np.float64(cross_norm_qpq(k, q, p)) ** q)
+                    adjoint.append(np.float64(cross_norm_qpq(adjoint_kernel(k), q, p)) ** q)
+                    # dual-side q-mass of every slice, row s contributing its orbit weight
+                    slice_mass += weight * (measure @ np.abs(table) ** q)
+        del tables, table  # the chunk and a view of it: released before the next is paired
     reciprocal = cs.transform_reciprocal() if chain else None
     return SpectralRecord(
         np.asarray(nu),
@@ -329,11 +342,13 @@ def check_plancherel(
 
     The slack is quadrature-limited at desk grids.  This is the
     Hausdorff-Young check at p = 2, squared: A_2 = 1, so its right side is
-    ||g||_2.
+    ||g||_2.  A transform side of exactly 0 fails: a fixture with no
+    transform mass proves nothing.
     """
     tolerance = TOLERANCES["equality"] if g.dim_N == 1 else 2 * TOLERANCES["equality"]
     (hy,) = hausdorff_young_margins(g, dual, (2.0,), config=config, record=record)
-    return equality_result("plancherel", hy.lhs**2, hy.rhs**2, tolerance, detail=dual.group.name)
+    res = equality_result("plancherel", hy.lhs**2, hy.rhs**2, tolerance, detail=dual.group.name)
+    return _require_mass(res)
 
 
 def hausdorff_young_margins(
@@ -355,6 +370,7 @@ def hausdorff_young_margins(
     here at ps when none is given).  For p < 2 the sharp bound carries real
     margin on generic fixtures.  At p = 2 the bound saturates (it is the
     Plancherel identity), so the slack widens to the quadrature tolerance, 1e-2.
+    An lhs of exactly 0 fails: a fixture with no transform mass proves nothing.
     """
     model = dual.group
     ps = [float(p) for p in ps]
@@ -366,7 +382,7 @@ def hausdorff_young_margins(
         rhs = babenko_constant(p, model.dim_N, constants) * record.lp[p]
         tol = TOLERANCES["bound"] if p < 2.0 else TOLERANCES["quadrature"]
         detail = f"{model.name} p={p:g} {constants}"
-        out.append(inequality_result("hausdorff-young", lhs, rhs, tol, detail=detail))
+        out.append(_require_mass(inequality_result("hausdorff-young", lhs, rhs, tol, detail)))
     return out
 
 
@@ -670,7 +686,8 @@ def check_nilpotent_bound(
     how it is computed here.  It equals the abelian constant of the
     two-dimensional normal subgroup.  lhs and the slack are those of
     hausdorff_young_margins at p, and rhs reads ||g||_p, all from one
-    spectral record of g (built here at p when none is given).
+    spectral record of g (built here at p when none is given).  An lhs of
+    exactly 0 fails, as there.
     """
     if dual.group.name != "heisenberg":
         raise ValueError("the nilpotent bound check is specific to the Heisenberg instance")
@@ -680,7 +697,8 @@ def check_nilpotent_bound(
         record = spectral_record(g, dual, (p,), config)
     (hy,) = hausdorff_young_margins(g, dual, (p,), record=record)
     rhs = constant * record.lp[p]
-    return inequality_result("nilpotent-bound", hy.lhs, rhs, hy.tolerance, detail=f"p={p:g}")
+    res = inequality_result("nilpotent-bound", hy.lhs, rhs, hy.tolerance, detail=f"p={p:g}")
+    return _require_mass(res)
 
 
 def schatten_property_suite(count: int, size: int, seed: int) -> CheckResult:

@@ -5,6 +5,7 @@ import inspect
 import json
 import os
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -221,6 +222,28 @@ def test_all_negligible_slices_fail_closed_with_a_parseable_report(tmp_path, cap
     assert len(failures) == records[-1]["failed"] == failed
     for r in failures:
         assert r["detail"].split()[-2:] == ["0", "slices"] and "nan" in (r["lhs"], r["rhs"])
+
+
+@pytest.mark.parametrize(
+    "config, failed",
+    [
+        ({"group": "axb", "n_extents": [[50, 60]], "checks": ["plancherel", "hausdorff-young"]}, 16),
+        ({"group": "heisenberg", "n_extents": [[50, 60], [-6, 6]], "checks": ["nilpotent-bound"]}, 5),
+    ],
+)
+def test_no_transform_mass_fails_closed(tmp_path, capsys, config, failed):
+    # far from the origin every fixture samples to (next to) zero: a transform
+    # side of exactly 0 would meet every bound and identity vacuously
+    cfg_file = tmp_path / "far.json"
+    cfg_file.write_text(json.dumps(config))
+    out = tmp_path / "far.jsonl"
+    assert run_main(["--config", str(cfg_file), "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    _, _, records = parse_report(out)
+    checks = [r for r in records if r["record"] == "check"]
+    assert len(checks) == records[-1]["failed"] == failed
+    for r in checks:
+        assert r["lhs"] == 0.0 and r["detail"].endswith("no transform mass, lhs = 0")
 
 
 def one_line(err, prefix):
@@ -570,6 +593,22 @@ def test_a_run_takes_each_norm_and_fft_once_per_record(monkeypatch, p, checks, c
     cfg = RunConfig(group="heisenberg", p=p, checks=checks, grid_n=16, grid_h=16)
     run_suite(cfg.validate())
     assert tuple(counted.values()) == calls
+
+
+def test_a_run_holds_one_fixture_at_a_time():
+    # each family samples its pool fixture by fixture and releases each one
+    # before sampling the next; a record keeps no sample, a chunk of pairing
+    # tables is half a fixture and the chain's FFT one more copy of it
+    cfg = RunConfig(group="heisenberg", checks=("plancherel", "proof-chain")).validate()
+    fixture_bytes = 16 * np.prod([g.n for g in (*cfg.grids()[0], cfg.grids()[1])])
+    tracemalloc.start()
+    try:
+        _, summary, _ = run_suite(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary["failed"] == 0
+    assert peak < 5 * fixture_bytes
 
 
 def test_family_and_record_lines_add_up_to_the_suite_time(heisenberg_run):

@@ -20,6 +20,7 @@ from hywbench.grids import (
     save_sampled,
 )
 from hywbench.groups import make_group
+from hywbench.transform import CharacterSlice
 from hywbench.verify import default_grids, gaussian_fixtures, random_fixtures
 
 AXB, _ = make_group("axb")
@@ -128,16 +129,25 @@ def test_catalog_gaussian_is_the_outer_product_of_its_envelopes():
     assert np.array_equal(f.values, np.multiply.outer(np.multiply.outer(p0, p1), ph))
 
 
-def test_sampling_builds_no_full_size_temporary():
+@pytest.mark.parametrize(
+    "call, bound",  # bound: traced peak over the fixture's bytes
+    [
+        (lambda g: sample(g.spec, g.n_grids, g.h_grid, HEIS), 1.5),  # the result counts
+        (lambda g: lp_norm_G(g, 1.5), 0.5),
+        (lambda g: CharacterSlice(g).transform_reciprocal(), 1.5),  # its one copy counts
+    ],
+    ids=["sample", "lp_norm_G", "transform_reciprocal"],
+)
+def test_builds_no_full_size_temporary(call, bound):
     spec = random_fixtures("heisenberg", 1)[0]
-    n_grids, h_grid = default_grids("heisenberg")
+    g = sample(spec, *default_grids("heisenberg"), HEIS)
     tracemalloc.start()
     try:
-        f = sample(spec, n_grids, h_grid, HEIS)
+        call(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * f.values.nbytes
+    assert peak <= bound * g.values.nbytes
 
 
 def test_random_bandlimited_is_seed_deterministic():

@@ -141,6 +141,30 @@ def test_reciprocal_transform_matches_direct_2d():
     np.testing.assert_allclose(vals, direct, atol=1e-12)
 
 
+def out_of_place_reciprocal(g):
+    """The FFT of every slice as products of whole arrays, one new array per
+    step: the formula transform_reciprocal applies in place."""
+    vals = np.array(g.values, dtype=np.complex128, copy=True)
+    for ax, gr in enumerate(g.n_grids):
+        shape = [1] * vals.ndim
+        shape[ax] = gr.n
+        pre = (-1.0) ** np.arange(gr.n)
+        post = gr.spacing * np.exp(-2j * np.pi * gr.reciprocal().points() * gr.lo)
+        vals = np.fft.fft(vals * pre.reshape(shape), axis=ax) * post.reshape(shape)
+    return vals
+
+
+@pytest.mark.parametrize("group", ["axb", "heisenberg"])
+def test_reciprocal_transform_is_bit_identical_to_the_out_of_place_formula(group):
+    model, _ = make_group(group)
+    (spec,) = random_fixtures(group, 1, base_seed=3)
+    g = sample(spec, *default_grids(group), model)
+    values = g.values.copy()
+    _, vals = CharacterSlice(g).transform_reciprocal()
+    assert np.array_equal(vals, out_of_place_reciprocal(g))
+    assert np.array_equal(g.values, values)  # g itself is left alone
+
+
 def test_formal_dimension_values():
     gh = Grid1D(-2.0, 2.0, 8)
     np.testing.assert_allclose(modular_on_grid(AXB, gh), np.exp(-gh.points()))
