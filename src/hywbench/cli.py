@@ -24,8 +24,10 @@ Every family, semi-invariance included, runs on the run's grids, the ones
 the ``model`` record shows.
 
 Exit codes: 0 all selected checks pass, 1 at least one check failed,
-2 configuration or usage error, or an output path that cannot be written
-(``run --out`` naming a directory is rejected before any check runs).
+2 configuration or usage error, or an output path that cannot be written,
+each on one stderr line (``run --out`` naming a directory, grids over the
+size or extent limits and an H grid where the modular function overflows
+are rejected before any check runs).
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .grids import fixture_checksum, make_grids, sample, save_sampled
+from .grids import fixture_checksum, make_grids, modular_on_grid, sample, save_sampled
 from .groups import GROUPS, make_group
 from . import verify
 from .verify import (
@@ -71,6 +73,14 @@ __all__ = ["RunConfig", "ConfigError", "CHECK_FAMILIES", "run_suite", "explain",
 
 class ConfigError(ValueError):
     """Invalid run configuration; maps to exit code 2."""
+
+
+# largest sampled fixture a run may make: 16 times the largest of the refine workload
+MAX_FIXTURE_BYTES = 2**30
+# largest |extent| and band edge of a run's grids: the fixtures live within a few
+# units of the origin, and the cell weights of the grids and of their reciprocal
+# grids, their products and their squares stay far from overflow and underflow
+MAX_EXTENT = 1e6
 
 
 def _is_int(value) -> bool:
@@ -107,7 +117,9 @@ class RunConfig:
 
     def validate(self):
         """Check every field and normalize p and checks to tuples (a single
-        value becomes a one-element tuple, exponents become floats)."""
+        value becomes a one-element tuple, exponents become floats, and
+        checks becomes the selected family names in report order, "all"
+        every family the group supports).  Validating again changes nothing."""
         if not (isinstance(self.group, str) and self.group in GROUPS):
             raise ConfigError(f"unknown group {self.group!r}; choose from {tuple(GROUPS)}")
         self.p, self.checks = (
@@ -149,9 +161,11 @@ class RunConfig:
             )
         if "nilpotent-bound" in self.checks and self.group != "heisenberg":
             raise ConfigError(f"nilpotent-bound is specific to heisenberg, not {self.group}")
-        families = self.selected_families()
-        if families and not any(_exponents(f, self.p) for f in families):
-            raise ConfigError(f"{families} check no p in {list(self.p)} (nilpotent-bound: p < 2)")
+        chosen = CHECK_FAMILIES if "all" in self.checks else self.checks
+        heisenberg_only = () if self.group == "heisenberg" else ("nilpotent-bound",)
+        self.checks = tuple(f for f in CHECK_FAMILIES if f in chosen and f not in heisenberg_only)
+        if self.checks and not any(_exponents(f, self.p) for f in self.checks):
+            raise ConfigError(f"{self.checks} check no p in {self.p} (nilpotent-bound: p < 2)")
         if not (isinstance(self.out, str) and self.out):
             raise ConfigError(f"out={self.out!r} is not a path")
         if os.path.isdir(self.out):
@@ -169,21 +183,16 @@ class RunConfig:
                 f" normal-subgroup axis of {self.group}, got {self.n_extents!r}"
             )
         try:
-            self.grids()
+            n_grids, h_grid = self.grids()
         except (TypeError, ValueError, IndexError) as exc:
             raise ConfigError(f"bad grid extents: {exc}") from None
+        size = 16 * math.prod(g.n for g in (*n_grids, h_grid))  # complex128 samples
+        if size > MAX_FIXTURE_BYTES:
+            raise ConfigError(f"{size}-byte fixtures, over the {MAX_FIXTURE_BYTES}-byte cap")
+        reach = max(max(-g.lo, g.hi, g.nyquist) for g in (*n_grids, h_grid))
+        if reach > MAX_EXTENT:
+            raise ConfigError(f"grids or their bands reach {reach:g}, over {MAX_EXTENT:g}")
         return self
-
-    def selected_families(self):
-        names = [c for c in self.checks if c]
-        if "all" in names:
-            return [
-                name
-                for name in CHECK_FAMILIES
-                if name != "nilpotent-bound" or self.group == "heisenberg"
-            ]
-        # canonical report ordering regardless of how the selection was spelled
-        return [name for name in CHECK_FAMILIES if name in names]
 
     def grids(self):
         base = dict(verify.DESK_GRIDS[self.group])
@@ -220,13 +229,19 @@ def _exponents(family, ps):
     return tuple(p for p in ps if p < 2.0 or family != "nilpotent-bound")
 
 
-# fixture pool of each sampling family: (catalog Gaussians, seeded randoms)
-POOLS = {
-    "plancherel": (5, 5),
-    "hausdorff-young": (2, 4),
-    "proof-chain": (2, 1),
-    "gaussian-extremality": (1, 0),
-    "nilpotent-bound": (2, 3),
+# each family's check, whose docstring states what the family asserts and at
+# which slack, and its fixture pool: (catalog Gaussians, seeded randoms)
+FAMILY_TABLE = {
+    "schatten-suite": (schatten_property_suite, (0, 0)),
+    "russo-fournier": (russo_fournier_random_suite, (0, 0)),
+    "minkowski": (minkowski_random_suite, (0, 0)),
+    "dual-measure-scaling": (check_dual_measure_scaling, (0, 0)),
+    "semi-invariance": (check_semi_invariance, (0, 0)),
+    "plancherel": (check_plancherel, (5, 5)),
+    "hausdorff-young": (hausdorff_young_margins, (2, 4)),
+    "proof-chain": (check_proof_chain, (2, 1)),
+    "gaussian-extremality": (check_gaussian_extremality, (1, 0)),
+    "nilpotent-bound": (check_nilpotent_bound, (2, 3)),
 }
 
 
@@ -235,24 +250,33 @@ class _Run:
     the dual sampling, the fixture pools and a spectral record per pooled recipe,
     built on first request at what the plan says the selected families need.
     record_s sums the time spent building records.  The run keeps no sampled
-    fixture: cases holds one at a time, and a record holds none."""
+    fixture: cases holds one at a time, and a record holds none.
+
+    An H grid on which the modular function is not finite and positive (on
+    ax+b, exp(t) overflows or underflows at |t| beyond about 709) is a
+    ConfigError, raised before any family runs."""
 
     def __init__(self, cfg: RunConfig):
         self.p = cfg.p
         self.model, self.dual = make_group(cfg.group)
         self.n_grids, self.h_grid = cfg.grids()
+        try:
+            delta = modular_on_grid(self.model, self.h_grid)
+        except ArithmeticError:  # 1 / exp(t) with exp(t) underflowed to 0
+            delta = np.array([np.nan])
+        if not 0 < delta.min() <= delta.max() < np.inf:
+            extent = f"[{self.h_grid.lo:g}, {self.h_grid.hi:g}]"
+            raise ConfigError(f"h_extent {extent}: modular function not finite and positive")
         self.sampling = default_sampling_config(cfg.group)
-        self.pools = {
-            family: gaussian_fixtures(cfg.group, n)
-            + random_fixtures(cfg.group, m, base_seed=cfg.seed)
-            for family, (n, m) in POOLS.items()
-        }
-        self.plan, self.built, self.record_s = {}, {}, 0.0
-        for family in cfg.selected_families():
-            if family not in POOLS or family == "gaussian-extremality":  # reads no record
+        self.pools, self.plan, self.built, self.record_s = {}, {}, {}, 0.0
+        for family in cfg.checks:
+            n, m = FAMILY_TABLE[family][1]
+            pool = gaussian_fixtures(cfg.group, n) + random_fixtures(cfg.group, m, cfg.seed)
+            self.pools[family] = pool
+            if family == "gaussian-extremality":  # reads no record
                 continue
             ps = _exponents(family, self.p)
-            for spec in self.pools[family]:
+            for spec in pool:
                 need_ps, need_chain = self.plan.setdefault(spec.key(), (set(), set()))
                 need_ps.update(ps)
                 need_chain.update(ps if family == "proof-chain" else ())
@@ -299,7 +323,6 @@ def _family_hausdorff_young(cfg, run):
     )
 
 
-@np.errstate(invalid="ignore")  # an overflowed link times 0 or minus itself: nan, failed closed
 def _family_proof_chain(cfg, run):
     return run.cases(
         "proof-chain",
@@ -395,11 +418,11 @@ def run_suite(cfg: RunConfig, stream=None):
     cfg.validate()
     echo = asdict(cfg)
     echo.pop("out")  # destination is not part of the deterministic body
-    echo["checks"] = cfg.selected_families()
     records, timings, run = [], [], _Run(cfg)
-    # an overflowed value fails its check closed and is reported: no numpy warning
-    with _tolerance_overrides(cfg.tolerances), np.errstate(over="ignore"):
-        for family in cfg.selected_families():
+    # an overflowed value, or one made undefined by it (inf times 0 or minus
+    # inf), fails its check closed and is reported: no numpy warning
+    with _tolerance_overrides(cfg.tolerances), np.errstate(over="ignore", invalid="ignore"):
+        for family in cfg.checks:
             start = time.perf_counter() - run.record_s  # a clock that stops while records build
             for res in CHECK_FAMILIES[family](cfg, run):
                 rec = asdict(res)
@@ -439,28 +462,11 @@ def _write_atomic(path, text):
 
 # -- explain -------------------------------------------------------------------------
 
-# the check whose docstring states what each family asserts and at which slack
-EXPLAINED_BY = {
-    "schatten-suite": schatten_property_suite,
-    "russo-fournier": russo_fournier_random_suite,
-    "minkowski": minkowski_random_suite,
-    "dual-measure-scaling": check_dual_measure_scaling,
-    "semi-invariance": check_semi_invariance,
-    "plancherel": check_plancherel,
-    "hausdorff-young": hausdorff_young_margins,
-    "proof-chain": check_proof_chain,
-    "gaussian-extremality": check_gaussian_extremality,
-    "nilpotent-bound": check_nilpotent_bound,
-}
-
-assert set(EXPLAINED_BY) == set(CHECK_FAMILIES)
-
-
 def explain(name: str) -> str:
     """The docstring of the check behind family name."""
-    if name not in EXPLAINED_BY:
-        raise KeyError(f"unknown check {name!r}; valid names: {', '.join(sorted(EXPLAINED_BY))}")
-    return inspect.getdoc(EXPLAINED_BY[name])
+    if name not in FAMILY_TABLE:
+        raise KeyError(f"unknown check {name!r}; valid names: {', '.join(sorted(FAMILY_TABLE))}")
+    return inspect.getdoc(FAMILY_TABLE[name][0])
 
 
 # -- fixtures ------------------------------------------------------------------------
@@ -490,13 +496,6 @@ def write_fixture_files(group: str, out_dir: str, seed: int):
 # -- argument parsing ----------------------------------------------------------------
 
 
-def _parse_p(text):
-    try:
-        return tuple(float(tok) for tok in str(text).split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad exponent list {text!r}") from exc
-
-
 def _load_config_file(path):
     try:
         with open(path) as fh:
@@ -514,16 +513,24 @@ def _load_config_file(path):
 
 def build_config(args) -> RunConfig:
     cfg = RunConfig(**(_load_config_file(args.config) if args.config else {}))
-    parse = {"p": _parse_p, "checks": lambda text: [tok.strip() for tok in text.split(",")]}
     for key in ("group", "p", "grid_n", "grid_h", "seed", "checks", "constants", "out"):
         value = getattr(args, key)
         if value is not None:
-            setattr(cfg, key, parse.get(key, lambda v: v)(value))
+            if key in ("p", "checks"):  # comma lists; validate converts the exponents
+                value = [tok.strip() for tok in value.split(",")]
+            setattr(cfg, key, value)
     return cfg.validate()
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one-line ConfigErrors."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hyw",
         description="Numerical workbench for the operator-valued Fourier transform "
         "on two group extensions: Plancherel, sharp Hausdorff-Young, and the "
@@ -554,9 +561,8 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "explain":
             try:
                 text = explain(args.check)

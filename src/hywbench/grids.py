@@ -55,10 +55,10 @@ class Grid1D:
     n: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.hi - self.lo) and self.hi > self.lo):
-            raise ValueError("need finite extents with hi > lo and a finite width")
         if self.n < 2:
             raise ValueError("need at least two grid points")
+        if not (np.isfinite(self.hi - self.lo) and self.hi > self.lo and self.spacing > 0):
+            raise ValueError("need finite extents with hi > lo, a finite width and a spacing > 0")
 
     @property
     def spacing(self) -> float:
@@ -197,16 +197,6 @@ class SampledFunction:
     def h_measure(self) -> np.ndarray:
         """Quadrature weights on H including the modular density."""
         return self.h_grid.weights() * modular_on_grid(self.model, self.h_grid)
-
-    def boundary_mass_ratio(self) -> float:
-        """Fraction of the weighted L1 mass sitting on the outermost cells."""
-        total = float(slice_lp_mass(self.values, self.n_grids, 1.0) @ self.h_measure())
-        if total == 0.0:
-            return 0.0
-        interior = np.zeros(self.values.shape, dtype=bool)
-        interior[(slice(1, -1),) * self.values.ndim] = True
-        shell = np.where(interior, 0.0, self.values)
-        return float(slice_lp_mass(shell, self.n_grids, 1.0) @ self.h_measure()) / total
 
 
 def sample(spec: TestFunctionSpec, n_grids, h_grid, model) -> SampledFunction:

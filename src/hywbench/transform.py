@@ -143,10 +143,8 @@ def _orbit_map(model: GroupExtensionModel, h_grid: Grid1D, sigma0s) -> np.ndarra
 
 
 def pair_orbits(cs: CharacterSlice, dual: DualOrbitModel, sigma0s):
-    """Dual parameters at every quotient point of k orbits, and their pairing tables.
-
-    Returns (omegas, tables) of shapes (k, n, d) and (k, n, n): row s of
-    table i pairs every h-slice of g with the character at h(t_s).sigma0_i.
+    """Pairing tables of k orbits, shape (k, n, n): row s of table i pairs
+    every h-slice of g with the character at the dual parameter h(t_s).sigma0_i.
     The k orbit maps come from one dual_action call and go to one pair
     call, so the trailing N axis is contracted for all k orbits with one
     GEMM.  The same table backs both the operator kernel (rows are the
@@ -154,8 +152,7 @@ def pair_orbits(cs: CharacterSlice, dual: DualOrbitModel, sigma0s):
     (columns are the slice variable).
     """
     omegas = _orbit_map(dual.group, cs.h_grid, sigma0s)
-    tables = cs.pair(omegas.reshape(-1, omegas.shape[-1]))
-    return omegas, tables.reshape(*omegas.shape[:2], -1)
+    return cs.pair(omegas.reshape(-1, omegas.shape[-1])).reshape(*omegas.shape[:2], -1)
 
 
 def kernel_from_pair_table(

@@ -290,7 +290,7 @@ def spectral_record(
     sq = {p: [] for p in ps}
     extras = {p: ([], [], np.zeros(h.n)) for p in chain}
     for start in range(0, len(params), _PAIR_CHUNK):
-        tables = pair_orbits(cs, dual, params[start : start + _PAIR_CHUNK])[1]
+        tables = pair_orbits(cs, dual, params[start : start + _PAIR_CHUNK])
         for table, weight in zip(tables, nu[start : start + _PAIR_CHUNK]):
             k = kernel_from_pair_table(table, h, delta, 1.0 / qs[0])
             if shared_svd:

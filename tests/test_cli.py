@@ -1,7 +1,9 @@
 """End-to-end checks for the batch entry point and its report contract."""
 
+import contextlib
 import hashlib
 import inspect
+import io
 import json
 import os
 import time
@@ -10,10 +12,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hywbench import verify
 from hywbench.cli import (
     CHECK_FAMILIES,
+    MAX_EXTENT,
+    MAX_FIXTURE_BYTES,
     ConfigError,
     RunConfig,
     build_config,
@@ -63,10 +69,10 @@ def test_config_validation_errors():
 
 
 def test_selected_families_skips_nilpotent_on_axb():
-    fams = RunConfig(group="axb").validate().selected_families()
+    fams = RunConfig(group="axb").validate().checks
     assert "nilpotent-bound" not in fams
     assert len(fams) >= 6
-    fams_h = RunConfig(group="heisenberg").validate().selected_families()
+    fams_h = RunConfig(group="heisenberg").validate().checks
     assert "nilpotent-bound" in fams_h
 
 
@@ -309,10 +315,14 @@ NAMED_GRID_ERRORS = {
 }
 
 # numbers of the right type that still make no run: an extent whose width
-# overflows a float, a boolean tolerance, and a repeated exponent
+# overflows a float, H extents on which the ax+b modular function 1/exp(t)
+# overflows or divides by an underflowed 0, a boolean tolerance, and a
+# repeated exponent
 NAMED_VALUE_ERRORS = {
     '{"h_extent": [-1e+308, 1e+308]}': "h_extent [-1e+308, 1e+308]: need finite extents",
     '{"n_extents": [[-1e+308, 1e+308]]}': "n_extents[0] [-1e+308, 1e+308]: need finite extents",
+    '{"h_extent": [-740, 740]}': "h_extent [-740, 740]: modular function not finite",
+    '{"h_extent": [-745.5, 745.5]}': "h_extent [-745.5, 745.5]: modular function not finite",
     '{"tolerances": {"bound": true}}': "tolerance bound=True",
     '{"p": [1.5, 1.5]}': "exponent p=1.5 repeated",
 }
@@ -348,6 +358,102 @@ def test_config_file_errors_exit_two(tmp_path, capsys, config):
         assert NAMED_GRID_ERRORS[json.dumps(config)] in err
     if json.dumps(config) in NAMED_VALUE_ERRORS:
         assert NAMED_VALUE_ERRORS[json.dumps(config)] in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--group", "foo"],
+        ["run", "--grid-n", "x"],
+        ["run", "--bogus"],
+        [],
+        ["fixtures", "--group", "axb"],  # no --out
+        ["run", "--p", "1.5,"],  # a trailing comma is an empty exponent, not none
+    ],
+)
+def test_usage_errors_exit_two_with_one_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert one_line(capsys.readouterr().err, "configuration error: ")
+    assert os.listdir(tmp_path) == []  # no report, no fixture directory
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0 and "--grid-n" in capsys.readouterr().out
+
+
+def test_fixture_size_is_capped_in_validate():
+    # 512^2 x 256 Heisenberg points are exactly the cap; nothing is sampled to tell
+    assert RunConfig(group="heisenberg", grid_n=512, grid_h=256).validate().grid_n == 512
+    for cfg in (
+        RunConfig(group="heisenberg", grid_n=65536),  # 8.8e12 bytes
+        RunConfig(group="heisenberg", grid_n=512, grid_h=512),
+        RunConfig(group="axb", grid_n=2**20, grid_h=2**20),
+    ):
+        with pytest.raises(ConfigError, match=f"over the {MAX_FIXTURE_BYTES}-byte cap"):
+            cfg.validate()
+
+
+def test_grid_extents_and_bands_are_capped_in_validate():
+    # beyond the cap cell weights overflow: a Heisenberg H spacing of 4e306 made
+    # a non-finite kernel, N extents of 1e-300 a reciprocal cell weight of inf
+    assert RunConfig(group="heisenberg", h_extent=(-MAX_EXTENT, MAX_EXTENT), grid_h=4).validate()
+    for extents in ({"h_extent": (-8e306, 8e306)}, {"n_extents": ((-1e-300, 1e-300), (-6, 6))}):
+        with pytest.raises(ConfigError, match="grids or their bands reach"):
+            RunConfig(group="heisenberg", grid_n=4, grid_h=4, **extents).validate()
+
+
+SAMPLED_FAMILIES = ["plancherel", "hausdorff-young", "proof-chain", "gaussian-extremality",
+                    "nilpotent-bound"]
+JUNK = st.sampled_from([None, 0, -4, 3, 6, 8.0, "8", True, [4]])
+EXTENT = st.lists(st.floats(width=64), min_size=2, max_size=2)
+
+
+def mostly(valid):
+    """valid three times in four, else a value of the wrong type or range."""
+    return st.integers(0, 3).flatmap(lambda i: valid if i else JUNK)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "group": mostly(st.sampled_from(["axb", "heisenberg"])),
+            "grid_n": mostly(st.sampled_from([4, 8])),
+            "grid_h": mostly(st.sampled_from([4, 8])),
+            "checks": st.lists(st.sampled_from(SAMPLED_FAMILIES), min_size=1, max_size=3),
+            "p": mostly(st.lists(st.floats(1.0, 2.0, exclude_min=True), min_size=1, max_size=2)),
+            "seed": mostly(st.integers(0, 3)),
+            "n_extents": mostly(st.lists(EXTENT, min_size=1, max_size=2)),
+            "h_extent": (st.sampled_from([1000.0, 745.5, 740.0, 709.7]) | st.floats(0.0, 1e308))
+            .map(lambda a: [-a, a])
+            | EXTENT
+            | JUNK,
+        },
+    )
+)
+@example({"group": "axb", "grid_n": 8, "grid_h": 8, "h_extent": [-740, 740]})
+@example({"group": "axb", "grid_n": 8, "grid_h": 8, "h_extent": [-745.5, 745.5]})
+@example({"group": "axb", "grid_n": 8, "grid_h": 8, "h_extent": [-709.7, 709.7]})  # exit 1
+def test_any_config_ends_in_a_verdict_or_one_line(tmp_path_factory, config):
+    """Exit 0 or 1 with a report, or 2 with one stderr line and none; never a
+    traceback (a package RuntimeWarning is an error under pytest).  The
+    examples are ax+b H grids where 1/exp(t) overflows, divides by an
+    underflowed 0, and stays finite while products of it overflow."""
+    grid = {"grid_n": 4, "grid_h": 4, "checks": SAMPLED_FAMILIES[1:3]}  # tiny unless drawn
+    directory = tmp_path_factory.mktemp("fuzz")
+    (directory / "cfg.json").write_text(json.dumps({**grid, **config}))
+    out, err = directory / "r.jsonl", io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = run_main(["--config", str(directory / "cfg.json"), "--out", str(out)])
+    assert rc in (0, 1, 2) and "Traceback" not in err.getvalue()
+    if rc == 2:
+        assert err.getvalue().count("\n") == 1 and not out.exists()
+    else:
+        assert out.exists()
 
 
 # -- explain ------------------------------------------------------------------------
@@ -475,7 +581,7 @@ def test_family_wall_times_are_comment_lines():
     _, _, again = run_suite(cfg)
     lines = text.splitlines()
     timed = [ln.split() for ln in lines if ln.startswith("# family ")]
-    assert [t[2] for t in timed] == cfg.selected_families()  # one line per family, in order
+    assert [t[2] for t in timed] == list(cfg.checks)  # one line per family, in order
     for t in timed:
         assert len(t) == 4 and t[3].endswith("s") and float(t[3][:-1]) >= 0.0
     body = [ln for ln in lines if not ln.startswith("#")]

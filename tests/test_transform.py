@@ -28,6 +28,7 @@ from hywbench.schatten import (
 )
 from hywbench.transform import (
     CharacterSlice,
+    _orbit_map,
     induced_rep_matrix,
     kernel_from_pair_table,
     pair_orbits,
@@ -227,8 +228,9 @@ def test_induced_rep_rejects_off_grid_shift():
 
 def kernel_at(f, dual, sigma0, dimension_exponent=0.0):
     """Operator kernel at one transversal point, and the dual parameters of its rows."""
-    (omegas,), (P,) = pair_orbits(CharacterSlice(f), dual, [sigma0])
+    (P,) = pair_orbits(CharacterSlice(f), dual, [sigma0])
     delta = modular_on_grid(dual.group, f.h_grid)
+    (omegas,) = _orbit_map(dual.group, f.h_grid, [sigma0])
     return kernel_from_pair_table(P, f.h_grid, delta, dimension_exponent), omegas
 
 
@@ -315,7 +317,7 @@ def test_kernel_keeps_only_the_nonzero_rows_and_every_norm():
     and cross norms are those of the zero-padded n x n kernel."""
     f, dual = default_fixture("heisenberg")
     h, i0 = f.h_grid, f.h_grid.origin_index
-    _, (P,) = pair_orbits(CharacterSlice(f), dual, [np.array([0.0, 1.5])])
+    (P,) = pair_orbits(CharacterSlice(f), dual, [np.array([0.0, 1.5])])
     delta = modular_on_grid(HEIS, h)
     k = kernel_from_pair_table(P, h, delta, 0.0)
     full = np.zeros((h.n, h.n), dtype=np.complex128)
@@ -344,7 +346,7 @@ def test_kernel_rows_are_the_in_band_rows(group_name, kept, rows):
     cs, delta = CharacterSlice(f), modular_on_grid(dual.group, f.h_grid)
     params, _ = dual.transversal(default_sampling_config(group_name))
     in_band = total = 0
-    for omegas, P in zip(*pair_orbits(cs, dual, params)):
+    for omegas, P in zip(_orbit_map(dual.group, f.h_grid, params), pair_orbits(cs, dual, params)):
         total += kernel_from_pair_table(P, f.h_grid, delta, 0.5).values.shape[0]
         in_band += int(cs.in_band(omegas).sum())
     assert total == in_band == kept and len(params) * f.h_grid.n == rows
@@ -375,7 +377,7 @@ def test_pair_orbits_matches_one_pair_call_per_orbit(group_name):
     f, dual = default_fixture(group_name)
     cs = CharacterSlice(f)
     params, _ = dual.transversal(default_sampling_config(group_name))
-    omegas, tables = pair_orbits(cs, dual, params)
+    omegas, tables = _orbit_map(dual.group, f.h_grid, params), pair_orbits(cs, dual, params)
     assert tables.shape == (len(params), f.h_grid.n, f.h_grid.n)
     for om, table in zip(omegas, tables):
         alone = cs.pair(om)
@@ -405,7 +407,7 @@ def test_a_chunk_of_orbits_all_out_of_band_gives_empty_kernels():
     n_grids, h_grid = RunConfig(group="heisenberg", grid_n=4).grids()
     f = sample(random_fixtures("heisenberg", 1)[0], n_grids, h_grid, HEIS)
     params, _ = HEIS_DUAL.transversal(default_sampling_config("heisenberg"))
-    _, tables = pair_orbits(CharacterSlice(f), HEIS_DUAL, params[:16])
+    tables = pair_orbits(CharacterSlice(f), HEIS_DUAL, params[:16])
     assert tables.shape == (16, h_grid.n, h_grid.n) and not tables.any()
     delta = modular_on_grid(HEIS, h_grid)
     for table in tables:

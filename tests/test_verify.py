@@ -356,7 +356,7 @@ def test_one_svd_serves_every_exponent_on_heisenberg():
     assert model.unimodular and np.array_equal(delta, np.ones(g.h_grid.n))
     params, _ = dual.transversal(default_sampling_config("heisenberg"))
     qs = (2.25, 3.0, 6.0)
-    for table in pair_orbits(CharacterSlice(g), dual, params[::21])[1]:
+    for table in pair_orbits(CharacterSlice(g), dual, params[::21]):
         a = weighted_operator_matrix(kernel_from_pair_table(table, g.h_grid, delta, 1 / 3))
         for q, norm in zip(qs, schatten_norms(a, qs)):
             assert norm**q == schatten_norm(a, q) ** q
