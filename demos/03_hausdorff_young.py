@@ -47,6 +47,6 @@ for name in ("axb", "heisenberg"):
 
     # slice by slice the bound is the abelian one; Gaussian slices sit on it
     g = sample(spec_g, n_grids, h_grid, model)
-    ratios, kept = slice_ratios(g, 4 / 3)
+    ratios = slice_ratios(g, 4 / 3)
     print(f"  gaussian slice ratio at p=4/3: {ratios.max():.10f} "
           f"(sharp constant {babenko_constant(4 / 3, model.dim_N):.10f})\n")

@@ -14,7 +14,6 @@ import numpy as np
 from hywbench.schatten import (
     WeightedKernel,
     adjoint_kernel,
-    conjugate_exponent,
     cross_norm_qpq,
     russo_gap,
     schatten_norm,
@@ -34,17 +33,16 @@ print(f"  (S_3 should be (3^3+2^3+1)^(1/3) = {36 ** (1 / 3):.6f})")
 # is an equality
 k = WeightedKernel(d, np.ones(3), np.ones(3))
 p = 1.5
-q = conjugate_exponent(p)
-lhs, rhs = russo_gap(k, q, p)
+lhs, rhs = russo_gap(k, p)
 print(f"\ndiagonal kernel, p={p}: Schatten bound {lhs:.6f} vs cross-norm mean {rhs:.6f}")
 
 # on a random kernel the bound acquires a real gap
 rng = np.random.default_rng(0)
 vals = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
 k = WeightedKernel(vals, rng.uniform(0.5, 1.5, 4), rng.uniform(0.5, 1.5, 6))
-lhs, rhs = russo_gap(k, q, p)
+lhs, rhs = russo_gap(k, p)
 print(f"random kernel,  p={p}: Schatten bound {lhs:.6f} vs cross-norm mean {rhs:.6f}")
-print("cross norm of the adjoint:", f"{cross_norm_qpq(adjoint_kernel(k), q, p):.6f}")
+print("cross norm of the adjoint:", f"{cross_norm_qpq(adjoint_kernel(k), p):.6f}")
 print("operator matrix shape:", weighted_operator_matrix(k).shape)
 print(check_russo_fournier(k, p))
 

@@ -135,6 +135,10 @@ def modular_on_grid(model: GroupExtensionModel, h_grid: Grid1D) -> np.ndarray:
     return np.array([mod(par(t)) for t in h_grid.points()])
 
 
+# terms of every random-bandlimited test function
+RANDOM_MODES = 6
+
+
 @dataclass(frozen=True)
 class TestFunctionSpec:
     """Recipe for a deterministic test function: a sum of separable terms,
@@ -146,7 +150,7 @@ class TestFunctionSpec:
 
     * "gaussian":  the one term with coefficient 1 and every k = 0, i.e.
       exp(-sum_i (n_i - c_i)^2 / (2 s_i^2)) * exp(-(t - c_h)^2 / (2 s_h^2));
-    * "random-bandlimited": n_modes terms with small integer k and complex
+    * "random-bandlimited": RANDOM_MODES terms with small integer k and complex
       coefficients drawn reproducibly from `seed`, i.e. the Gaussian envelope
       times a low-frequency random trigonometric polynomial.
     """
@@ -159,7 +163,6 @@ class TestFunctionSpec:
     width_n: tuple = (1.0,)
     width_h: float = 1.0
     seed: int = 0
-    n_modes: int = 6
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "random-bandlimited"):
@@ -225,8 +228,8 @@ def sample(spec: TestFunctionSpec, n_grids, h_grid, model) -> SampledFunction:
         # a seed names.
         rng = np.random.default_rng(spec.seed)
         max_k = [2] * d + [3]
-        coeffs, ks = np.empty(spec.n_modes, dtype=np.complex128), np.empty((spec.n_modes, d + 1))
-        for j in range(spec.n_modes):
+        coeffs, ks = np.empty(RANDOM_MODES, dtype=np.complex128), np.empty((RANDOM_MODES, d + 1))
+        for j in range(RANDOM_MODES):
             ks[j] = [int(rng.integers(-m, m + 1)) for m in max_k]
             coeffs[j] = (rng.standard_normal() + 1j * rng.standard_normal()) * 0.7**j
     factors = [

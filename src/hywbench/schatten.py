@@ -123,13 +123,12 @@ def adjoint_kernel(k: WeightedKernel) -> WeightedKernel:
     return WeightedKernel(k.values.conj().T, k.gamma_weights, k.xi_weights)
 
 
-def cross_norm_qpq(k: WeightedKernel, q: float, p: float) -> float:
-    """Mixed norm: exponent p over xi (axis 0), then exponent q over gamma."""
-    q, p = float(q), float(p)
+def cross_norm_qpq(k: WeightedKernel, p: float) -> float:
+    """Mixed norm: exponent p over xi (axis 0), then exponent q = p' over gamma."""
+    p = float(p)
     if not (1.0 < p <= 2.0):
         raise ValueError("need 1 < p <= 2 for the inner exponent")
-    if abs(q - conjugate_exponent(p)) > 1e-12:
-        raise ValueError("outer exponent must be the conjugate of the inner one")
+    q = conjugate_exponent(p)
     inner = (np.abs(k.values) ** p * k.xi_weights[:, None]).sum(axis=0)
     outer = (inner ** (q / p)) @ k.gamma_weights
     return float(outer ** (1.0 / q))
@@ -140,8 +139,8 @@ def weighted_operator_matrix(k: WeightedKernel) -> np.ndarray:
     return np.sqrt(k.xi_weights)[:, None] * k.values * np.sqrt(k.gamma_weights)[None, :]
 
 
-def russo_gap(k: WeightedKernel, q: float, p: float):
-    """(operator S_q norm, geometric mean of the two cross norms)."""
-    lhs = schatten_norm(weighted_operator_matrix(k), q)
-    rhs = float(np.sqrt(cross_norm_qpq(k, q, p) * cross_norm_qpq(adjoint_kernel(k), q, p)))
+def russo_gap(k: WeightedKernel, p: float):
+    """(operator S_q norm, geometric mean of the two cross norms), q = p'."""
+    lhs = schatten_norm(weighted_operator_matrix(k), conjugate_exponent(p))
+    rhs = float(np.sqrt(cross_norm_qpq(k, p) * cross_norm_qpq(adjoint_kernel(k), p)))
     return lhs, rhs

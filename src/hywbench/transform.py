@@ -78,8 +78,6 @@ class CharacterSlice:
 
     def __init__(self, g: SampledFunction):
         self.g = g
-        self.n_grids = g.n_grids
-        self.h_grid = g.h_grid
         self.band = np.array([gr.nyquist for gr in g.n_grids])
         self._pts = [gr.points() for gr in g.n_grids]
         self._n_weight = cell_weight(g.n_grids)
@@ -90,11 +88,11 @@ class CharacterSlice:
 
     def pair(self, omegas) -> np.ndarray:
         om = np.atleast_2d(np.asarray(omegas, dtype=float))
-        if om.shape[1] != len(self.n_grids):
+        if om.shape[1] != self.g.dim_N:
             raise ValueError("frequency dimension does not match the N grids")
         if om.shape[1] > 2:
             raise NotImplementedError("pairing in more than two normal-subgroup dimensions")
-        out = np.zeros((om.shape[0], self.h_grid.n), dtype=np.complex128)
+        out = np.zeros((om.shape[0], self.g.h_grid.n), dtype=np.complex128)
         rows = np.nonzero(self.in_band(om))[0]
         if rows.size == 0:
             return out
@@ -123,7 +121,7 @@ class CharacterSlice:
         """
         vals = np.array(self.g.values, dtype=np.complex128, copy=True)
         grids = []
-        for ax, gr in enumerate(self.n_grids):
+        for ax, gr in enumerate(self.g.n_grids):
             rgrid = gr.reciprocal()
             grids.append(rgrid)
             shape = [1] * vals.ndim
@@ -151,7 +149,7 @@ def pair_orbits(cs: CharacterSlice, dual: DualOrbitModel, sigma0s):
     kernel's left variable) and the disintegrated majorant of the norm chain
     (columns are the slice variable).
     """
-    omegas = _orbit_map(dual.group, cs.h_grid, sigma0s)
+    omegas = _orbit_map(dual.group, cs.g.h_grid, sigma0s)
     return cs.pair(omegas.reshape(-1, omegas.shape[-1])).reshape(*omegas.shape[:2], -1)
 
 
@@ -175,9 +173,7 @@ def kernel_from_pair_table(
     D = rows[:, None] - np.arange(n)[None, :] + i0
     valid = (D >= 0) & (D < n)
     Dc = np.clip(D, 0, n - 1)
-    vals = np.take_along_axis(P[rows], Dc, axis=1) * delta_h[Dc] * valid
-    if dimension_exponent:
-        vals = vals * delta_h[None, :] ** dimension_exponent
+    vals = np.take_along_axis(P[rows], Dc, axis=1) * delta_h[Dc] * valid * delta_h ** dimension_exponent
     w = h_grid.weights()
     return WeightedKernel(vals, w[rows], w)
 

@@ -10,6 +10,9 @@ Two defects fail no family and are not cases here: the pairing table read
 one slice off on Heisenberg, which the direct-representation tests in
 tests/test_transform.py catch, and the first kept row of each kernel
 dropped, which fails nothing because edge rows carry negligible mass.
+The cross norm with its exponents swapped is a case, but only through the
+norm chain: the russo-fournier suite passes it on both groups, because
+every random kernel still meets the averaging bound with the swapped norms.
 
 One change is planted to show that it changes nothing: an all-zero row
 appended to every kernel.  The kernel keeps only its nonzero rows, and
@@ -88,6 +91,17 @@ def zero_row_appended(kernel_from_pair_table, calls):
     return appended
 
 
+def exponents_swapped(cross_norm_qpq):
+    """The cross norm with inner exponent q over xi and outer p over gamma."""
+
+    def swapped(k, p):
+        q = schatten.conjugate_exponent(p)
+        inner = (np.abs(k.values) ** q * k.xi_weights[:, None]).sum(axis=0)
+        return float(((inner ** (p / q)) @ k.gamma_weights) ** (1.0 / p))
+
+    return swapped
+
+
 def action_at_h(dual_action):
     return lambda model, h, omega: dual_action(model, model.h_inverse(h), omega)
 
@@ -143,6 +157,17 @@ MUTANTS = {
         (transform, "kernel_from_pair_table", heaviest_row_dropped),
         RunConfig(group="heisenberg", checks=("plancherel",)),
         {"plancherel": 10},
+    ),
+    # the cross norm's exponents swapped: the orbit averaging bound still
+    # holds, but each cross norm overshoots the swapped iterated form V3
+    "cross-norm-exponents-swapped": (
+        (schatten, "cross_norm_qpq", exponents_swapped),
+        RunConfig(group="axb", checks=("proof-chain",)),
+        {
+            "proof-chain:minkowski-direct": 3,
+            "proof-chain:minkowski-adjoint": 3,
+            "proof-chain:minkowski-swap": 3,
+        },
     ),
     # the dual action taken at h instead of h^-1: on ax+b the image measure
     # scales by 1/Delta(h), so every box but the identity's fails (the

@@ -137,16 +137,16 @@ def test_cross_norm_against_naive_loop():
     for j in range(7):
         inner = sum(abs(k.values[i, j]) ** p * k.xi_weights[i] for i in range(5))
         acc += inner ** (q / p) * k.gamma_weights[j]
-    assert cross_norm_qpq(k, q, p) == pytest.approx(acc ** (1 / q), rel=1e-12)
+    assert cross_norm_qpq(k, p) == pytest.approx(acc ** (1 / q), rel=1e-12)
 
 
 def test_cross_norm_validates_exponents():
     rng = np.random.default_rng(5)
     k = random_kernel(rng)
     with pytest.raises(ValueError):
-        cross_norm_qpq(k, 3.0, 2.5)  # inner exponent out of range
+        cross_norm_qpq(k, 2.5)  # inner exponent above 2
     with pytest.raises(ValueError):
-        cross_norm_qpq(k, 4.0, 1.5)  # not a conjugate pair
+        cross_norm_qpq(k, 1.0)  # inner exponent 1: its conjugate is infinite
 
 
 def test_averaging_bound_is_equality_at_two():
@@ -154,7 +154,7 @@ def test_averaging_bound_is_equality_at_two():
     rng = np.random.default_rng(6)
     for _ in range(20):
         k = random_kernel(rng)
-        lhs, rhs = russo_gap(k, 2.0, 2.0)
+        lhs, rhs = russo_gap(k, 2.0)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -163,13 +163,13 @@ def test_averaging_bound_random_suite():
     for _ in range(300):
         k = random_kernel(rng)
         p = rng.uniform(1.05, 2.0)
-        lhs, rhs = russo_gap(k, conjugate_exponent(p), p)
+        lhs, rhs = russo_gap(k, p)
         assert lhs <= rhs * (1 + 1e-10)
 
 
 def test_averaging_bound_diagonal_is_tight():
     k = WeightedKernel(np.diag([1.0, 2.0, 2.0]), np.ones(3), np.ones(3))
-    lhs, rhs = russo_gap(k, 3.0, 1.5)
+    lhs, rhs = russo_gap(k, 1.5)
     assert lhs == pytest.approx(17.0 ** (1 / 3), rel=1e-13)
     assert rhs == pytest.approx(lhs, rel=1e-12)
 
