@@ -36,7 +36,7 @@ def test_counts_a_fixed_snippet():
 
 
 def test_reports_every_package_file_and_the_total(capsys):
-    assert code_lines.main([]) == 0
+    assert code_lines.main() == 0
     rows = capsys.readouterr().out.splitlines()
     files = sorted(f for f in os.listdir(os.path.join(ROOT, "src", "hywbench")) if f.endswith(".py"))
     assert [row.split()[-1] for row in rows[1:-1]] == [f"src/hywbench/{f}" for f in files]

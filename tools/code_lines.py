@@ -7,8 +7,7 @@ line of a multi-line statement that carries a token is.
 
 Run from the repository root:
 
-    python3 tools/code_lines.py            # src/hywbench/*.py, per file and total
-    python3 tools/code_lines.py FILE...    # the given files instead
+    python3 tools/code_lines.py    # src/hywbench/*.py, per file and total
 """
 
 from __future__ import annotations
@@ -44,13 +43,10 @@ def count(source: str):
     return source.count("\n"), len(code - docstring_lines(source))
 
 
-def main(argv=None) -> int:
-    paths = (sys.argv[1:] if argv is None else argv) or sorted(
-        glob.glob(os.path.join(ROOT, "src", "hywbench", "*.py"))
-    )
+def main() -> int:
     total_wc = total_code = 0
     print(f"{'wc -l':>6} {'code':>6}  file")
-    for path in paths:
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "hywbench", "*.py"))):
         with open(path, encoding="utf-8") as fh:
             wc, code = count(fh.read())
         total_wc, total_code = total_wc + wc, total_code + code
