@@ -310,23 +310,21 @@ class _Run:
 def _family_plancherel(cfg, run):
     return run.cases(
         "plancherel",
-        lambda p, g: [check_plancherel(g, run.dual, run.sampling, record=run.record(g))],
+        lambda p, g: [check_plancherel(g, run.dual, record=run.record(g))],
     )
 
 
 def _family_hausdorff_young(cfg, run):
     return run.cases(
         "hausdorff-young",
-        lambda p, g: hausdorff_young_margins(
-            g, run.dual, (p,), cfg.constants, run.sampling, run.record(g)
-        ),
+        lambda p, g: hausdorff_young_margins(g, run.dual, (p,), cfg.constants, record=run.record(g)),
     )
 
 
 def _family_proof_chain(cfg, run):
     return run.cases(
         "proof-chain",
-        lambda p, g: check_proof_chain(g, run.dual, p, cfg.constants, run.sampling, run.record(g)),
+        lambda p, g: check_proof_chain(g, run.dual, p, cfg.constants, record=run.record(g)),
     )
 
 
@@ -337,7 +335,7 @@ def _family_gaussian_extremality(cfg, run):
 def _family_nilpotent(cfg, run):
     return run.cases(
         "nilpotent-bound",
-        lambda p, g: [check_nilpotent_bound(g, run.dual, p, run.sampling, run.record(g))],
+        lambda p, g: [check_nilpotent_bound(g, run.dual, p, record=run.record(g))],
     )
 
 

@@ -62,6 +62,7 @@ __all__ = [
     "CheckResult",
     "inequality_result",
     "equality_result",
+    "deviation_result",
     "babenko_constant",
     "default_grids",
     "default_sampling_config",
@@ -133,6 +134,14 @@ def equality_result(name, lhs, rhs, tolerance, detail="") -> CheckResult:
     finite = np.isfinite(lhs) and np.isfinite(rhs)
     passed = finite and (scale == 0 or abs(lhs - rhs) <= tolerance * scale)
     return CheckResult(name, "equality", lhs, rhs, tolerance, bool(passed), detail)
+
+
+def deviation_result(name, deviation, tolerance, detail="") -> CheckResult:
+    """deviation <= tolerance, reported as lhs against rhs 0; fails when
+    the deviation is NaN or infinite."""
+    dev = float(deviation)
+    passed = np.isfinite(dev) and dev <= tolerance
+    return CheckResult(name, "deviation", dev, 0.0, tolerance, bool(passed), detail)
 
 
 def _require_mass(res: CheckResult) -> CheckResult:
@@ -237,9 +246,10 @@ class SpectralRecord:
     check is a reduction of it: orbit weights nu; at every exponent p,
     lp[p] = ||g||_p and sq[p] the per-orbit ||k_sigma||_{S_q}^q of the
     exponent-q kernels (q = p'); and at every chain exponent, chain[p] holds
-    the norm chain's per-orbit ||k||_{q,p,q}^q and ||k*||_{q,p,q}^q, the
-    per-slice dual-side q-mass and the per-slice ratios of slice_ratios.
-    Neither a pairing table nor a sample of g is kept."""
+    the norm chain's per-orbit ||k||_{q,p,q}^q and ||k*||_{q,p,q}^q, its
+    swapped iterated form V3 and the per-slice ratios of slice_ratios.
+    Neither a pairing table nor a sample of g is kept: a check given a
+    record reads only the record and the dual."""
 
     nu: np.ndarray
     lp: dict
@@ -309,14 +319,15 @@ def spectral_record(
                     slice_mass += weight * (measure @ np.abs(table) ** q)
         del tables, table  # the chunk and a view of it: released before the next is paired
     reciprocal = cs.transform_reciprocal() if chain else None
+    for p, (direct, adjoint, slice_mass) in extras.items():
+        q = conjugate_exponent(p)
+        v3 = float((measure @ slice_mass ** (p / q)) ** (q / p))  # the swapped iterated form
+        extras[p] = (np.array(direct), np.array(adjoint), v3, _slice_ratios(g, reciprocal, p))
     return SpectralRecord(
         np.asarray(nu),
         {p: lp_norm_G(g, p) for p in ps},
         {p: np.array(v) for p, v in sq.items()},
-        {
-            p: (np.array(d), np.array(a), m, _slice_ratios(g, reciprocal, p))
-            for p, (d, a, m) in extras.items()
-        },
+        extras,
     )
 
 
@@ -345,7 +356,7 @@ def check_plancherel(
     ||g||_2.  A transform side of exactly 0 fails: a fixture with no
     transform mass proves nothing.
     """
-    tolerance = TOLERANCES["equality"] if g.dim_N == 1 else 2 * TOLERANCES["equality"]
+    tolerance = TOLERANCES["equality"] if dual.group.dim_N == 1 else 2 * TOLERANCES["equality"]
     (hy,) = hausdorff_young_margins(g, dual, (2.0,), config=config, record=record)
     res = equality_result("plancherel", hy.lhs**2, hy.rhs**2, tolerance, detail=dual.group.name)
     return _require_mass(res)
@@ -452,13 +463,12 @@ def check_proof_chain(
     lin, quad, eq = TOLERANCES["linalg"], TOLERANCES["quadrature"], TOLERANCES["equality"]
     bound = babenko_constant(p, dual.group.dim_N, constants)
     nu, sq = record.nu, record.sq[p]
-    direct, adjoint, slice_mass, ratios = record.chain[p]
+    direct, adjoint, v3, ratios = record.chain[p]
     c_direct, c_adjoint = float(nu @ direct), float(nu @ adjoint)
     geo = np.sqrt(direct * adjoint)  # sqrt(c c*) per orbit
     v0 = _orbit_sum(record, p)
     v1 = float(nu @ geo)
     v2 = float(np.sqrt(c_direct * c_adjoint))
-    v3 = float((g.h_measure() @ slice_mass ** (p / q)) ** (q / p))
     v4 = float(np.float64(bound * record.lp[p]) ** q)
 
     # the per-orbit averaging bound, reported at the worst orbit
@@ -520,15 +530,8 @@ def check_semi_invariance(
     sub = np.ix_(window, window)
     scale = max(1.0, float(np.abs(rhs[sub]).max()))
     dev = float(np.abs(lhs[sub] - rhs[sub]).max()) / scale
-    return CheckResult(
-        "semi-invariance",
-        "deviation",
-        dev,
-        0.0,
-        TOLERANCES["linalg"],
-        dev <= TOLERANCES["linalg"],
-        detail=f"{model.name} shift={si} window={window.size}",
-    )
+    detail = f"{model.name} shift={si} window={window.size}"
+    return deviation_result("semi-invariance", dev, TOLERANCES["linalg"], detail)
 
 
 def semi_invariance_suite(dual: DualOrbitModel, config, h_grid, count: int, seed: int) -> list:
@@ -727,15 +730,8 @@ def schatten_property_suite(count: int, size: int, seed: int) -> CheckResult:
         worst = max(worst, local)
         if local > tol:
             violations += 1
-    return CheckResult(
-        "schatten-suite",
-        "deviation",
-        worst,
-        0.0,
-        tol,
-        violations == 0,
-        detail=f"{count} matrices ({size}x{size}), {violations} violations",
-    )
+    detail = f"{count} matrices ({size}x{size}), {violations} violations"
+    return deviation_result("schatten-suite", worst, tol, detail)
 
 
 def check_gaussian_extremality(g: SampledFunction, p: float) -> CheckResult:

@@ -6,10 +6,17 @@ that imported it by name, and a method is rebound on its class.  Each case
 runs the smallest family selection that catches its defect, checks that the
 selection passes without it, and names the checks the defect must fail.
 
-Two defects fail no family and are not cases here: the pairing table read
-one slice off on Heisenberg, which the direct-representation tests in
-tests/test_transform.py catch, and the first kept row of each kernel
-dropped, which fails nothing because edge rows carry negligible mass.
+Three defects fail no family and are not cases here.  The pairing table
+read one slice off on Heisenberg is exactly a right translation along H by
+one step, with wraparound: there Delta = 1, so it changes no norm (see
+test_translation_along_h_shifts_the_kernel_columns), and the per-orbit
+Mehler pin in tests/test_oracle.py does not catch it either (its errors stay
+at 5.8e-7 or less); the direct-representation tests in
+tests/test_transform.py do.  The first kept row of each kernel dropped fails
+nothing, because edge rows carry negligible mass.  The Babenko-Beckner
+constant 1% too large below p = 2 passes every check on both groups, since
+no shipped Gaussian comes within 1% of the supremum; the Gaussian supremum
+test in tests/test_oracle.py catches it.
 The cross norm with its exponents swapped is a case, but only through the
 norm chain: the russo-fournier suite passes it on both groups, because
 every random kernel still meets the averaging bound with the swapped norms.

@@ -1,0 +1,119 @@
+"""A grid-free oracle: the closed-form spectrum of Heisenberg Gaussian kernels.
+
+A centred Heisenberg Gaussian exp(-y^2/(2 w_y^2) - z^2/(2 w_z^2) - x^2/(2 w_x^2))
+has, at the orbit lambda, the transform kernel
+
+    K(xi, gamma) = C exp(-a xi^2 - b (xi - gamma)^2),
+
+with a = 2 pi^2 w_y^2 lambda^2, b = 1/(2 w_x^2) and
+C = 2 pi w_y w_z exp(-2 pi^2 w_z^2 lambda^2).  By Mehler's formula its
+singular values are geometric: with rho = b / sqrt((a + b) b) and
+r = (1 - sqrt(1 - rho^2)) / rho,
+
+    ||K||_S2^2 = C^2 pi w_x / sqrt(2 a),
+    ||K||_Sq^q = (||K||_S2^2 (1 - r^2))^(q/2) / (1 - r^q),
+
+and the direct-integral norm is 2 int_0^inf lambda ||K_lambda||_Sq^q d lambda.
+The oracle below is numpy on these formulas alone; it never calls the
+pipeline, which the tests then hold to it.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from hywbench import verify
+from hywbench.grids import make_grids, sample
+from hywbench.groups import DualSamplingConfig, make_group
+
+
+def mehler_sq(lam, q, widths):
+    """||K_lambda||_{S_q}^q at every lambda of lam (nonzero)."""
+    wy, wz, wx = widths
+    lam = np.asarray(lam, dtype=float)
+    a = 2 * np.pi**2 * wy**2 * lam**2
+    b = 1 / (2 * wx**2)
+    c = 2 * np.pi * wy * wz * np.exp(-2 * np.pi**2 * wz**2 * lam**2)
+    s2 = c**2 * np.pi * wx / np.sqrt(2 * a)
+    # log r = log(1 - sqrt(1 - rho^2)) - log rho with 1 - rho^2 = a / (a + b):
+    # near lambda = 0, r tends to 1, and 1 - r^q taken as written is 0/0
+    log_r = np.log1p(-np.sqrt(a / (a + b))) + 0.5 * np.log1p(a / b)
+    return (s2 * -np.expm1(2 * log_r)) ** (q / 2) / -np.expm1(q * log_r)
+
+
+def direct_integral(q, widths):
+    """2 int_0^inf lambda ||K_lambda||_Sq^q d lambda, by the trapezoid rule in
+    u with lambda = e^u / w_z, u on [-40, 3]: below, the integrand in u falls
+    like e^u; above, like exp(-2 pi^2 q e^(2u))."""
+    u = np.linspace(-40.0, 3.0, 200001)
+    lam = np.exp(u) / widths[1]
+    return 2 * np.trapezoid(lam**2 * mehler_sq(lam, q, widths), u)
+
+
+def gaussian_norm(p, widths):
+    """||g||_p of the centred Gaussian: each axis contributes w sqrt(2 pi / p)."""
+    return (math.prod(widths) * (2 * math.pi / p) ** 1.5) ** (1 / p)
+
+
+@pytest.mark.parametrize("widths", [(2.0, 0.5, 1.0), (1.0, 10.0, 1.0), (0.7, 3.0, 1.3)])
+def test_the_oracle_at_two_is_the_l2_norm(widths):
+    # ||g||_2^2 = pi^(3/2) w_y w_z w_x exactly (Plancherel in the continuum)
+    assert direct_integral(2.0, widths) == pytest.approx(math.pi**1.5 * math.prod(widths), rel=1e-12)
+
+
+# worst relative error measured: 1.6e-13 (p = 1.2), 5.3e-10 (1.5), 5.8e-7 (2)
+PIN = {1.2: (6, 1e-11), 1.5: (10, 1e-8), 2.0: (12, 1e-5)}
+
+
+def test_every_resolved_orbit_matches_mehler():
+    """Catalog Gaussian 0 on 512 H points (spacing 0.0625) at 16 orbits: each
+    orbit whose S_q^q is above 1e-6 of the largest matches the oracle."""
+    model, dual = make_group("heisenberg")
+    grids = make_grids(**{**verify.DESK_GRIDS["heisenberg"], "h_count": 512})
+    spec = verify.gaussian_fixtures("heisenberg", 1)[0]
+    widths = (*spec.width_n, spec.width_h)
+    config = DualSamplingConfig(lambda_points=16)
+    record = verify.spectral_record(sample(spec, *grids, model), dual, tuple(PIN), config)
+    lam = dual.transversal(config)[0][:, 1]
+    for p, (count, bound) in PIN.items():
+        oracle = mehler_sq(lam, p / (p - 1), widths)
+        kept = oracle > 1e-6 * oracle.max()
+        rel = np.abs(record.sq[p][kept] - oracle[kept]) / oracle[kept]
+        assert kept.sum() == count and rel.max() <= bound, (p, rel.max())
+
+
+def gaussian_ratios(p):
+    """Transform norm over ||g||_p of the Heisenberg Gaussians of widths
+    (1, s, 1), s = 1, 10, 100, in units of babenko_constant(p, 1)^3."""
+    q = p / (p - 1)
+    cube = verify.babenko_constant(p, 1) ** 3
+    return [
+        direct_integral(q, w) ** (1 / q) / gaussian_norm(p, w) / cube
+        for w in ((1.0, s, 1.0) for s in (1.0, 10.0, 100.0))
+    ]
+
+
+EXPONENTS = (1.2, 1.5, 1.8)
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+def test_the_gaussian_supremum_is_the_cube_of_the_line_constant(p):
+    """As w_z / (w_y w_x) grows, the ratio rises to A_p(1)^3, the constant of
+    R^3, and never passes it (measured at s = 1, 10, 100: 0.97423, 0.99963,
+    0.999996 at p = 1.2; 0.98331, 0.99977, 0.999998 at 1.5; 0.99377,
+    0.99991, 0.999999 at 1.8)."""
+    ratios = gaussian_ratios(p)
+    assert ratios == sorted(ratios) and max(ratios) <= 1 + 1e-9
+    assert ratios[-1] >= 1 - 1e-4, ratios
+
+
+def test_the_supremum_catches_a_constant_one_percent_too_large(monkeypatch):
+    # at p = 2 plancherel would catch it, so the plant leaves p = 2 exact.
+    # Every hyw run check passes it on both groups (measured at --p 1.5 and
+    # --p 1.2,1.5,1.8); here the s = 100 ratio drops to 0.97059 at each p
+    constant = verify.babenko_constant
+    planted = lambda p, dim=1, regime="sharp": constant(p, dim, regime) * (1.01 if p < 2 else 1.0)
+    monkeypatch.setattr(verify, "babenko_constant", planted)
+    for p in EXPONENTS:
+        assert gaussian_ratios(p)[-1] < 1 - 1e-4

@@ -1,0 +1,24 @@
+"""tools/report_bodies.py: one digest per fixed ``hyw run`` config."""
+
+import importlib.util
+import os
+
+import pytest
+
+from hywbench.cli import _build_parser, build_config
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+spec = importlib.util.spec_from_file_location("report_bodies", os.path.join(ROOT, "tools", "report_bodies.py"))
+report_bodies = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(report_bodies)
+
+
+@pytest.mark.parametrize("args", report_bodies.CONFIGS)
+def test_every_listed_config_validates(args):
+    build_config(_build_parser().parse_args(["run", *args.split()]))
+
+
+def test_a_config_gives_the_same_digest_twice():
+    (args,) = [a for a in report_bodies.CONFIGS if "--group axb" in a and "--grid-n 4" in a]
+    first = report_bodies.digest(args)
+    assert len(first) == 64 and report_bodies.digest(args) == first

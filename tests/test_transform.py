@@ -265,6 +265,51 @@ def test_translation_along_n_is_the_induced_representation(group, shifts, stride
                 assert np.abs(got - want).max() <= rel * np.abs(table).max(), (spec.kind, steps)
 
 
+def shifted_along_h(g, steps):
+    """g(n, t + h_x) on g's grids, h_x being steps lattice steps of the H
+    grid: the samples move steps down the H axis, vacated ones are 0."""
+    n = g.h_grid.n
+    values = np.zeros_like(g.values)
+    values[..., max(0, -steps) : n - max(0, steps)] = g.values[..., max(0, steps) : n - max(0, -steps)]
+    return SampledFunction(g.model, g.n_grids, g.h_grid, values, g.spec)
+
+
+# largest error seen: 3.6e-14 of the largest entry on ax+b, 1.3e-47 on
+# Heisenberg; the kernel without its column factor Delta^(1/q) (exponent 0)
+# fails it on ax+b at 0.12 to 0.25
+@pytest.mark.parametrize("group, stride", [("axb", 1), ("heisenberg", 8)])
+def test_translation_along_h_shifts_the_kernel_columns(group, stride):
+    """Right translation by x = (0, h_x), h_x = si steps of the H grid, moves
+    column m - si of the kernel to column m, times Delta(h_x)^(1/q - 1):
+
+        k_{R_x g}(xi, gamma) = Delta(x)^(1/q - 1) k_g(xi, x^-1 gamma),
+
+    the factor Delta(xi gamma^-1) giving Delta(x)^-1 and the column factor
+    Delta(gamma)^(1/q) giving Delta(x)^(1/q).  As ||R_x g||_p =
+    Delta(x)^(-1/p) ||g||_p, the Hausdorff-Young ratio does not move.
+    Checked at q = 3 and 2 on every stride-th orbit, for catalog Gaussian 0
+    and the seed-0 random fixture, on every column whose m - si is on the grid."""
+    model, dual = make_group(group)
+    n_grids, h_grid = default_grids(group)
+    n, delta = h_grid.n, modular_on_grid(model, h_grid)
+    params = dual.transversal(default_sampling_config(group))[0][::stride]
+    for spec in (gaussian_fixtures(group, 1)[0], random_fixtures(group, 1)[0]):
+        g = sample(spec, n_grids, h_grid, model)
+        tables = pair_orbits(CharacterSlice(g), dual, params)
+        for si in (3, -5):
+            moved = pair_orbits(CharacterSlice(shifted_along_h(g, si)), dual, params)
+            delta_x = model.modular_on_H(model.h_parametrization(si * h_grid.spacing))
+            cols = np.arange(max(0, si), n + min(0, si))
+            for table, got in zip(tables, moved):
+                for q in (3.0, 2.0):
+                    k = kernel_from_pair_table(table, h_grid, delta, 1 / q).values
+                    k_moved = kernel_from_pair_table(got, h_grid, delta, 1 / q).values
+                    want = delta_x ** (1 / q - 1) * k[:, cols - si]
+                    assert k_moved.shape == k.shape
+                    err = np.abs(k_moved[:, cols] - want).max() / np.abs(k).max()
+                    assert err <= 1e-12, (spec.kind, si, q, err)
+
+
 def kernel_at(f, dual, sigma0, dimension_exponent=0.0):
     """Operator kernel at one transversal point, and the dual parameters of its rows."""
     (P,) = pair_orbits(CharacterSlice(f), dual, [sigma0])

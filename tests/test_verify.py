@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from hywbench.grids import lp_norm_G, modular_on_grid, sample
+from hywbench.grids import lp_norm_G, make_grids, modular_on_grid, sample
 from hywbench.groups import make_group
 from hywbench.schatten import (
     WeightedKernel,
@@ -35,6 +35,7 @@ from hywbench.verify import (
     default_grids,
     default_sampling_config,
     dual_measure_suite,
+    deviation_result,
     equality_result,
     gaussian_fixtures,
     hausdorff_young_margins,
@@ -94,6 +95,17 @@ def test_equality_result_semantics():
     assert not equality_result("x", 2.0, 2.1, 1e-2).passed
     assert equality_result("x", 0.0, 0.0, 1e-12).passed
     assert not equality_result("x", math.nan, 1.0, 1e-2).passed
+
+
+def test_deviation_result_semantics():
+    assert deviation_result("x", 1e-10, 1e-10).passed  # at the tolerance
+    assert deviation_result("x", 0.0, 0.0).passed
+    assert not deviation_result("x", 2e-10, 1e-10).passed
+    # a deviation that is not a finite number fails closed
+    assert not deviation_result("x", math.nan, 1e-10).passed
+    assert not deviation_result("x", math.inf, math.inf).passed
+    r = deviation_result("x", 3e-11, 1e-10, "detail")
+    assert (r.kind, r.lhs, r.rhs, r.detail) == ("deviation", 3e-11, 0.0, "detail")
 
 
 def test_tolerance_classes_exist():
@@ -364,17 +376,20 @@ def test_one_svd_serves_every_exponent_on_heisenberg():
 
 @pytest.mark.parametrize("group, ps", [("axb", (1.2, 1.8)), ("heisenberg", (1.5, 1.8))])
 def test_record_backed_checks_equal_standalone_calls(group, ps):
-    # given its record, a check reads no sample of g: on g with its values
-    # zeroed it still equals the standalone call on g
-    _, dual = make_group(group)
+    # given its record, a check reads only the record and the dual: on g with
+    # its values zeroed, and on another fixture sampled on 8-point grids, it
+    # still equals the standalone call on g
+    model, dual = make_group(group)
     g = sample_fixture(group, random_fixtures(group, 1, base_seed=5)[0])
     blank = dataclasses.replace(g, values=np.zeros_like(g.values))
+    n_grids, h_grid = make_grids([8] * model.dim_N, [(-1.0, 1.0)] * model.dim_N, 8, (-1.0, 1.0))
+    foreign = sample(gaussian_fixtures(group, 2)[1], n_grids, h_grid, model)
     cfg = default_sampling_config(group)
     record = spectral_record(g, dual, (2.0,), cfg, chain=ps)
     planch = check_plancherel(g, dual, cfg)
     hy = hausdorff_young_margins(g, dual, ps, config=cfg)
     chains = {p: check_proof_chain(g, dual, p, config=cfg) for p in ps}
-    for f in (g, blank):
+    for f in (g, blank, foreign):
         assert check_plancherel(f, dual, cfg, record=record) == planch
         assert hausdorff_young_margins(f, dual, ps, config=cfg, record=record) == hy
         for p in ps:
