@@ -463,7 +463,7 @@ def _write_atomic(path, text):
 def explain(name: str) -> str:
     """The docstring of the check behind family name."""
     if name not in FAMILY_TABLE:
-        raise KeyError(f"unknown check {name!r}; valid names: {', '.join(sorted(FAMILY_TABLE))}")
+        raise ConfigError(f"unknown check {name!r}; valid names: {', '.join(sorted(FAMILY_TABLE))}")
     return inspect.getdoc(FAMILY_TABLE[name][0])
 
 
@@ -562,11 +562,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         if args.command == "explain":
-            try:
-                text = explain(args.check)
-            except KeyError as exc:
-                print(exc.args[0], file=sys.stderr)
-                return 2
+            text = explain(args.check)
             print(f"{args.check}\n{'-' * len(args.check)}\n{text}")
             return 0
         if args.command == "fixtures":

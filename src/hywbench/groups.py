@@ -92,10 +92,9 @@ class GroupExtensionModel:
         hinv = self.h_inverse(x.h)
         return GroupElement(-self.conjugation_action(hinv, x.n), hinv)
 
-    def modular(self, x) -> float:
+    def modular(self, x: GroupElement) -> float:
         """Modular function of G; constant on cosets of N."""
-        h = x.h if isinstance(x, GroupElement) else float(x)
-        return float(self.modular_on_H(h))
+        return float(self.modular_on_H(x.h))
 
     # -- dual action -----------------------------------------------------------
 
@@ -119,10 +118,8 @@ class GroupExtensionModel:
 
 
 def character_value(omega, n):
-    """chi_omega(n) = exp(2 pi i <omega, n>), vectorized over leading axes of n."""
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    n = np.asarray(n, dtype=float)
-    return np.exp(2j * np.pi * (n @ omega if n.ndim > 1 else float(np.dot(n, omega))))
+    """chi_omega(n) = exp(2 pi i <omega, n>) at one point n of N."""
+    return np.exp(2j * np.pi * float(np.dot(n, omega)))
 
 
 @dataclass(frozen=True)

@@ -595,27 +595,24 @@ def check_russo_fournier(kernel: WeightedKernel, p: float) -> CheckResult:
 
 def _random_suite(name: str, count: int, seed: int, trial) -> CheckResult:
     """Worst lhs/rhs ratio and violation count over count random inequality
-    checks; trial(rng) draws one check and returns its (lhs, rhs)."""
+    checks; trial(rng) draws one check and returns its CheckResult."""
     rng = np.random.default_rng(seed)
-    tol = TOLERANCES["linalg"]
     violations = 0
     worst = (0.0, 1.0)
     for _ in range(count):
-        lhs, rhs = trial(rng)
-        if not inequality_result(name, lhs, rhs, tol).passed:
-            violations += 1
-        if lhs * worst[1] > worst[0] * rhs:  # larger lhs/rhs ratio
-            worst = (lhs, rhs)
+        r = trial(rng)
+        violations += not r.passed
+        if r.lhs * worst[1] > worst[0] * r.rhs:  # larger lhs/rhs ratio
+            worst = (r.lhs, r.rhs)
     detail = f"{count} kernels, {violations} violations"
-    return CheckResult(name, "inequality", *worst, tol, violations == 0, detail)
+    return CheckResult(name, "inequality", *worst, TOLERANCES["linalg"], violations == 0, detail)
 
 
 def _russo_trial(rng):
     nx, ng = int(rng.integers(2, 25)), int(rng.integers(2, 25))
     vals = rng.standard_normal((nx, ng)) + 1j * rng.standard_normal((nx, ng))
     k = WeightedKernel(vals, rng.uniform(0.05, 2.0, nx), rng.uniform(0.05, 2.0, ng))
-    p = float(rng.uniform(1.05, 2.0))
-    return russo_gap(k, p)
+    return check_russo_fournier(k, float(rng.uniform(1.05, 2.0)))
 
 
 def russo_fournier_random_suite(count: int, seed: int) -> CheckResult:
@@ -652,8 +649,7 @@ def _minkowski_trial(rng):
     wx = rng.uniform(0.05, 2.0, nx)
     wg = rng.uniform(0.05, 2.0, ng)
     p = float(rng.uniform(1.05, 1.95))
-    r = check_minkowski(f, wx, wg, p, conjugate_exponent(p))
-    return r.lhs, r.rhs
+    return check_minkowski(f, wx, wg, p, conjugate_exponent(p))
 
 
 def minkowski_random_suite(count: int, seed: int) -> CheckResult:

@@ -1,15 +1,15 @@
 """What the benchmark in perfbench/ uses of the package.
 
 perfbench/tracer.py counts layer calls by rebinding hywbench functions and
-methods by name.  If a refactor deletes, renames or aliases one of them, the
-tracer either fails to install or counts zero calls; the first test catches
-both without running the benchmark.  perfbench/workloads.py calls verify
-directly, with the dual sampling passed positionally; the second test runs
-those workloads at small scale, so a changed signature fails here.  The
-last test grades full-scale seed-0 passes of all four workloads against
-perfbench/reference/, as the benchmark does; refine is the only one on
-refined grids, where the pairing GEMMs are largest.  All only read
-perfbench/.
+methods by name.  If a refactor deletes, renames or aliases one of them, or
+routes around one, the tracer either fails to install or counts zero calls;
+the first test catches both on small grids, without running the benchmark.
+perfbench/workloads.py calls verify directly, with the dual sampling passed
+positionally; the second test runs those workloads at small scale, so a
+changed signature fails here.  The last test grades full-scale seed-0 passes
+of all four workloads against perfbench/reference/, as the benchmark does;
+refine is the only one on refined grids, where the pairing GEMMs are
+largest.  All only read perfbench/.
 """
 
 import os
@@ -17,6 +17,7 @@ import os
 import pytest
 
 from hywbench import verify
+from hywbench.cli import RunConfig, run_suite
 from hywbench.grids import Grid1D, TestFunctionSpec, sample
 from hywbench.groups import make_group
 
@@ -35,6 +36,15 @@ def test_tracer_counts_every_patched_layer(monkeypatch):
         verify.hausdorff_young_margins(g, dual, (1.5,))
     for layer in ("groups.dual_action", "transform.pair", "transform.kernel", "schatten.norm"):
         assert t.calls[layer] > 0, layer
+    # a small hyw run sees every traced layer and counts SVD work: a route
+    # around a traced function would zero its per-layer metric
+    for group in ("axb", "heisenberg"):
+        cfg = RunConfig(group=group, checks=("proof-chain", "hausdorff-young"), grid_n=16, grid_h=16)
+        with tracer.Tracer() as t:
+            run_suite(cfg.validate())
+        for layer in tracer.LEAF_LAYERS:
+            assert t.calls[layer] > 0, (group, layer)
+        assert t.flop_computed > 0, group
 
 
 def test_direct_workloads_pass_and_repeat(monkeypatch):

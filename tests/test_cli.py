@@ -486,10 +486,13 @@ def test_explain_covers_every_family():
 
 
 def test_explain_unknown_name(capsys):
-    with pytest.raises(KeyError):
+    with pytest.raises(ConfigError):
         explain("nonsense")
-    assert main(["explain", "nonsense"]) == 2
-    assert "valid names" in capsys.readouterr().err
+    for name in ("", "nonsense", "Plancherel"):  # one stderr line, as every exit-2 error
+        assert main(["explain", name]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: unknown check {name!r}; valid names: ")
+        assert err.count("\n") == 1
 
 
 def test_explain_main_prints(capsys):

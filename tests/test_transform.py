@@ -14,6 +14,7 @@ from hywbench.grids import (
     SampledFunction,
     TestFunctionSpec,
     lp_norm_G,
+    make_grids,
     modular_on_grid,
     sample,
 )
@@ -34,6 +35,7 @@ from hywbench.transform import (
     pair_orbits,
 )
 from hywbench.verify import (
+    DESK_GRIDS,
     check_plancherel,
     default_grids,
     default_sampling_config,
@@ -308,6 +310,55 @@ def test_translation_along_h_shifts_the_kernel_columns(group, stride):
                     assert k_moved.shape == k.shape
                     err = np.abs(k_moved[:, cols] - want).max() / np.abs(k).max()
                     assert err <= 1e-12, (spec.kind, si, q, err)
+
+
+def hausdorff_young_change(g, dual, moved):
+    """Largest relative change, over p = 1.2, 1.5 and 2, of the
+    Hausdorff-Young ratio lhs/rhs from g to each translate in moved."""
+    ps = (1.2, 1.5, 2.0)
+    ratio = lambda f: np.array([r.lhs / r.rhs for r in hausdorff_young_margins(f, dual, ps)])
+    base = ratio(g)
+    return max(np.abs(ratio(f) / base - 1).max() for f in moved)
+
+
+# largest relative change seen: 6.7e-15 on ax+b; on Heisenberg 2.6e-8 under
+# the N shifts, the mass pushed across the axis-0 grid edge, and 1.1e-8
+# under the H shifts
+@pytest.mark.parametrize(
+    "group, n_shifts, h_shifts, rel",
+    [("axb", [(3,), (-5,)], [], 1e-12), ("heisenberg", [(-5, 1)], [3, -5], 1e-6)],
+    ids=["axb", "heisenberg"],
+)
+def test_lattice_translations_leave_the_direct_integral_ratio_alone(group, n_shifts, h_shifts, rel):
+    """Translation by a lattice point unitarily conjugates every transform
+    kernel and scales ||g||_p and the transform norm alike, so the
+    Hausdorff-Young ratio does not move: checked for catalog Gaussian 0 and
+    the seed-0 random fixture under N shifts of 3 and -5 steps on ax+b and
+    of (-5, 1) steps on Heisenberg, and H shifts of 3 and -5 steps there."""
+    model, dual = make_group(group)
+    n_grids, h_grid = default_grids(group)
+    for spec in (gaussian_fixtures(group, 1)[0], random_fixtures(group, 1)[0]):
+        g = sample(spec, n_grids, h_grid, model)
+        moved = [shifted_along_n(g, s) for s in n_shifts] + [shifted_along_h(g, s) for s in h_shifts]
+        assert hausdorff_young_change(g, dual, moved) <= rel, spec.kind
+
+
+def test_an_h_shift_on_axb_moves_the_ratio_only_by_the_h_window():
+    """On ax+b an H shift of 3 or -5 steps does move the Hausdorff-Young
+    ratio: the H window truncates the transform kernel, whose columns carry
+    Delta^(1/q).  At spacing 0.125 the change falls with the H extent, from
+    2.4e-3 (catalog Gaussian 0) and 4.8e-4 (seed-0 random fixture) at +-8 to
+    8.0e-7 and 1.5e-7 at +-16 and 2.7e-10 and 5.5e-11 at +-24, about 3000x
+    per extension; the bounds are 1e-8 at +-24 and a 100x fall per step."""
+    model, dual = make_group("axb")
+    for spec in (gaussian_fixtures("axb", 1)[0], random_fixtures("axb", 1)[0]):
+        changes = []
+        for k in (1, 2, 3):
+            grids = make_grids(**{**DESK_GRIDS["axb"], "h_count": 128 * k, "h_extent": (-8.0 * k, 8.0 * k)})
+            g = sample(spec, *grids, model)
+            changes.append(hausdorff_young_change(g, dual, [shifted_along_h(g, s) for s in (3, -5)]))
+        assert changes[2] <= 1e-8, changes
+        assert changes[1] <= changes[0] / 100 and changes[2] <= changes[1] / 100, changes
 
 
 def kernel_at(f, dual, sigma0, dimension_exponent=0.0):
