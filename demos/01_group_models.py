@@ -1,10 +1,13 @@
 """Tour of the two group extensions and their measure bookkeeping.
 
 Both groups are semidirect products N x| H in cross-section coordinates
-(n, h): an abelian normal subgroup N acted on by a one-parameter quotient H.
-Everything downstream (transforms, kernels, inequality chains) is built on
+(n, t): an abelian normal subgroup N acted on by a one-parameter quotient H,
+whose points are carried by the coordinate t in which Haar measure is dt
+(for ax+b, t = log a).  Everything downstream (transforms, kernels, inequality chains) is built on
 the arithmetic shown here.
 """
+
+import math
 
 import numpy as np
 
@@ -16,11 +19,18 @@ from hywbench.verify import check_semi_invariance, default_grids
 model, dual = make_group("axb")
 print(f"group: {model.name}, dim N = {model.dim_N}, unimodular = {model.unimodular}")
 
-x = GroupElement(np.array([1.0]), 2.0)   # translate by 1, dilate by 2
-y = GroupElement(np.array([-3.0]), 0.5)
-print("x * y =", model.multiply(x, y))
-print("x^-1  =", model.inverse(x))
-print("x * x^-1 =", model.multiply(x, model.inverse(x)))
+
+
+def paper_form(x):
+    """An ax+b element in the paper's (b, a) form, a = e^t."""
+    return f"(b, a) = ({x.n[0]:g}, {math.exp(x.h):g})"
+
+
+x = GroupElement(np.array([1.0]), math.log(2.0))   # translate by 1, dilate by 2
+y = GroupElement(np.array([-3.0]), math.log(0.5))
+print("x * y =", paper_form(model.multiply(x, y)))
+print("x^-1  =", paper_form(model.inverse(x)))
+print("x * x^-1 =", paper_form(model.multiply(x, model.inverse(x))))
 
 # the modular function measures the failure of right invariance; for the
 # affine group it is 1/a, so this product is a homomorphism check
@@ -29,13 +39,13 @@ print("Delta(xy)         =", model.modular(model.multiply(x, y)))
 
 # the quotient acts on frequencies of N; dilation by a shrinks a frequency
 omega = np.array([2.0])
-print("dual action of a=4 on omega=2:", model.dual_action(4.0, omega))
+print("dual action of a=4 on omega=2:", model.dual_action(math.log(4.0), omega))
 
 # conjugating the formal dimension operator through the representation
 # rescales it by exactly 1/Delta; the check needs an element whose quotient
 # coordinate lands on the grid lattice, so build one from the grid spacing
 h_grid = default_grids("axb")[1]
-x_lattice = GroupElement(np.array([0.7]), model.h_parametrization(8 * h_grid.spacing))
+x_lattice = GroupElement(np.array([0.7]), 8 * h_grid.spacing)
 r = check_semi_invariance(model, dual.transversal(None)[0][0], x_lattice, h_grid)
 print(f"semi-invariance of the formal dimension operator: deviation {r.lhs:.2e}")
 

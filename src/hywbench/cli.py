@@ -389,18 +389,23 @@ def _model_record(run: _Run):
     return rec
 
 
+def _badness(value):
+    """Order key under which NaN is worse than any number, inf included."""
+    return (math.isnan(value), value)
+
+
 def _summary(records):
     passed = sum(r["passed"] for r in records)
     worst_ineq = worst_eq = None
     for r in records:
         if r["kind"] == "inequality" and r["rhs"] > 0:
             ratio = r["lhs"] / r["rhs"]
-            if worst_ineq is None or ratio > worst_ineq["ratio"]:
+            if worst_ineq is None or _badness(ratio) > _badness(worst_ineq["ratio"]):
                 worst_ineq = {"name": r["name"], "family": r["family"], "ratio": ratio}
         elif r["kind"] in ("equality", "deviation"):
             scale = max(abs(r["lhs"]), abs(r["rhs"]), 1e-300)
             rel = abs(r["lhs"] - r["rhs"]) / scale if r["kind"] == "equality" else r["lhs"]
-            if worst_eq is None or rel > worst_eq["deviation"]:
+            if worst_eq is None or _badness(rel) > _badness(worst_eq["deviation"]):
                 worst_eq = {"name": r["name"], "family": r["family"], "deviation": rel}
     return {
         "checks": len(records),

@@ -128,11 +128,10 @@ def cell_weight(grids) -> float:
 def modular_on_grid(model: GroupExtensionModel, h_grid: Grid1D) -> np.ndarray:
     """Delta_G at every H-grid point (the Haar density against dn dt).
 
-    Evaluated point by point with the model's scalar functions, so the values
-    do not depend on how a vectorized exp rounds.
+    Evaluated point by point with the model's scalar modular_on_H, so the
+    values do not depend on how a vectorized exp rounds.
     """
-    par, mod = model.h_parametrization, model.modular_on_H
-    return np.array([mod(par(t)) for t in h_grid.points()])
+    return np.array([model.modular_on_H(t) for t in h_grid.points()])
 
 
 # terms of every random-bandlimited test function

@@ -1,30 +1,28 @@
 """Group-extension models: the affine ax+b group and the 3-D Heisenberg group.
 
-Both are semidirect products N x| H with N and H abelian and unimodular.
-Elements live in cross-section coordinates (n, h), n a vector in R^dim_N and
-h the quotient coordinate, with multiplication
+Both are semidirect products N x| H with N abelian and H = R one-parameter.
+Elements live in cross-section coordinates (n, t), n a vector in R^dim_N and
+t the quotient coordinate in which the Haar measure of H is dt (ax+b:
+t = log a; Heisenberg: t = x), with multiplication
 
-    (n1, h1) (n2, h2) = (n1 + h1.n2, h1 h2)
+    (n1, t1) (n2, t2) = (n1 + t1.n2, t1 + t2)
 
-where h.n is conjugation of N by the cross-section alpha(h).  Everything that
+where t.n is conjugation of N by the cross-section alpha(t).  Everything that
 makes G nonunimodular is carried by the modular function restricted to H.
 
 On the dual side, characters of N are chi_omega(n) = exp(2 pi i <omega, n>)
 and H acts on the parameter omega through
 
-    (h.chi)(n) = chi(alpha(h)^{-1} n alpha(h)),
+    (t.chi)(n) = chi(alpha(t)^{-1} n alpha(t)),
 
 which for a linear conjugation action is multiplication by the transpose of
-the linearized action of h^{-1}.  A DualOrbitModel supplies a transversal of
+the linearized action of -t.  A DualOrbitModel supplies a transversal of
 the generic orbits together with quadrature weights for the measure that
 makes the operator-valued Plancherel identity hold with constant one:
 
 * ax+b: two orbit atoms (sign of the frequency), each of weight 1;
 * Heisenberg: the center frequency lambda with density |lambda| d lambda,
   sampled symmetrically outside a small exclusion window around 0.
-
-Grid coordinates: H is always gridded uniformly in a coordinate t where the
-Haar measure of H is dt.  For ax+b that is t = log a; for Heisenberg, t = x.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GroupElement:
-    """A group element in cross-section coordinates (n, h)."""
+    """A group element in cross-section coordinates (n, t); h holds t."""
 
     n: np.ndarray
     h: float
@@ -60,37 +58,26 @@ class GroupElement:
 
 @dataclass(frozen=True)
 class GroupExtensionModel:
-    """A semidirect product N x| H in cross-section coordinates.
+    """A semidirect product N x| H in cross-section coordinates (n, t).
 
-    The quotient H is described abstractly by its identity, multiplication and
-    inverse, plus the parametrization h = h_parametrization(t) mapping the
-    uniform grid coordinate t (where Haar measure of H is dt) to H itself.
-    h_inverse and conjugation_action also take an array of quotient points
-    and then answer one row per point; h_parametrization is scalar.
+    A quotient point is its Haar coordinate t, so H multiplies by adding t.
+    conjugation_action and modular_on_H take t; conjugation_action also takes
+    an array of quotient points and then answers one row per point.
     """
 
     name: str
     dim_N: int
     unimodular: bool
-    h_identity: float
-    h_multiply: Callable[[float, float], float]
-    h_inverse: Callable[[float], float]
-    h_parametrization: Callable[[float], float]
-    h_coordinate: Callable[[float], float]
     conjugation_action: Callable[[float, np.ndarray], np.ndarray]
     modular_on_H: Callable[[float], float]
 
     # -- group operations ------------------------------------------------------
 
     def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        return GroupElement(
-            x.n + self.conjugation_action(x.h, y.n),
-            self.h_multiply(x.h, y.h),
-        )
+        return GroupElement(x.n + self.conjugation_action(x.h, y.n), x.h + y.h)
 
     def inverse(self, x: GroupElement) -> GroupElement:
-        hinv = self.h_inverse(x.h)
-        return GroupElement(-self.conjugation_action(hinv, x.n), hinv)
+        return GroupElement(-self.conjugation_action(-x.h, x.n), -x.h)
 
     def modular(self, x: GroupElement) -> float:
         """Modular function of G; constant on cosets of N."""
@@ -98,22 +85,22 @@ class GroupExtensionModel:
 
     # -- dual action -----------------------------------------------------------
 
-    def conjugation_matrix(self, h) -> np.ndarray:
-        """Matrix of n |-> alpha(h) n alpha(h)^-1 on N (exact: actions are linear).
+    def conjugation_matrix(self, t) -> np.ndarray:
+        """Matrix of n |-> alpha(t) n alpha(t)^-1 on N (exact: actions are linear).
 
         For an array of quotient points, a stack of matrices, one per point.
         """
-        cols = [self.conjugation_action(h, e) for e in np.eye(self.dim_N)]
+        cols = [self.conjugation_action(t, e) for e in np.eye(self.dim_N)]
         return np.stack(cols, axis=-1)
 
-    def dual_action(self, h, omega) -> np.ndarray:
-        """Parameter of the character chi_omega composed with conjugation by h^-1.
+    def dual_action(self, t, omega) -> np.ndarray:
+        """Parameter of the character chi_omega composed with conjugation at -t.
 
         For an array of quotient points, one row per point.  omega may hold
         one parameter per column; the image of column j is then column j of
         the answer (of each row's answer, for an array of points).
         """
-        a = self.conjugation_matrix(self.h_inverse(h))
+        a = self.conjugation_matrix(-t)
         return np.swapaxes(a, -1, -2) @ np.atleast_1d(np.asarray(omega, dtype=float))
 
 
@@ -168,10 +155,17 @@ def _heisenberg_transversal(config):
     return params, weights
 
 
+def _axb_conjugation(t, n):
+    # exp(t) as 1 / exp(-t) point by point with math.exp: the dual action at t
+    # is then exactly omega / exp(t), and no vectorized exp rounds it
+    scale = 1.0 / np.vectorize(math.exp, otypes=[float])(np.negative(t))
+    return np.multiply.outer(scale, np.asarray(n, dtype=float))
+
+
 def _make_axb():
     """The affine group of the line: N = R (translations), H = R_+ (dilations).
 
-    (b, a)(b', a') = (b + a b', a a'), modular function 1/a, H gridded in
+    (b, a)(b', a') = (b + a b', a a'), modular function 1/a, carried by
     t = log a.  The dual orbits of H on R-hat \\ {0} are the two frequency
     rays; each carries orbit weight 1.
     """
@@ -179,13 +173,8 @@ def _make_axb():
         name="axb",
         dim_N=1,
         unimodular=False,
-        h_identity=1.0,
-        h_multiply=lambda a, b: a * b,
-        h_inverse=lambda a: 1.0 / a,
-        h_parametrization=math.exp,
-        h_coordinate=math.log,
-        conjugation_action=lambda a, n: np.multiply.outer(a, np.asarray(n, dtype=float)),
-        modular_on_H=lambda a: 1.0 / a,
+        conjugation_action=_axb_conjugation,
+        modular_on_H=lambda t: 1.0 / math.exp(t),
     )
     dual = DualOrbitModel(
         group=model,
@@ -200,7 +189,7 @@ def _heis_conjugation(x, n):
 
 
 def _make_heisenberg():
-    """The 3-D Heisenberg group in coordinates (n, h) = ((y, z), x).
+    """The 3-D Heisenberg group in coordinates (n, t) = ((y, z), x).
 
     Triple product (x,y,z)(x',y',z') = (x+x', y+y', z+z'+x y'); N is the
     abelian normal subgroup {(0, y, z)} and the cross-section is x |-> (x,0,0).
@@ -211,11 +200,6 @@ def _make_heisenberg():
         name="heisenberg",
         dim_N=2,
         unimodular=True,
-        h_identity=0.0,
-        h_multiply=lambda x, y: x + y,
-        h_inverse=lambda x: -x,
-        h_parametrization=lambda t: t,
-        h_coordinate=lambda h: h,
         conjugation_action=_heis_conjugation,
         modular_on_H=lambda x: 1.0,
     )

@@ -134,15 +134,14 @@ class CharacterSlice:
 
 
 def _orbit_map(model: GroupExtensionModel, h_grid: Grid1D, sigma0s) -> np.ndarray:
-    """h(t_s).sigma0 at every quotient point t_s of k orbits, shape (k, n, d),
+    """t_s.sigma0 at every quotient point t_s of k orbits, shape (k, n, d),
     from one array dual_action call."""
-    hs = np.array([model.h_parametrization(t) for t in h_grid.points()])
-    return np.moveaxis(model.dual_action(hs, np.transpose(sigma0s)), -1, 0)
+    return np.moveaxis(model.dual_action(h_grid.points(), np.transpose(sigma0s)), -1, 0)
 
 
 def pair_orbits(cs: CharacterSlice, dual: DualOrbitModel, sigma0s):
     """Pairing tables of k orbits, shape (k, n, n): row s of table i pairs
-    every h-slice of g with the character at the dual parameter h(t_s).sigma0_i.
+    every h-slice of g with the character at the dual parameter t_s.sigma0_i.
     The k orbit maps come from one dual_action call and go to one pair
     call, so the trailing N axis is contracted for all k orbits with one
     GEMM.  The same table backs both the operator kernel (rows are the
@@ -183,12 +182,11 @@ def induced_rep_matrix(
 ) -> np.ndarray:
     """Matrix of the induced representation of x on the quotient grid.
 
-    (rep(x) f)(xi) = chi_{xi.sigma0}(n_x) f(h_x^{-1} xi): a diagonal phase
+    (rep(x) f)(xi) = chi_{xi.sigma0}(n_x) f(xi - t_x): a diagonal phase
     times an index shift.  x must translate the quotient grid onto its own
     lattice; rows shifted off the grid are zero.
     """
-    t_x = model.h_coordinate(x.h)
-    s = t_x / h_grid.spacing
+    s = x.h / h_grid.spacing
     si = int(round(s))
     if abs(s - si) > 1e-9:
         raise ValueError("group element must shift the quotient grid onto itself")

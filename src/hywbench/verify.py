@@ -150,7 +150,8 @@ def _require_mass(res: CheckResult) -> CheckResult:
     and proves nothing."""
     if res.lhs != 0.0:
         return res
-    return replace(res, passed=False, detail=f"{res.detail}: no transform mass, lhs = 0")
+    detail = ": ".join(filter(None, (res.detail, "no transform mass, lhs = 0")))
+    return replace(res, passed=False, detail=detail)
 
 
 def babenko_constant(p: float, dim: int = 1, regime: str = "sharp") -> float:
@@ -449,6 +450,9 @@ def check_proof_chain(
     brute-force per-slice bound behind that link gets 1e-6; it fails when
     every slice has negligible mass (its ratio is then NaN).  At p = 2 every
     link of the V chain collapses to an equality, added at 1e-2 relative.
+    When V0 is exactly 0 the fixture has no transform mass, and every result
+    with an lhs of 0 fails (the rule of _require_mass, keyed on V0 rather
+    than on each lhs, since one orbit's lhs may be 0 while V0 is not).
 
     The results carry every V: averaging reports V0 <= V1, cauchy-schwarz
     V1 <= V2, minkowski-swap V2 <= V3 and slice-hausdorff-young V3 <= V4.
@@ -501,6 +505,8 @@ def check_proof_chain(
     if p == 2.0:  # every link of the V chain collapses to an equality
         for label, a, b, _ in links[:2] + links[4:]:  # not the two c <= V3 links
             results.append(equality_result(f"proof-chain:equal-at-two:{label}", a, b, eq))
+    if v0 == 0.0:  # no transform mass: the whole chain holds vacuously
+        results = [_require_mass(r) for r in results]
     return results
 
 
@@ -524,7 +530,7 @@ def check_semi_invariance(
     kvals = modular_on_grid(model, h_grid)  # the formal dimension operator K
     lhs = (a * kvals[None, :]) @ a.conj().T
     rhs = np.diag(kvals / model.modular(x))
-    si = int(round(model.h_coordinate(x.h) / h_grid.spacing))
+    si = int(round(x.h / h_grid.spacing))
     idx = np.arange(h_grid.n)
     window = idx[(idx - si >= 0) & (idx - si < h_grid.n)]
     sub = np.ix_(window, window)
@@ -542,29 +548,29 @@ def semi_invariance_suite(dual: DualOrbitModel, config, h_grid, count: int, seed
     for i in range(count):
         si = int(rng.integers(-h_grid.n // 4, h_grid.n // 4 + 1))
         n = rng.uniform(-2.0, 2.0, model.dim_N)
-        x = GroupElement(n, model.h_parametrization(si * h_grid.spacing))
+        x = GroupElement(n, si * h_grid.spacing)
         sigma0 = params[int(rng.integers(len(params)))]
         out.append(check_semi_invariance(model, sigma0, x, h_grid))
     return out
 
 
-def check_dual_measure_scaling(model: GroupExtensionModel, h, box_lo, box_hi) -> CheckResult:
+def check_dual_measure_scaling(model: GroupExtensionModel, t, box_lo, box_hi) -> CheckResult:
     """The quotient group acts on the frequency space of the normal subgroup,
-    and the image of a box under h scales its Lebesgue measure by exactly the
-    modular function of h; slack 1e-12 relative.
+    and the image of a box under t scales its Lebesgue measure by exactly the
+    modular function at t; slack 1e-12 relative.
 
     The action is linear, so the image of the box is the parallelepiped
     spanned by the images of its edges: its measure is |det E|, where column
-    j of E is the dual action of h on (hi_j - lo_j) e_j, in any dimension of
-    the normal subgroup.  The reference is the modular function of h times
+    j of E is the dual action of t on (hi_j - lo_j) e_j, in any dimension of
+    the normal subgroup.  The reference is the modular function at t times
     the box's measure; the two must agree to roundoff.
     """
     box_lo = np.atleast_1d(np.asarray(box_lo, dtype=float))
     box_hi = np.atleast_1d(np.asarray(box_hi, dtype=float))
     if box_lo.shape != (model.dim_N,) or np.any(box_hi <= box_lo):
         raise ValueError("need a nondegenerate box matching dim_N")
-    image = abs(np.linalg.det(model.dual_action(h, np.diag(box_hi - box_lo))))
-    reference = model.modular_on_H(h) * float(np.prod(box_hi - box_lo))
+    image = abs(np.linalg.det(model.dual_action(t, np.diag(box_hi - box_lo))))
+    reference = model.modular_on_H(t) * float(np.prod(box_hi - box_lo))
     return equality_result(
         "dual-measure-scaling", image, reference, TOLERANCES["measure"], detail=model.name
     )
@@ -572,16 +578,12 @@ def check_dual_measure_scaling(model: GroupExtensionModel, h, box_lo, box_hi) ->
 
 def dual_measure_suite(model: GroupExtensionModel, count: int, seed: int) -> list:
     rng = np.random.default_rng(seed)
-    out = [
-        check_dual_measure_scaling(
-            model, model.h_identity, -np.ones(model.dim_N), np.ones(model.dim_N)
-        )
-    ]
+    out = [check_dual_measure_scaling(model, 0.0, -np.ones(model.dim_N), np.ones(model.dim_N))]
     for _ in range(count - 1):
-        h = model.h_parametrization(rng.uniform(-3.0, 3.0))
+        t = rng.uniform(-3.0, 3.0)
         lo = rng.uniform(-3.0, 3.0, model.dim_N)
         hi = lo + rng.uniform(0.1, 3.0, model.dim_N)
-        out.append(check_dual_measure_scaling(model, h, lo, hi))
+        out.append(check_dual_measure_scaling(model, t, lo, hi))
     return out
 
 

@@ -24,6 +24,7 @@ from hywbench.cli import (
     RunConfig,
     build_config,
     _build_parser,
+    _summary,
     _write_atomic,
     explain,
     main,
@@ -126,6 +127,19 @@ def test_report_structure_and_summary_consistency(tmp_path):
     assert any(ln.startswith("# generated") for ln in lines)
 
 
+@pytest.mark.parametrize(
+    "kind, rhs, worst",
+    [("inequality", 1.0, "worst_inequality"), ("deviation", 0.0, "worst_equality")],
+)
+def test_summary_counts_nan_as_the_worst_in_any_order(kind, rhs, worst):
+    nan, five = (
+        {"name": name, "family": "f", "kind": kind, "lhs": lhs, "rhs": rhs, "passed": False}
+        for name, lhs in (("nan", float("nan")), ("five", 5.0))
+    )
+    for records in ([nan, five], [five, nan]):
+        assert _summary(records)[worst]["name"] == "nan", [r["name"] for r in records]
+
+
 def test_report_byte_identity_same_config(tmp_path):
     args = ["--group", "axb", "--seed", "4", "--checks", "semi-invariance,minkowski"]
     out1, out2 = (tmp_path / n for n in ("a.jsonl", "b.jsonl"))
@@ -212,12 +226,14 @@ def test_exponent_near_one_fails_closed_with_a_parseable_report(tmp_path, capsys
     for r in checks:  # every number is finite or one of the three strings
         assert all(isinstance(r[k], float) or r[k] in ("inf", "-inf", "nan") for k in ("lhs", "rhs"))
     assert records[-1]["failed"] >= len(overflowed)
-    assert records[-1]["worst_inequality"]["ratio"] == "inf"  # the summary too
+    # the summary too: the chain's inf/inf links give a NaN ratio, the worst in any order
+    assert records[-1]["worst_inequality"]["ratio"] == "nan"
 
 
-@pytest.mark.parametrize("family, failed", [("gaussian-extremality", 1), ("proof-chain", 3)])
+@pytest.mark.parametrize("family, failed", [("gaussian-extremality", 1), ("proof-chain", 24)])
 def test_all_negligible_slices_fail_closed_with_a_parseable_report(tmp_path, capsys, family, failed):
-    # on N extent [50, 60] every fixture samples to zero, so no slice is kept
+    # on N extent [50, 60] every fixture samples to zero, so no slice is kept;
+    # the chain's links, all at lhs 0, fail for want of transform mass
     cfg_file = tmp_path / "far.json"
     cfg_file.write_text(json.dumps({"group": "axb", "n_extents": [[50, 60]], "checks": [family]}))
     out = tmp_path / "far.jsonl"
@@ -227,7 +243,10 @@ def test_all_negligible_slices_fail_closed_with_a_parseable_report(tmp_path, cap
     failures = [r for r in records if r["record"] == "check" and not r["passed"]]
     assert len(failures) == records[-1]["failed"] == failed
     for r in failures:
-        assert r["detail"].split()[-2:] == ["0", "slices"] and "nan" in (r["lhs"], r["rhs"])
+        if r["name"] in ("gaussian-extremality", "proof-chain:slice-bound"):
+            assert r["detail"].split()[-2:] == ["0", "slices"] and "nan" in (r["lhs"], r["rhs"])
+        else:
+            assert r["detail"].endswith("no transform mass, lhs = 0") and r["lhs"] == 0.0
 
 
 @pytest.mark.parametrize(

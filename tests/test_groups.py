@@ -5,6 +5,7 @@ identity), not against the closed forms used internally, so these tests stay
 honest if the internal formulas are rewritten.
 """
 
+import math
 import types
 
 import numpy as np
@@ -24,12 +25,12 @@ def close_to(x, y, tol=1e-12):
 
 def identity(model):
     """The identity element of model."""
-    return GroupElement(np.zeros(model.dim_N), model.h_identity)
+    return GroupElement(np.zeros(model.dim_N), 0.0)
 
 
 def axb_element(b, t):
     model, _ = make_group("axb")
-    return model, GroupElement(np.array([b]), model.h_parametrization(t))
+    return model, GroupElement(np.array([b]), t)
 
 
 def heis_element(y, z, x):
@@ -62,13 +63,40 @@ def test_heisenberg_associative(y1, z1, x1, y2, z2, x2):
 def test_identity_and_inverse(name, data):
     model, _ = make_group(name)
     n = np.array([data.draw(finite) for _ in range(model.dim_N)])
-    h = model.h_parametrization(data.draw(finite))
-    x = GroupElement(n, h)
+    t = data.draw(finite)
+    x = GroupElement(n, t)
     e = identity(model)
     assert close_to(model.multiply(x, e), x)
     assert close_to(model.multiply(e, x), x)
     assert close_to(model.multiply(x, model.inverse(x)), e, tol=1e-9)
     assert close_to(model.multiply(model.inverse(x), x), e, tol=1e-9)
+
+
+@given(finite, finite, finite, finite, finite)
+def test_axb_t_form_is_the_paper_b_a_form(b1, t1, b2, t2, omega):
+    """With a = e^t the t-form law is the paper's (b, a)(b', a') = (b + a b', a a'),
+    (b, a)^-1 = (-b/a, 1/a), Delta = 1/a, and the dual action is omega/a."""
+    model, x = axb_element(b1, t1)
+    _, y = axb_element(b2, t2)
+    a1, a2 = math.exp(t1), math.exp(t2)
+    xy, inv = model.multiply(x, y), model.inverse(x)
+    assert xy.n[0] == pytest.approx(b1 + a1 * b2, rel=1e-12, abs=1e-12)
+    assert math.exp(xy.h) == pytest.approx(a1 * a2, rel=1e-12)
+    assert inv.n[0] == pytest.approx(-b1 / a1, rel=1e-12, abs=1e-12)
+    assert math.exp(inv.h) == pytest.approx(1.0 / a1, rel=1e-12)
+    assert model.modular(x) == pytest.approx(1.0 / a1, rel=1e-12)
+    moved = model.dual_action(t1, np.array([omega]))[0]
+    assert moved == pytest.approx(omega / a1, rel=1e-12, abs=1e-12)
+
+
+@given(finite, finite, finite, finite, finite, finite)
+def test_heisenberg_t_form_is_the_triple_product(y1, z1, x1, y2, z2, x2):
+    """(x,y,z)(x',y',z') = (x+x', y+y', z+z'+x y') with n = (y, z) and t = x."""
+    model, a = heis_element(y1, z1, x1)
+    _, b = heis_element(y2, z2, x2)
+    ab = model.multiply(a, b)
+    np.testing.assert_allclose(ab.n, [y1 + y2, z1 + z2 + x1 * y2], rtol=1e-12, atol=1e-12)
+    assert ab.h == pytest.approx(x1 + x2, rel=1e-12, abs=1e-12)
 
 
 def test_heisenberg_is_noncommutative():
@@ -103,13 +131,13 @@ def test_heisenberg_unimodular():
 @given(data=st.data())
 @settings(max_examples=50)
 def test_dual_action_defining_character_identity(name, data):
-    """chi_{h.omega}(n) must equal chi_omega(alpha(h)^-1 n alpha(h))."""
+    """chi_{t.omega}(n) must equal chi_omega(alpha(t)^-1 n alpha(t)), alpha(t)^-1 = alpha(-t)."""
     model, _ = make_group(name)
     omega = np.array([data.draw(finite) for _ in range(model.dim_N)])
     n = np.array([data.draw(finite) for _ in range(model.dim_N)])
-    h = model.h_parametrization(data.draw(st.floats(min_value=-2.0, max_value=2.0)))
-    moved = model.dual_action(h, omega)
-    conjugated = model.conjugation_action(model.h_inverse(h), n)
+    t = data.draw(st.floats(min_value=-2.0, max_value=2.0))
+    moved = model.dual_action(t, omega)
+    conjugated = model.conjugation_action(-t, n)
     assert character_value(moved, n) == pytest.approx(
         character_value(omega, conjugated), abs=1e-9
     )
@@ -121,16 +149,16 @@ def test_dual_action_defining_character_identity(name, data):
 def test_dual_action_is_an_action(name, data):
     model, _ = make_group(name)
     omega = np.array([data.draw(finite) for _ in range(model.dim_N)])
-    h1 = model.h_parametrization(data.draw(st.floats(min_value=-2.0, max_value=2.0)))
-    h2 = model.h_parametrization(data.draw(st.floats(min_value=-2.0, max_value=2.0)))
-    once = model.dual_action(h1, model.dual_action(h2, omega))
-    combined = model.dual_action(model.h_multiply(h1, h2), omega)
+    t1 = data.draw(st.floats(min_value=-2.0, max_value=2.0))
+    t2 = data.draw(st.floats(min_value=-2.0, max_value=2.0))
+    once = model.dual_action(t1, model.dual_action(t2, omega))
+    combined = model.dual_action(t1 + t2, omega)
     np.testing.assert_allclose(once, combined, rtol=1e-10, atol=1e-12)
 
 
 def test_axb_dual_action_closed_form():
     model, _ = make_group("axb")
-    np.testing.assert_allclose(model.dual_action(4.0, np.array([2.0])), [0.5])
+    np.testing.assert_allclose(model.dual_action(math.log(4.0), np.array([2.0])), [0.5])
 
 
 def test_heisenberg_dual_action_closed_form():
@@ -147,11 +175,11 @@ def test_array_dual_action_equals_scalar_calls(name):
 
     model, dual = make_group(name)
     _, h_grid = default_grids(name)
-    hs = np.array([model.h_parametrization(t) for t in h_grid.points()])
+    ts = h_grid.points()
     params, _ = dual.transversal(default_sampling_config(name))
     for sigma0 in params:
-        rows = model.dual_action(hs, sigma0)
-        scalar = np.stack([model.dual_action(h, sigma0) for h in hs])
+        rows = model.dual_action(ts, sigma0)
+        scalar = np.stack([model.dual_action(t, sigma0) for t in ts])
         assert rows.shape == (h_grid.n, model.dim_N)
         assert np.array_equal(rows, scalar)
 
@@ -161,10 +189,10 @@ def test_conjugation_matrix_matches_action():
         model, _ = make_group(name)
         rng = np.random.default_rng(3)
         for _ in range(10):
-            h = model.h_parametrization(rng.uniform(-2, 2))
+            t = rng.uniform(-2, 2)
             n = rng.standard_normal(model.dim_N)
             np.testing.assert_allclose(
-                model.conjugation_matrix(h) @ n, model.conjugation_action(h, n)
+                model.conjugation_matrix(t) @ n, model.conjugation_action(t, n)
             )
 
 

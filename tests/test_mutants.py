@@ -109,8 +109,9 @@ def exponents_swapped(cross_norm_qpq):
     return swapped
 
 
-def action_at_h(dual_action):
-    return lambda model, h, omega: dual_action(model, model.h_inverse(h), omega)
+def action_at_t(dual_action):
+    """The dual action conjugating at t instead of -t."""
+    return lambda model, t, omega: dual_action(model, -t, omega)
 
 
 # defect -> (where it is planted, the run that catches it, the checks it fails)
@@ -176,11 +177,12 @@ MUTANTS = {
             "proof-chain:minkowski-swap": 3,
         },
     ),
-    # the dual action taken at h instead of h^-1: on ax+b the image measure
-    # scales by 1/Delta(h), so every box but the identity's fails (the
-    # Heisenberg shear preserves area either way)
+    # the dual action taken at t instead of -t (the id keeps the quotient
+    # point's field name h): on ax+b the image measure scales by 1/Delta(t),
+    # so every box but the identity's fails (the Heisenberg shear preserves
+    # area either way)
     "dual-action-at-h": (
-        (groups.GroupExtensionModel, "dual_action", action_at_h),
+        (groups.GroupExtensionModel, "dual_action", action_at_t),
         RunConfig(group="axb", checks=("dual-measure-scaling",)),
         {"dual-measure-scaling": 99},
     ),

@@ -1,4 +1,4 @@
-"""tools/report_bodies.py: one digest per fixed ``hyw run`` config."""
+"""tools/report_bodies.py: one digest per fixed ``hyw run`` config and per demo."""
 
 import importlib.util
 import os
@@ -16,6 +16,16 @@ spec.loader.exec_module(report_bodies)
 @pytest.mark.parametrize("args", report_bodies.CONFIGS)
 def test_every_listed_config_validates(args):
     build_config(_build_parser().parse_args(["run", *args.split()]))
+
+
+def test_the_demo_list_is_every_demo():
+    names = os.listdir(os.path.join(ROOT, "demos"))
+    assert sorted(report_bodies.DEMOS) == sorted(f"demos/{n}" for n in names if n.endswith(".py"))
+
+
+def test_a_demo_gives_the_same_digest_twice():
+    first = report_bodies.demo_digest("demos/01_group_models.py")
+    assert len(first) == 64 and report_bodies.demo_digest("demos/01_group_models.py") == first
 
 
 def test_a_config_gives_the_same_digest_twice():

@@ -180,8 +180,8 @@ def test_induced_rep_is_multiplicative():
     sigma0 = np.array([1.0])
     rng = np.random.default_rng(0)
     # shifts by whole grid steps compose exactly on the overlap window
-    x = GroupElement(np.array([0.7]), AXB.h_parametrization(4 * gh.spacing))
-    y = GroupElement(np.array([-0.2]), AXB.h_parametrization(-2 * gh.spacing))
+    x = GroupElement(np.array([0.7]), 4 * gh.spacing)
+    y = GroupElement(np.array([-0.2]), -2 * gh.spacing)
     ax = induced_rep_matrix(AXB, sigma0, x, gh)
     ay = induced_rep_matrix(AXB, sigma0, y, gh)
     axy = induced_rep_matrix(AXB, sigma0, AXB.multiply(x, y), gh)
@@ -210,13 +210,8 @@ def test_induced_rep_phases_equal_the_per_point_construction(model):
     for _ in range(50):
         sigma0 = rng.uniform(-2.0, 2.0, model.dim_N)
         si = int(rng.integers(-5, 6))
-        x = GroupElement(rng.uniform(-3.0, 3.0, model.dim_N), model.h_parametrization(si * gh.spacing))
-        want = np.array(
-            [
-                character_value(model.dual_action(model.h_parametrization(t), sigma0), x.n)
-                for t in gh.points()
-            ]
-        )
+        x = GroupElement(rng.uniform(-3.0, 3.0, model.dim_N), si * gh.spacing)
+        want = np.array([character_value(model.dual_action(t, sigma0), x.n) for t in gh.points()])
         a = induced_rep_matrix(model, sigma0, x, gh)
         assert np.count_nonzero(a) == gh.n - abs(si)
         np.testing.assert_array_equal(np.diagonal(a, -si), want[max(0, si) : gh.n + min(0, si)])
@@ -224,7 +219,7 @@ def test_induced_rep_phases_equal_the_per_point_construction(model):
 
 def test_induced_rep_rejects_off_grid_shift():
     gh = Grid1D(-2.0, 2.0, 16)
-    x = GroupElement(np.array([0.0]), AXB.h_parametrization(0.3 * gh.spacing))
+    x = GroupElement(np.array([0.0]), 0.3 * gh.spacing)
     with pytest.raises(ValueError):
         induced_rep_matrix(AXB, np.array([1.0]), x, gh)
 
@@ -260,7 +255,7 @@ def test_translation_along_n_is_the_induced_representation(group, shifts, stride
         g = sample(spec, n_grids, h_grid, model)
         tables = pair_orbits(CharacterSlice(g), dual, params)
         for steps in shifts:
-            x = GroupElement([s * gr.spacing for s, gr in zip(steps, n_grids)], model.h_identity)
+            x = GroupElement([s * gr.spacing for s, gr in zip(steps, n_grids)], 0.0)
             moved = pair_orbits(CharacterSlice(shifted_along_n(g, steps)), dual, params)
             for sigma0, table, got in zip(params, tables, moved):
                 want = induced_rep_matrix(model, sigma0, x, h_grid) @ table
@@ -268,7 +263,7 @@ def test_translation_along_n_is_the_induced_representation(group, shifts, stride
 
 
 def shifted_along_h(g, steps):
-    """g(n, t + h_x) on g's grids, h_x being steps lattice steps of the H
+    """g(n, t + t_x) on g's grids, t_x being steps lattice steps of the H
     grid: the samples move steps down the H axis, vacated ones are 0."""
     n = g.h_grid.n
     values = np.zeros_like(g.values)
@@ -281,8 +276,8 @@ def shifted_along_h(g, steps):
 # fails it on ax+b at 0.12 to 0.25
 @pytest.mark.parametrize("group, stride", [("axb", 1), ("heisenberg", 8)])
 def test_translation_along_h_shifts_the_kernel_columns(group, stride):
-    """Right translation by x = (0, h_x), h_x = si steps of the H grid, moves
-    column m - si of the kernel to column m, times Delta(h_x)^(1/q - 1):
+    """Right translation by x = (0, t_x), t_x = si steps of the H grid, moves
+    column m - si of the kernel to column m, times Delta(t_x)^(1/q - 1):
 
         k_{R_x g}(xi, gamma) = Delta(x)^(1/q - 1) k_g(xi, x^-1 gamma),
 
@@ -300,7 +295,7 @@ def test_translation_along_h_shifts_the_kernel_columns(group, stride):
         tables = pair_orbits(CharacterSlice(g), dual, params)
         for si in (3, -5):
             moved = pair_orbits(CharacterSlice(shifted_along_h(g, si)), dual, params)
-            delta_x = model.modular_on_H(model.h_parametrization(si * h_grid.spacing))
+            delta_x = model.modular_on_H(si * h_grid.spacing)
             cols = np.arange(max(0, si), n + min(0, si))
             for table, got in zip(tables, moved):
                 for q in (3.0, 2.0):
@@ -380,7 +375,7 @@ def test_kernel_matches_direct_representation_sum():
     direct = np.zeros((gh.n, gh.n), dtype=np.complex128)
     for a, nval in enumerate(gn.points()):
         for b, tval in enumerate(gh.points()):
-            x = GroupElement(np.array([nval]), AXB.h_parametrization(tval))
+            x = GroupElement(np.array([nval]), tval)
             rep = induced_rep_matrix(AXB, sigma0, x, gh)
             direct += f.values[a, b] * AXB.modular(x) * gn.spacing * gh.spacing * rep
     np.testing.assert_allclose(direct, k.values * k.gamma_weights[None, :], atol=1e-12)

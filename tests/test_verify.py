@@ -202,8 +202,8 @@ def test_russo_fournier_diagonal_equality():
 
 def test_dual_measure_axb_closed_form():
     model, _ = make_group("axb")
-    # dilation by a = 2 halves interval length, and the modular factor is 1/2
-    r = check_dual_measure_scaling(model, 2.0, [-1.0], [3.0])
+    # dilation by a = 2 (t = log 2) halves interval length, and the modular factor is 1/2
+    r = check_dual_measure_scaling(model, math.log(2.0), [-1.0], [3.0])
     assert r.passed
     assert r.lhs == pytest.approx(2.0, rel=1e-14)
     assert r.rhs == pytest.approx(0.5 * 4.0, rel=1e-14)
@@ -218,21 +218,23 @@ def test_dual_measure_heisenberg_shear_preserves_area():
 
 
 def test_dual_measure_in_three_dimensions():
-    # R^3 x| R_+ with a acting by diag(a, a^2, 1/a) plus a shear, of det a^2:
+    # R^3 x| R_+ with a = e^t acting by diag(a, a^2, 1/a) plus a shear, of det a^2:
     # the dual action at a = 2 scales measure by 1/4, and the box is 1.5 * 2 * 0.5
     axb, _ = make_group("axb")
     shear = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
-    def action(a, n):
-        return (np.diag([a, a * a, 1.0 / a]) + math.log(a) * shear) @ np.asarray(n, dtype=float)
+    def action(t, n):
+        a = math.exp(t)
+        return (np.diag([a, a * a, 1.0 / a]) + t * shear) @ np.asarray(n, dtype=float)
 
     model = dataclasses.replace(axb, name="dilations-3d", dim_N=3, conjugation_action=action,
-                                modular_on_H=lambda a: a**-2.0)
-    r = check_dual_measure_scaling(model, 2.0, [0.0, -1.0, 1.0], [1.5, 1.0, 1.5])
+                                modular_on_H=lambda t: math.exp(t)**-2.0)
+    r = check_dual_measure_scaling(model, math.log(2.0), [0.0, -1.0, 1.0], [1.5, 1.0, 1.5])
     assert r.passed
     assert r.rhs == pytest.approx(0.25 * 1.5, rel=1e-14)
-    wrong = dataclasses.replace(model, modular_on_H=lambda a: a**-3.0)
-    assert not check_dual_measure_scaling(wrong, 2.0, [0.0, -1.0, 1.0], [1.5, 1.0, 1.5]).passed
+    wrong = dataclasses.replace(model, modular_on_H=lambda t: math.exp(t)**-3.0)
+    r_wrong = check_dual_measure_scaling(wrong, math.log(2.0), [0.0, -1.0, 1.0], [1.5, 1.0, 1.5])
+    assert not r_wrong.passed
 
 
 def test_dual_measure_suites():
@@ -258,7 +260,7 @@ def test_semi_invariance_identity_is_exact():
         model, dual = make_group(name)
         _, h_grid = default_grids(name)
         params, _ = dual.transversal(default_sampling_config(name))
-        x = GroupElement(np.zeros(model.dim_N), model.h_identity)
+        x = GroupElement(np.zeros(model.dim_N), 0.0)
         r = check_semi_invariance(model, params[0], x, h_grid)
         assert r.passed and r.lhs == 0.0
 
@@ -276,7 +278,7 @@ def test_semi_invariance_rejects_off_grid_shift():
     model, dual = make_group("axb")
     _, h_grid = default_grids("axb")
     params, _ = dual.transversal(None)
-    x = GroupElement(np.zeros(1), model.h_parametrization(0.3 * h_grid.spacing))
+    x = GroupElement(np.zeros(1), 0.3 * h_grid.spacing)
     with pytest.raises(ValueError):
         check_semi_invariance(model, params[0], x, h_grid)
 

@@ -1,11 +1,14 @@
-"""Digest the deterministic body of a fixed list of ``hyw run`` reports.
+"""Digest the deterministic body of a fixed list of ``hyw run`` reports and
+the stdout of every demo.
 
 The body of a report is every line that is not a ``#`` comment; the report
 format promises it is byte-identical across runs with the same configuration,
 seed, numpy/BLAS build and BLAS thread count.  Each config below runs in a
 fresh interpreter on the package source next to this file, with one BLAS
-thread, and prints one ``sha256  args`` line.  To check that a change leaves
-every body alone, run it in both checkouts and diff the output:
+thread, and prints one ``sha256  args`` line; each demo then prints one
+``sha256  demos/NN_name.py`` line for its stdout.  To check that a change
+leaves every body and demo output alone, run it in both checkouts and diff
+the output:
 
     python3 tools/report_bodies.py > after.txt
 """
@@ -27,17 +30,29 @@ CONFIGS = (
     "--group heisenberg --checks gaussian-extremality,proof-chain --p 1.5,1.8",
     "--group heisenberg --grid-n 4 --grid-h 4",
 )
+DEMOS = (
+    "demos/01_group_models.py",
+    "demos/02_plancherel.py",
+    "demos/03_hausdorff_young.py",
+    "demos/04_proof_chain.py",
+    "demos/05_kernel_inequalities.py",
+)
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def _env() -> dict:
+    """This environment with one BLAS thread and the package source first on the path."""
+    env = dict(os.environ, **ONE_THREAD)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (os.path.join(ROOT, "src"), env.get("PYTHONPATH"))))
+    return env
 
 
 def digest(args: str) -> str:
     """sha256 of the non-comment lines of the report of ``hyw run args``."""
-    env = dict(os.environ, **ONE_THREAD)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (os.path.join(ROOT, "src"), env.get("PYTHONPATH"))))
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "report.jsonl")
         cmd = [sys.executable, "-m", "hywbench.cli", "run", *args.split(), "--quiet", "--out", out]
-        done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+        done = subprocess.run(cmd, env=_env(), capture_output=True, text=True)
         if done.returncode not in (0, 1):  # 1: a check failed, and the body still counts
             raise RuntimeError(f"hyw run {args}: exit {done.returncode}: {done.stderr.strip()}")
         with open(out, encoding="utf-8") as fh:
@@ -45,9 +60,20 @@ def digest(args: str) -> str:
     return hashlib.sha256(body.encode()).hexdigest()
 
 
+def demo_digest(path: str) -> str:
+    """sha256 of the stdout of the demo at path, relative to the repo root."""
+    cmd = [sys.executable, os.path.join(ROOT, path)]
+    done = subprocess.run(cmd, env=_env(), capture_output=True)
+    if done.returncode:
+        raise RuntimeError(f"{path}: exit {done.returncode}: {done.stderr.decode().strip()}")
+    return hashlib.sha256(done.stdout).hexdigest()
+
+
 def main() -> int:
     for args in CONFIGS:
         print(f"{digest(args)}  {args}", flush=True)
+    for path in DEMOS:
+        print(f"{demo_digest(path)}  {path}", flush=True)
     return 0
 
 
