@@ -11,13 +11,20 @@ import math
 
 import numpy as np
 
+from hywbench.grids import modular_on_grid
 from hywbench.groups import GroupElement, make_group
 from hywbench.verify import check_semi_invariance, default_grids
+
+
+def unimodular(model):
+    """Whether the modular function is 1 at every point of the default H grid."""
+    return bool(np.all(modular_on_grid(model, default_grids(model.name)[1]) == 1.0))
+
 
 # -- the affine line -----------------------------------------------------------------
 
 model, dual = make_group("axb")
-print(f"group: {model.name}, dim N = {model.dim_N}, unimodular = {model.unimodular}")
+print(f"group: {model.name}, dim N = {model.dim_N}, unimodular = {unimodular(model)}")
 
 
 
@@ -52,7 +59,7 @@ print(f"semi-invariance of the formal dimension operator: deviation {r.lhs:.2e}"
 # -- the Heisenberg group ------------------------------------------------------------
 
 model_h, dual_h = make_group("heisenberg")
-print(f"\ngroup: {model_h.name}, dim N = {model_h.dim_N}, unimodular = {model_h.unimodular}")
+print(f"\ngroup: {model_h.name}, dim N = {model_h.dim_N}, unimodular = {unimodular(model_h)}")
 
 # N holds the (y, z) pair, H the x coordinate; conjugation shears z by x*y,
 # so the commutator of two elements lands in the center

@@ -247,8 +247,10 @@ FAMILY_TABLE = {
 
 class _Run:
     """What the families of one run read: the group model and dual, the grids,
-    the dual sampling, the fixture pools and a spectral record per pooled recipe,
-    built on first request at what the plan says the selected families need.
+    the modular function delta on the H grid (the model record's unimodular
+    is whether it is 1 everywhere), the dual sampling, the fixture pools and a
+    spectral record per pooled recipe, built on first request at what the
+    plan says the selected families need.
     record_s sums the time spent building records.  The run keeps no sampled
     fixture: cases holds one at a time, and a record holds none.
 
@@ -261,10 +263,10 @@ class _Run:
         self.model, self.dual = make_group(cfg.group)
         self.n_grids, self.h_grid = cfg.grids()
         try:
-            delta = modular_on_grid(self.model, self.h_grid)
+            self.delta = modular_on_grid(self.model, self.h_grid)
         except ArithmeticError:  # 1 / exp(t) with exp(t) underflowed to 0
-            delta = np.array([np.nan])
-        if not 0 < delta.min() <= delta.max() < np.inf:
+            self.delta = np.array([np.nan])
+        if not 0 < self.delta.min() <= self.delta.max() < np.inf:
             extent = f"[{self.h_grid.lo:g}, {self.h_grid.hi:g}]"
             raise ConfigError(f"h_extent {extent}: modular function not finite and positive")
         self.sampling = default_sampling_config(cfg.group)
@@ -380,7 +382,7 @@ def _model_record(run: _Run):
     rec = {
         "group": model.name,
         "dim_N": model.dim_N,
-        "unimodular": model.unimodular,
+        "unimodular": bool(np.all(run.delta == 1.0)),
         "n_grids": [[g.lo, g.hi, g.n] for g in run.n_grids],
         "h_grid": [run.h_grid.lo, run.h_grid.hi, run.h_grid.n],
     }
@@ -395,11 +397,15 @@ def _badness(value):
 
 
 def _summary(records):
+    """Counts, and the worst inequality by lhs / rhs and the worst equality or
+    deviation.  An inequality whose rhs is NaN or not positive has no ratio:
+    it takes part with ratio NaN, the worst, if it failed, and not at all if
+    it passed."""
     passed = sum(r["passed"] for r in records)
     worst_ineq = worst_eq = None
     for r in records:
-        if r["kind"] == "inequality" and r["rhs"] > 0:
-            ratio = r["lhs"] / r["rhs"]
+        if r["kind"] == "inequality" and (r["rhs"] > 0 or not r["passed"]):
+            ratio = r["lhs"] / r["rhs"] if r["rhs"] > 0 else math.nan
             if worst_ineq is None or _badness(ratio) > _badness(worst_ineq["ratio"]):
                 worst_ineq = {"name": r["name"], "family": r["family"], "ratio": ratio}
         elif r["kind"] in ("equality", "deviation"):

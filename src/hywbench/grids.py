@@ -11,7 +11,8 @@ The weighted norms on the full group include the modular density on H, i.e.
 
     ||g||_p^p = sum |g|^p * w_N(n) * Delta_G(h) * w_H(h).
 
-Binary fixture format (one function per file):
+Binary fixture format (one function per file, written by save_sampled for
+``hyw fixtures``; nothing in the package reads it back):
 
     HYW1 <counts> <extents> <seed>\n
 
@@ -41,7 +42,6 @@ __all__ = [
     "lp_norm_G",
     "modular_on_grid",
     "save_sampled",
-    "load_sampled",
     "fixture_checksum",
 ]
 
@@ -289,27 +289,6 @@ def _serialize(g: SampledFunction) -> bytes:
 def save_sampled(g: SampledFunction, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_serialize(g))
-
-
-def load_sampled(path, model) -> SampledFunction:
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip()
-        body = fh.read()
-    parts = header.split(" ")
-    if len(parts) != 4 or parts[0] != "HYW1":
-        raise ValueError(f"not a HYW1 fixture: header {header!r}")
-    counts = [int(c) for c in parts[1].split(",")]
-    extents = [tuple(float(v) for v in e.split(":")) for e in parts[2].split(",")]
-    if len(counts) != len(extents) or len(counts) < 2:
-        raise ValueError("malformed HYW1 header")
-    grids = [Grid1D(lo, hi, c) for c, (lo, hi) in zip(counts, extents)]
-    values = np.frombuffer(body, dtype="<c16")
-    if values.size != int(np.prod(counts)):
-        raise ValueError("HYW1 payload size does not match the header counts")
-    values = values.reshape(counts).astype(np.complex128)
-    return SampledFunction(
-        model=model, n_grids=tuple(grids[:-1]), h_grid=grids[-1], values=values
-    )
 
 
 def fixture_checksum(g: SampledFunction) -> str:

@@ -62,12 +62,13 @@ class GroupExtensionModel:
 
     A quotient point is its Haar coordinate t, so H multiplies by adding t.
     conjugation_action and modular_on_H take t; conjugation_action also takes
-    an array of quotient points and then answers one row per point.
+    an array of quotient points and then answers one row per point.  G is
+    unimodular where modular_on_H is 1; a reader that needs to know tests
+    Delta on its own grid (grids.modular_on_grid).
     """
 
     name: str
     dim_N: int
-    unimodular: bool
     conjugation_action: Callable[[float, np.ndarray], np.ndarray]
     modular_on_H: Callable[[float], float]
 
@@ -85,22 +86,17 @@ class GroupExtensionModel:
 
     # -- dual action -----------------------------------------------------------
 
-    def conjugation_matrix(self, t) -> np.ndarray:
-        """Matrix of n |-> alpha(t) n alpha(t)^-1 on N (exact: actions are linear).
-
-        For an array of quotient points, a stack of matrices, one per point.
-        """
-        cols = [self.conjugation_action(t, e) for e in np.eye(self.dim_N)]
-        return np.stack(cols, axis=-1)
-
     def dual_action(self, t, omega) -> np.ndarray:
         """Parameter of the character chi_omega composed with conjugation at -t.
 
         For an array of quotient points, one row per point.  omega may hold
         one parameter per column; the image of column j is then column j of
-        the answer (of each row's answer, for an array of points).
+        the answer (of each row's answer, for an array of points).  The
+        matrix of n |-> alpha(-t) n alpha(-t)^-1 on N has the images of the
+        unit vectors as its columns (exact: the actions are linear); for an
+        array of points it is a stack of matrices, one per point.
         """
-        a = self.conjugation_matrix(-t)
+        a = np.stack([self.conjugation_action(-t, e) for e in np.eye(self.dim_N)], axis=-1)
         return np.swapaxes(a, -1, -2) @ np.atleast_1d(np.asarray(omega, dtype=float))
 
 
@@ -172,7 +168,6 @@ def _make_axb():
     model = GroupExtensionModel(
         name="axb",
         dim_N=1,
-        unimodular=False,
         conjugation_action=_axb_conjugation,
         modular_on_H=lambda t: 1.0 / math.exp(t),
     )
@@ -199,7 +194,6 @@ def _make_heisenberg():
     model = GroupExtensionModel(
         name="heisenberg",
         dim_N=2,
-        unimodular=True,
         conjugation_action=_heis_conjugation,
         modular_on_H=lambda x: 1.0,
     )

@@ -279,7 +279,7 @@ def spectral_record(
     on the exponent: it is built once per orbit, and with two or more
     exponents below 2 one SVD per orbit serves them all.  Elsewhere
     Delta^(1/q) changes the spectrum, so every exponent gets its own kernel
-    and SVD.  The test reads Delta itself, not the model's unimodular flag.
+    and SVD.  The test reads Delta on g's H grid, as the model record does.
     Each kernel holds only the rows of its orbit that stay in band, so the
     SVD and both cross norms run on an r x n matrix; the slice mass reads the
     full pairing table, whose out-of-band rows add exact zeros.  ||g||_p is

@@ -31,6 +31,8 @@ from hywbench.cli import (
     run_suite,
     write_fixture_files,
 )
+from hywbench.grids import Grid1D, modular_on_grid
+from hywbench.groups import make_group
 
 
 def parse_report(path):
@@ -140,6 +142,34 @@ def test_summary_counts_nan_as_the_worst_in_any_order(kind, rhs, worst):
         assert _summary(records)[worst]["name"] == "nan", [r["name"] for r in records]
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"group": "axb", "checks": ["gaussian-extremality"], "n_extents": [[1000, 1016]]},
+        {"group": "axb", "checks": ["plancherel", "hausdorff-young"], "n_extents": [[50, 60]]},
+    ],
+)
+def test_summary_names_a_failed_inequality_without_a_ratio(tmp_path, config):
+    # every fixture samples to zero: the failed inequalities have rhs NaN
+    # (no slice kept) or lhs = rhs = 0 (no transform mass), and no ratio
+    cfg_file = tmp_path / "far.json"
+    cfg_file.write_text(json.dumps(config))
+    out = tmp_path / "far.jsonl"
+    assert run_main(["--config", str(cfg_file), "--out", str(out)]) == 1
+    _, _, records = parse_report(out)
+    failed = [r for r in records if r["record"] == "check" and r["kind"] == "inequality"
+              and not r["passed"]]
+    assert failed and all(r["rhs"] == "nan" or r["rhs"] <= 0 for r in failed)
+    worst = records[-1]["worst_inequality"]
+    assert worst["ratio"] == "nan" and worst["family"] in config["checks"]
+
+
+def test_summary_leaves_out_a_passed_inequality_without_a_ratio():
+    zero = {"name": "zero", "family": "f", "kind": "inequality", "lhs": 0.0, "rhs": 0.0}
+    assert _summary([{**zero, "passed": True}])["worst_inequality"] is None
+    assert np.isnan(_summary([{**zero, "passed": False}])["worst_inequality"]["ratio"])
+
+
 def test_report_byte_identity_same_config(tmp_path):
     args = ["--group", "axb", "--seed", "4", "--checks", "semi-invariance,minkowski"]
     out1, out2 = (tmp_path / n for n in ("a.jsonl", "b.jsonl"))
@@ -159,12 +189,17 @@ def test_report_differs_across_seeds(tmp_path):
 
 
 def test_model_record_fields(tmp_path):
-    out = tmp_path / "m.jsonl"
-    run_main(["--group", "heisenberg", "--seed", "0", "--checks", "dual-measure-scaling",
-              "--out", str(out)])
-    model = [r for r in parse_report(out)[2] if r["record"] == "model"][0]
-    assert model["dim_N"] == 2 and model["unimodular"] is True
-    assert len(model["n_grids"]) == 2 and "dual_sampling" in model
+    for group, dim_N, unimodular in (("axb", 1, False), ("heisenberg", 2, True)):
+        out = tmp_path / f"{group}.jsonl"
+        run_main(["--group", group, "--seed", "0", "--checks", "dual-measure-scaling",
+                  "--out", str(out)])
+        model = [r for r in parse_report(out)[2] if r["record"] == "model"][0]
+        # unimodular reads the modular function on the run's H grid
+        delta = modular_on_grid(make_group(group)[0], Grid1D(*model["h_grid"]))
+        assert model["dim_N"] == dim_N and model["unimodular"] is unimodular
+        assert unimodular is bool(np.all(delta == 1.0))
+        assert len(model["n_grids"]) == dim_N
+        assert ("dual_sampling" in model) is (group == "heisenberg")
 
 
 # -- exit codes ---------------------------------------------------------------------

@@ -14,7 +14,6 @@ from hywbench.grids import (
     SampledFunction,
     TestFunctionSpec,
     fixture_checksum,
-    load_sampled,
     lp_norm_G,
     make_grids,
     sample,
@@ -264,24 +263,13 @@ def test_fixture_roundtrip(tmp_path):
     f = sample(spec, (gy, gz), gx, HEIS)
     path = tmp_path / "f.hyw"
     save_sampled(f, path)
-    g = load_sampled(path, HEIS)
-    np.testing.assert_array_equal(f.values, g.values)
-    assert [gr.n for gr in g.n_grids] == [16, 8]
-    assert (g.h_grid.lo, g.h_grid.hi) == (-4.0, 4.0)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    assert header == b"HYW1 16,8,16 -4:4,-2:2,-4:4 5"
+    np.testing.assert_array_equal(np.frombuffer(payload, "<c16"), f.values.ravel())
     # serialization is deterministic
     path2 = tmp_path / "g.hyw"
     save_sampled(f, path2)
     assert path.read_bytes() == path2.read_bytes()
-
-
-def test_fixture_rejects_garbage(tmp_path):
-    p = tmp_path / "bad.hyw"
-    p.write_bytes(b"HYWX 4 0:1 0\n" + b"\x00" * 64)
-    with pytest.raises(ValueError):
-        load_sampled(p, AXB)
-    p.write_bytes(b"HYW1 4,4 0:1,0:1 0\n" + b"\x00" * 8)  # payload too short
-    with pytest.raises(ValueError):
-        load_sampled(p, AXB)
 
 
 def test_fixture_checksum_is_stable():

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hywbench.grids import Grid1D, modular_on_grid
 from hywbench.groups import DualSamplingConfig, GroupElement, character_value, make_group
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
@@ -123,7 +124,7 @@ def test_axb_modular_value():
 
 def test_heisenberg_unimodular():
     model, x = heis_element(1.0, -2.0, 0.7)
-    assert model.unimodular
+    assert np.all(modular_on_grid(model, Grid1D(-4.0, 4.0, 16)) == 1.0)
     assert model.modular(x) == 1.0
 
 
@@ -182,18 +183,6 @@ def test_array_dual_action_equals_scalar_calls(name):
         scalar = np.stack([model.dual_action(t, sigma0) for t in ts])
         assert rows.shape == (h_grid.n, model.dim_N)
         assert np.array_equal(rows, scalar)
-
-
-def test_conjugation_matrix_matches_action():
-    for name in ("axb", "heisenberg"):
-        model, _ = make_group(name)
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            t = rng.uniform(-2, 2)
-            n = rng.standard_normal(model.dim_N)
-            np.testing.assert_allclose(
-                model.conjugation_matrix(t) @ n, model.conjugation_action(t, n)
-            )
 
 
 @given(finite, finite, finite, finite)

@@ -26,6 +26,10 @@ appended to every kernel.  The kernel keeps only its nonzero rows, and
 restricting the codomain to them is an isometry, so a zero row must move no
 norm and no verdict.
 
+The no-modular-factor defect is also caught without a run: the ax+b kernel
+closed form in tests/test_oracle.py holds the exponent-0 kernel off by at
+least 1.2 of the largest entry on every catalog Gaussian, orbit and q.
+
 A defect must fail a check, not raise out of one, so no function in the
 package asserts: an assert turns a wrong value into a traceback, and under
 python -O it is gone.

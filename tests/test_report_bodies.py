@@ -1,4 +1,5 @@
-"""tools/report_bodies.py: one digest per fixed ``hyw run`` config and per demo."""
+"""tools/report_bodies.py: one digest per fixed ``hyw run`` config, per demo
+and per group's fixture manifest."""
 
 import importlib.util
 import os
@@ -32,3 +33,8 @@ def test_a_config_gives_the_same_digest_twice():
     (args,) = [a for a in report_bodies.CONFIGS if "--group axb" in a and "--grid-n 4" in a]
     first = report_bodies.digest(args)
     assert len(first) == 64 and report_bodies.digest(args) == first
+
+
+def test_the_axb_fixture_manifest_gives_the_same_digest_twice():
+    first = report_bodies.fixtures_digest("axb")
+    assert len(first) == 64 and report_bodies.fixtures_digest("axb") == first

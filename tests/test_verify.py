@@ -48,7 +48,7 @@ from hywbench.verify import (
     slice_ratios,
     spectral_record,
 )
-from hywbench.groups import DualOrbitModel, DualSamplingConfig, GroupElement
+from hywbench.groups import DualSamplingConfig, GroupElement
 
 
 def sample_fixture(group_name, spec):
@@ -348,26 +348,12 @@ def test_hausdorff_young_rejects_bad_exponent():
         hausdorff_young_margins(g, dual, (2.2,))
 
 
-def test_shared_kernel_reads_delta_not_the_unimodular_flag():
-    # ax+b declared unimodular: Delta is still not 1 on the grid, so every
-    # exponent keeps its own kernel and SVD and the record is the true one
-    model, dual = make_group("axb")
-    misdeclared = DualOrbitModel(dataclasses.replace(model, unimodular=True), dual.transversal)
-    g = sample_fixture("axb", random_fixtures("axb", 1)[0])
-    ps = (1.2, 1.5, 1.8)
-    true, mis = (spectral_record(g, d, ps, chain=(1.5,)) for d in (dual, misdeclared))
-    for p in ps:
-        assert np.array_equal(mis.sq[p], true.sq[p])
-    for a, b in zip(mis.chain[1.5], true.chain[1.5]):
-        assert np.array_equal(a, b)
-
-
 def test_one_svd_serves_every_exponent_on_heisenberg():
     model, dual = make_group("heisenberg")
     g = sample_fixture("heisenberg", random_fixtures("heisenberg", 1)[0])
     delta = modular_on_grid(model, g.h_grid)
     # unimodular: the kernel's column factor Delta^(1/q) is exactly 1 at every q
-    assert model.unimodular and np.array_equal(delta, np.ones(g.h_grid.n))
+    assert np.array_equal(delta, np.ones(g.h_grid.n))
     params, _ = dual.transversal(default_sampling_config("heisenberg"))
     qs = (2.25, 3.0, 6.0)
     for table in pair_orbits(CharacterSlice(g), dual, params[::21]):

@@ -1,14 +1,18 @@
-"""Digest the deterministic body of a fixed list of ``hyw run`` reports and
-the stdout of every demo.
+"""Digest the deterministic body of a fixed list of ``hyw run`` reports, the
+stdout of every demo and the fixture manifest of every group.
 
 The body of a report is every line that is not a ``#`` comment; the report
 format promises it is byte-identical across runs with the same configuration,
 seed, numpy/BLAS build and BLAS thread count.  Each config below runs in a
 fresh interpreter on the package source next to this file, with one BLAS
 thread, and prints one ``sha256  args`` line; each demo then prints one
-``sha256  demos/NN_name.py`` line for its stdout.  To check that a change
-leaves every body and demo output alone, run it in both checkouts and diff
-the output:
+``sha256  demos/NN_name.py`` line for its stdout, and each group one
+``sha256  fixtures --group G`` line for the sha256 manifest that
+``hyw fixtures --group G --seed 0`` writes (which pins the bytes of every
+HYW1 file; the Heisenberg files, about 80 MB, go to a temporary directory
+that is removed afterwards).  To check that a change leaves every body,
+demo output and fixture file alone, run it in both checkouts and diff the
+output:
 
     python3 tools/report_bodies.py > after.txt
 """
@@ -37,6 +41,7 @@ DEMOS = (
     "demos/04_proof_chain.py",
     "demos/05_kernel_inequalities.py",
 )
+FIXTURE_GROUPS = ("axb", "heisenberg")
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
@@ -69,11 +74,24 @@ def demo_digest(path: str) -> str:
     return hashlib.sha256(done.stdout).hexdigest()
 
 
+def fixtures_digest(group: str) -> str:
+    """sha256 of the manifest that ``hyw fixtures --group group --seed 0`` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cmd = [sys.executable, "-m", "hywbench.cli", "fixtures", "--group", group, "--out", tmp, "--seed", "0"]
+        done = subprocess.run(cmd, env=_env(), capture_output=True, text=True)
+        if done.returncode:
+            raise RuntimeError(f"hyw fixtures --group {group}: exit {done.returncode}: {done.stderr.strip()}")
+        with open(os.path.join(tmp, f"{group}-MANIFEST.sha256"), "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+
 def main() -> int:
     for args in CONFIGS:
         print(f"{digest(args)}  {args}", flush=True)
     for path in DEMOS:
         print(f"{demo_digest(path)}  {path}", flush=True)
+    for group in FIXTURE_GROUPS:
+        print(f"{fixtures_digest(group)}  fixtures --group {group}", flush=True)
     return 0
 
 
