@@ -46,7 +46,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .grids import fixture_checksum, make_grids, modular_on_grid, sample, save_sampled
+from .grids import make_grids, modular_on_grid, sample, save_sampled
 from .groups import GROUPS, make_group
 from . import verify
 from .verify import (
@@ -494,9 +494,7 @@ def write_fixture_files(group: str, out_dir: str, seed: int):
     for i, spec in enumerate(specs):
         g = sample(spec, n_grids, h_grid, model)
         fname = f"{group}-{spec.kind}-{i:02d}.hyw"
-        path = os.path.join(out_dir, fname)
-        save_sampled(g, path)
-        entries.append((fixture_checksum(g), fname))
+        entries.append((save_sampled(g, os.path.join(out_dir, fname)), fname))
     manifest = os.path.join(out_dir, f"{group}-MANIFEST.sha256")
     _write_atomic(manifest, "".join(f"{c}  {f}\n" for c, f in entries))
     return manifest

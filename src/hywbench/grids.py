@@ -42,7 +42,6 @@ __all__ = [
     "lp_norm_G",
     "modular_on_grid",
     "save_sampled",
-    "fixture_checksum",
 ]
 
 
@@ -276,21 +275,16 @@ def lp_norm_G(g: SampledFunction, p: float) -> float:
 # -- fixture I/O ----------------------------------------------------------------
 
 
-def _serialize(g: SampledFunction) -> bytes:
-    """The HYW1 bytes of one function: header line, then raw little-endian complex128."""
+def save_sampled(g: SampledFunction, path) -> str:
+    """Write the HYW1 bytes of g to path, once: the header line, then the
+    raw little-endian complex128 values.  Returns their sha256, the digest
+    a fixture manifest lists for the file."""
     grids = (*g.n_grids, g.h_grid)
     counts = ",".join(str(gr.n) for gr in grids)
     extents = ",".join(f"{gr.lo:.17g}:{gr.hi:.17g}" for gr in grids)
     seed = g.spec.seed if g.spec is not None else 0
     header = f"HYW1 {counts} {extents} {seed}\n".encode("ascii")
-    return header + np.ascontiguousarray(g.values.astype("<c16")).tobytes()
-
-
-def save_sampled(g: SampledFunction, path) -> None:
+    data = header + np.ascontiguousarray(g.values.astype("<c16")).tobytes()
     with open(path, "wb") as fh:
-        fh.write(_serialize(g))
-
-
-def fixture_checksum(g: SampledFunction) -> str:
-    """sha256 over the serialized bytes; used to freeze generated fixtures."""
-    return hashlib.sha256(_serialize(g)).hexdigest()
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "NumericalError",
     "conjugate_exponent",
     "schatten_norm",
     "schatten_norms",
@@ -37,10 +36,6 @@ __all__ = [
     "weighted_operator_matrix",
     "russo_gap",
 ]
-
-
-class NumericalError(RuntimeError):
-    """Raised when a linear algebra routine cannot deliver a trustworthy value."""
 
 
 def conjugate_exponent(p: float) -> float:
@@ -62,21 +57,23 @@ def schatten_norms(a: np.ndarray, ps) -> list:
     """[schatten_norm(a, p) for p in ps] from at most one SVD.
 
     At p = 2 it is the Frobenius norm: no SVD, and slightly more accurate
-    than powering singular values.
+    than powering singular values.  A norm that cannot be computed is NaN:
+    every norm is NaN when a has a non-finite entry or the SVD fails, so a
+    verdict that reads it fails rather than raises.
     """
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError("schatten_norm expects a matrix")
-    if not np.all(np.isfinite(a.view(float) if a.dtype.kind == "c" else a)):
-        raise NumericalError("matrix has non-finite entries")
     ps = [float(p) for p in ps]
     if not all(p >= 1.0 for p in ps):
         raise ValueError("need p >= 1")
+    if not np.all(np.isfinite(a.view(float) if a.dtype.kind == "c" else a)):
+        return [np.nan] * len(ps)
     if any(p != 2.0 for p in ps):
         try:
             s = np.linalg.svd(a, compute_uv=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("singular value computation failed") from exc
+        except np.linalg.LinAlgError:
+            return [np.nan] * len(ps)
     out = []
     for p in ps:
         if p == 2.0:

@@ -26,6 +26,7 @@ family asserts and at which default slack; ``hyw explain`` prints it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -597,14 +598,17 @@ def check_russo_fournier(kernel: WeightedKernel, p: float) -> CheckResult:
 
 def _random_suite(name: str, count: int, seed: int, trial) -> CheckResult:
     """Worst lhs/rhs ratio and violation count over count random inequality
-    checks; trial(rng) draws one check and returns its CheckResult."""
+    checks; trial(rng) draws one check and returns its CheckResult.  The
+    first trial with a NaN side is the worst, as in the run summary, and
+    stays the worst; ratios are compared without dividing by an rhs."""
     rng = np.random.default_rng(seed)
     violations = 0
     worst = (0.0, 1.0)
     for _ in range(count):
         r = trial(rng)
         violations += not r.passed
-        if r.lhs * worst[1] > worst[0] * r.rhs:  # larger lhs/rhs ratio
+        settled = math.isnan(sum(worst))  # a NaN trial, which stays the worst
+        if not settled and (math.isnan(r.lhs + r.rhs) or r.lhs * worst[1] > worst[0] * r.rhs):
             worst = (r.lhs, r.rhs)
     detail = f"{count} kernels, {violations} violations"
     return CheckResult(name, "inequality", *worst, TOLERANCES["linalg"], violations == 0, detail)
@@ -624,8 +628,8 @@ def russo_fournier_random_suite(count: int, seed: int) -> CheckResult:
     geometric mean of the mixed (q, p) iterated norms of k and of its adjoint.
 
     Exact on the grid.  Checked on count random weighted complex kernels at
-    random exponents; one result carries the worst lhs/rhs ratio and the
-    number of violations."""
+    random exponents; one result carries the worst lhs/rhs ratio (a trial
+    with a NaN side is the worst) and the number of violations."""
     return _random_suite("russo-fournier-random-suite", count, seed, _russo_trial)
 
 
@@ -706,11 +710,12 @@ def schatten_property_suite(count: int, size: int, seed: int) -> CheckResult:
     over singular values, slack 1e-10: ||A||_S4^2 = ||AA*||_S2 (singular
     values against the Frobenius formula used at p = 2), monotone decrease
     in p, unitary invariance, and the triangle inequality, each on count
-    random complex size x size matrices."""
+    random complex size x size matrices.  Each matrix is one deviation
+    verdict on its largest deviation, failed when that is NaN; one result
+    carries the largest and the number of failed matrices."""
     rng = np.random.default_rng(seed)
     tol = TOLERANCES["linalg"]
-    worst = 0.0
-    violations = 0
+    verdicts = []
     exponents = (1.0, 1.3, 1.7, 2.0, 3.5, 4.0, np.inf)
     for _ in range(count):
         a = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
@@ -719,17 +724,16 @@ def schatten_property_suite(count: int, size: int, seed: int) -> CheckResult:
         s4_squared = norms[4.0] ** 2
         devs = [abs(schatten_norm(a @ a.conj().T, 2) - s4_squared) / s4_squared]
         ladder = list(norms.values())  # nonincreasing in the exponent
-        devs += [max(0.0, lo / hi - 1.0) for lo, hi in zip(ladder[1:], ladder)]
+        devs += [lo / hi - 1.0 for lo, hi in zip(ladder[1:], ladder)]
         u = np.linalg.qr(rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))[0]
         for p, rotated in zip((1.7, np.inf), schatten_norms(u @ a @ u.conj().T, (1.7, np.inf))):
             devs.append(abs(rotated - norms[p]) / norms[p])
-        devs.append(max(0.0, schatten_norm(a + b, 1.3) / (norms[1.3] + schatten_norm(b, 1.3)) - 1.0))
-        local = max(devs)
-        worst = max(worst, local)
-        if local > tol:
-            violations += 1
+        devs.append(schatten_norm(a + b, 1.3) / (norms[1.3] + schatten_norm(b, 1.3)) - 1.0)
+        # np.maximum and np.max carry a NaN deviation through to a failed verdict
+        verdicts.append(deviation_result("schatten-suite", np.max(np.maximum(devs, 0.0)), tol))
+    violations = sum(not r.passed for r in verdicts)
     detail = f"{count} matrices ({size}x{size}), {violations} violations"
-    return deviation_result("schatten-suite", worst, tol, detail)
+    return deviation_result("schatten-suite", np.max([r.lhs for r in verdicts]), tol, detail)
 
 
 def check_gaussian_extremality(g: SampledFunction, p: float) -> CheckResult:

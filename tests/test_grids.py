@@ -1,6 +1,7 @@
 """Grids, sampled test functions, weighted norms, fixture serialization."""
 
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,6 @@ from hywbench.grids import (
     Grid1D,
     SampledFunction,
     TestFunctionSpec,
-    fixture_checksum,
     lp_norm_G,
     make_grids,
     sample,
@@ -272,10 +272,13 @@ def test_fixture_roundtrip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_fixture_checksum_is_stable():
+def test_save_sampled_digest_is_stable(tmp_path):
+    # save_sampled returns the sha256 of the bytes it wrote
     g = Grid1D(-4.0, 4.0, 16)
     f = sample(TestFunctionSpec(kind="random-bandlimited", seed=42), (g,), g, AXB)
-    a = fixture_checksum(f)
-    b = fixture_checksum(sample(TestFunctionSpec(kind="random-bandlimited", seed=42), (g,), g, AXB))
+    a = save_sampled(f, tmp_path / "a.hyw")
+    again = sample(TestFunctionSpec(kind="random-bandlimited", seed=42), (g,), g, AXB)
+    b = save_sampled(again, tmp_path / "b.hyw")
     assert a == b
     assert len(a) == 64
+    assert a == hashlib.sha256((tmp_path / "a.hyw").read_bytes()).hexdigest()

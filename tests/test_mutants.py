@@ -16,7 +16,7 @@ tests/test_transform.py do.  The first kept row of each kernel dropped fails
 nothing, because edge rows carry negligible mass.  The Babenko-Beckner
 constant 1% too large below p = 2 passes every check on both groups, since
 no shipped Gaussian comes within 1% of the supremum; the Gaussian supremum
-test in tests/test_oracle.py catches it.
+tests in tests/test_oracle.py, on Heisenberg and on ax+b, catch it.
 The cross norm with its exponents swapped is a case, but only through the
 norm chain: the russo-fournier suite passes it on both groups, because
 every random kernel still meets the averaging bound with the swapped norms.
@@ -32,17 +32,22 @@ least 1.2 of the largest entry on every catalog Gaussian, orbit and q.
 
 A defect must fail a check, not raise out of one, so no function in the
 package asserts: an assert turns a wrong value into a traceback, and under
-python -O it is gone.
+python -O it is gone.  NaN is the one failure signal of the numerics: a
+pairing table whose nonzero entries are NaN gives NaN Schatten norms, cross
+norms and slice masses, so every check that reads the table fails and the
+report is still written.  The proof-chain slice bound reads the FFT of g,
+not the table, and passes.
 """
 
 import ast
+import json
 import pathlib
 
 import numpy as np
 import pytest
 
 from hywbench import cli, grids, groups, schatten, transform, verify
-from hywbench.cli import RunConfig, run_suite
+from hywbench.cli import RunConfig, main, run_suite
 from hywbench.schatten import WeightedKernel
 
 MODULES = (groups, grids, schatten, transform, verify, cli)
@@ -113,6 +118,17 @@ def exponents_swapped(cross_norm_qpq):
     return swapped
 
 
+def nan_table(pair):
+    """Every nonzero entry of the pairing table NaN; out-of-band rows stay 0."""
+
+    def planted(cs, omegas):
+        table = pair(cs, omegas)
+        table[table != 0] *= np.nan
+        return table
+
+    return planted
+
+
 def action_at_t(dual_action):
     """The dual action conjugating at t instead of -t."""
     return lambda model, t, omega: dual_action(model, -t, omega)
@@ -181,6 +197,28 @@ MUTANTS = {
             "proof-chain:minkowski-swap": 3,
         },
     ),
+    # a NaN in every pairing table: each check that reads the table fails,
+    # on ax+b through one SVD per exponent
+    "nan-pairing-table": (
+        (transform.CharacterSlice, "pair", nan_table),
+        RunConfig(group="axb", checks=("plancherel", "hausdorff-young", "proof-chain")),
+        {
+            "plancherel": 10,
+            "hausdorff-young": 6,
+            **{
+                f"proof-chain:{link}": 3
+                for link in (
+                    "orbit-averaging",
+                    "averaging",
+                    "cauchy-schwarz",
+                    "minkowski-direct",
+                    "minkowski-adjoint",
+                    "minkowski-swap",
+                    "slice-hausdorff-young",
+                )
+            },
+        },
+    ),
     # the dual action taken at t instead of -t (the id keeps the quotient
     # point's field name h): on ax+b the image measure scales by 1/Delta(t),
     # so every box but the identity's fails (the Heisenberg shear preserves
@@ -202,6 +240,20 @@ def test_planted_defect_fails_a_family(monkeypatch, mutant):
     records, _, _ = run_suite(cfg.validate())
     failed = [r["name"] for r in records if not r["passed"]]
     assert {n: failed.count(n) for n in failed} == expected
+
+
+def test_a_nan_pairing_table_fails_the_shared_svd_run_with_a_report(monkeypatch, tmp_path):
+    # Heisenberg is unimodular, so p = 1.2 and 1.5 read one SVD per orbit
+    args = ["run", "--quiet", "--group", "heisenberg", "--p", "1.2,1.5", "--checks", "hausdorff-young"]
+    assert main([*args, "--out", str(tmp_path / "clean.jsonl")]) == 0
+    plant(monkeypatch, transform.CharacterSlice, "pair", nan_table)
+    out = tmp_path / "planted.jsonl"
+    assert main([*args, "--out", str(out)]) == 1
+    lines = out.read_text().splitlines()
+    assert lines[0] == "HYWREPORT 1"
+    records = [json.loads(line) for line in lines[1:] if not line.startswith("#")]
+    checks = [r for r in records if r["record"] == "check"]
+    assert len(checks) == 12 and not any(r["passed"] for r in checks)
 
 
 def test_no_function_in_the_package_asserts():

@@ -1,5 +1,5 @@
-"""tools/report_bodies.py: one digest per fixed ``hyw run`` config, per demo
-and per group's fixture manifest."""
+"""tools/report_bodies.py: one digest per fixed ``hyw run`` config, per demo,
+per group's fixture manifest and per listed perfbench workload."""
 
 import importlib.util
 import os
@@ -38,3 +38,8 @@ def test_a_config_gives_the_same_digest_twice():
 def test_the_axb_fixture_manifest_gives_the_same_digest_twice():
     first = report_bodies.fixtures_digest("axb")
     assert len(first) == 64 and report_bodies.fixtures_digest("axb") == first
+
+
+def test_the_heis_hy_sweep_body_gives_the_same_digest_twice():
+    first = report_bodies.perfbench_digest("heis-hy-sweep")
+    assert len(first) == 64 and report_bodies.perfbench_digest("heis-hy-sweep") == first

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hywbench.schatten import (
-    NumericalError,
     WeightedKernel,
     adjoint_kernel,
     conjugate_exponent,
@@ -97,13 +96,25 @@ def test_schatten_rejects_bad_input():
         schatten_norm(np.zeros(3), 2.0)
     with pytest.raises(ValueError):
         schatten_norm(np.zeros((2, 2)), 0.5)
-    with pytest.raises(NumericalError):
-        schatten_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]), 2.0)
+    # a norm that cannot be computed is NaN, not an exception
+    assert np.isnan(schatten_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]), 2.0))
     # the shared-SVD form keeps the same guards
     with pytest.raises(ValueError):
         schatten_norms(np.zeros((2, 2)), (3.0, 0.5))
-    with pytest.raises(NumericalError):
-        schatten_norms(np.array([[np.inf, 0.0], [0.0, 1.0]]), (3.0, 6.0))
+    with pytest.raises(ValueError):  # the exponent is checked before the entries
+        schatten_norms(np.array([[np.nan, 0.0], [0.0, 1.0]]), (3.0, 0.5))
+    for bad in (np.nan, np.inf, complex(0.0, np.inf)):
+        norms = schatten_norms(np.array([[bad, 0.0], [0.0, 1.0]]), (1.0, 2.0, 3.0, 6.0, np.inf))
+        assert np.all(np.isnan(norms))
+
+
+def test_a_failed_svd_gives_nan_norms(monkeypatch):
+    def fails(*args, **kw):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fails)
+    assert np.all(np.isnan(schatten_norms(np.eye(3), (1.0, 3.0, np.inf))))
+    assert schatten_norms(np.eye(3), (2.0,)) == [np.sqrt(3.0)]  # p = 2 needs no SVD
 
 
 def test_kernel_validation():

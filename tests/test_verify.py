@@ -189,6 +189,22 @@ def test_russo_fournier_random_suite_clean():
     assert r.passed and "0 violations" in r.detail
 
 
+def test_a_nan_trial_is_the_suite_worst(monkeypatch):
+    # the 500th of 1000 trials has a NaN lhs: it fails the suite, and it is
+    # the trial the suite reports, not a later finite one
+    calls = []
+
+    def planted(k, p):
+        calls.append(1)
+        r = check_russo_fournier(k, p)
+        return dataclasses.replace(r, lhs=math.nan, passed=False) if len(calls) == 500 else r
+
+    monkeypatch.setattr("hywbench.verify.check_russo_fournier", planted)
+    r = russo_fournier_random_suite(count=1000, seed=0)
+    assert len(calls) == 1000 and not r.passed and "1 violations" in r.detail
+    assert math.isnan(r.lhs)
+
+
 def test_russo_fournier_diagonal_equality():
     vals = np.diag([1.0, 2.0, 0.5]).astype(complex)
     k = WeightedKernel(vals, np.ones(3), np.ones(3))
@@ -521,9 +537,10 @@ def test_schatten_suite_catches_a_mis_scaled_svd(monkeypatch):
     # formula, so singular values 0.1% too large must fail the suite
     assert schatten_property_suite(count=20, size=32, seed=0).passed
     svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: 1.001 * svd(*args, **kw))
-    r = schatten_property_suite(count=20, size=32, seed=0)
-    assert not r.passed and "20 violations" in r.detail
+    for scale in (1.001, np.nan, np.inf):  # a NaN or inf singular value fails too
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: scale * svd(*args, **kw))
+        r = schatten_property_suite(count=20, size=32, seed=0)
+        assert not r.passed and "20 violations" in r.detail, scale
 
 
 # -- fixture catalogs ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Digest the deterministic body of a fixed list of ``hyw run`` reports, the
-stdout of every demo and the fixture manifest of every group.
+stdout of every demo, the fixture manifest of every group and the body of
+the perfbench workloads that no ``hyw run`` config covers.
 
 The body of a report is every line that is not a ``#`` comment; the report
 format promises it is byte-identical across runs with the same configuration,
@@ -10,9 +11,14 @@ thread, and prints one ``sha256  args`` line; each demo then prints one
 ``sha256  fixtures --group G`` line for the sha256 manifest that
 ``hyw fixtures --group G --seed 0`` writes (which pins the bytes of every
 HYW1 file; the Heisenberg files, about 80 MB, go to a temporary directory
-that is removed afterwards).  To check that a change leaves every body,
-demo output and fixture file alone, run it in both checkouts and diff the
-output:
+that is removed afterwards).  Last, each workload in PERFBENCH prints one
+``sha256  perfbench NAME`` line for the body of one seed-0 full-scale pass,
+``workloads.run_pass(workloads.prepare(NAME, 0))``, run with perfbench/ on
+the path and no bytecode written there.  heis-run and axb-run are left out:
+their bodies are those of the ``--group heisenberg --seed 0`` and
+``--group axb --p 1.2,1.5,1.8`` reports above.  To check that a change
+leaves every body, demo output and fixture file alone, run it in both
+checkouts and diff the output:
 
     python3 tools/report_bodies.py > after.txt
 """
@@ -42,13 +48,16 @@ DEMOS = (
     "demos/05_kernel_inequalities.py",
 )
 FIXTURE_GROUPS = ("axb", "heisenberg")
+PERFBENCH = ("heis-hy-sweep", "refine")
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
-def _env() -> dict:
-    """This environment with one BLAS thread and the package source first on the path."""
+def _env(*dirs) -> dict:
+    """This environment with one BLAS thread and dirs, then the package
+    source, first on the path."""
     env = dict(os.environ, **ONE_THREAD)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (os.path.join(ROOT, "src"), env.get("PYTHONPATH"))))
+    path = (*(os.path.join(ROOT, d) for d in dirs), os.path.join(ROOT, "src"), env.get("PYTHONPATH"))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
     return env
 
 
@@ -85,6 +94,20 @@ def fixtures_digest(group: str) -> str:
             return hashlib.sha256(fh.read()).hexdigest()
 
 
+def perfbench_digest(name: str) -> str:
+    """sha256 of the body of one seed-0 full-scale pass of the perfbench workload name."""
+    code = (
+        "import hashlib, workloads\n"
+        f"_, body, _ = workloads.run_pass(workloads.prepare({name!r}, 0))\n"
+        "print(hashlib.sha256(body.encode()).hexdigest())"
+    )
+    cmd = [sys.executable, "-B", "-c", code]
+    done = subprocess.run(cmd, env=_env("perfbench"), capture_output=True, text=True)
+    if done.returncode:
+        raise RuntimeError(f"perfbench {name}: exit {done.returncode}: {done.stderr.strip()}")
+    return done.stdout.strip()
+
+
 def main() -> int:
     for args in CONFIGS:
         print(f"{digest(args)}  {args}", flush=True)
@@ -92,6 +115,8 @@ def main() -> int:
         print(f"{demo_digest(path)}  {path}", flush=True)
     for group in FIXTURE_GROUPS:
         print(f"{fixtures_digest(group)}  fixtures --group {group}", flush=True)
+    for name in PERFBENCH:
+        print(f"{perfbench_digest(name)}  perfbench {name}", flush=True)
     return 0
 
 
