@@ -275,13 +275,11 @@ class _Run:
             n, m = FAMILY_TABLE[family][1]
             pool = gaussian_fixtures(cfg.group, n) + random_fixtures(cfg.group, m, cfg.seed)
             self.pools[family] = pool
-            if family == "gaussian-extremality":  # reads no record
-                continue
             ps = _exponents(family, self.p)
             for spec in pool:
                 need_ps, need_chain = self.plan.setdefault(spec.key(), (set(), set()))
                 need_ps.update(ps)
-                need_chain.update(ps if family == "proof-chain" else ())
+                need_chain.update(ps if family in ("proof-chain", "gaussian-extremality") else ())
 
     def cases(self, family, check):
         """The results of check(p, g) at every exponent p of family and every
@@ -331,7 +329,10 @@ def _family_proof_chain(cfg, run):
 
 
 def _family_gaussian_extremality(cfg, run):
-    return run.cases("gaussian-extremality", lambda p, g: [check_gaussian_extremality(g, p)])
+    return run.cases(
+        "gaussian-extremality",
+        lambda p, g: [check_gaussian_extremality(g, run.dual, p, record=run.record(g))],
+    )
 
 
 def _family_nilpotent(cfg, run):

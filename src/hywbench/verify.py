@@ -83,7 +83,6 @@ __all__ = [
     "minkowski_random_suite",
     "check_nilpotent_bound",
     "schatten_property_suite",
-    "slice_ratios",
     "check_gaussian_extremality",
 ]
 
@@ -249,9 +248,11 @@ class SpectralRecord:
     lp[p] = ||g||_p and sq[p] the per-orbit ||k_sigma||_{S_q}^q of the
     exponent-q kernels (q = p'); and at every chain exponent, chain[p] holds
     the norm chain's per-orbit ||k||_{q,p,q}^q and ||k*||_{q,p,q}^q, its
-    swapped iterated form V3 and the per-slice ratios of slice_ratios.
-    Neither a pairing table nor a sample of g is kept: a check given a
-    record reads only the record and the dual."""
+    swapped iterated form V3 and the per-slice ratios
+    ||F_N g(., t)||_q / ||g(., t)||_p over the slices of non-negligible mass,
+    whose maximum the proof-chain slice bound reads and whose minimum
+    gaussian-extremality reads.  Neither a pairing table nor a sample of g
+    is kept: a check given a record reads only the record and the dual."""
 
     nu: np.ndarray
     lp: dict
@@ -280,12 +281,15 @@ def spectral_record(
     on the exponent: it is built once per orbit, and with two or more
     exponents below 2 one SVD per orbit serves them all.  Elsewhere
     Delta^(1/q) changes the spectrum, so every exponent gets its own kernel
-    and SVD.  The test reads Delta on g's H grid, as the model record does.
-    Each kernel holds only the rows of its orbit that stay in band, so the
-    SVD and both cross norms run on an r x n matrix; the slice mass reads the
+    and SVD.  The test reads Delta on g's H grid, as the model record does,
+    and the H measure of the swapped form is the H weights times that one
+    Delta.  Each kernel holds only the rows of its orbit that stay in band, so
+    the SVD and both cross norms run on an r x n matrix; the slice mass reads the
     full pairing table, whose out-of-band rows add exact zeros.  ||g||_p is
     taken once per exponent, and the slice ratios of every chain exponent
-    read one FFT of g, taken after the last chunk of tables is released.
+    read one FFT of g, taken after the last chunk of tables is released; a
+    slice is dropped when its L^p mass is below 1e-9 of the largest, so a g
+    with no mass has no ratios.
     """
     chain = {float(p) for p in chain}
     ps = sorted({float(p) for p in ps} | chain)
@@ -296,7 +300,7 @@ def spectral_record(
     delta = modular_on_grid(dual.group, h)
     flat = bool(np.all(delta == 1.0))
     shared_svd = flat and sum(p < 2.0 for p in ps) >= 2
-    measure = g.h_measure()
+    measure = h.weights() * delta
     cs = CharacterSlice(g)
     params, nu = dual.transversal(config)
     sq = {p: [] for p in ps}
@@ -320,11 +324,15 @@ def spectral_record(
                     # dual-side q-mass of every slice, row s contributing its orbit weight
                     slice_mass += weight * (measure @ np.abs(table) ** q)
         del tables, table  # the chunk and a view of it: released before the next is paired
-    reciprocal = cs.transform_reciprocal() if chain else None
+    if chain:
+        rgrids, transformed = cs.transform_reciprocal()
     for p, (direct, adjoint, slice_mass) in extras.items():
         q = conjugate_exponent(p)
         v3 = float((measure @ slice_mass ** (p / q)) ** (q / p))  # the swapped iterated form
-        extras[p] = (np.array(direct), np.array(adjoint), v3, _slice_ratios(g, reciprocal, p))
+        num = slice_lp_mass(transformed, rgrids, q) ** (1 / q)
+        den = slice_lp_mass(g.values, g.n_grids, p) ** (1 / p)
+        keep = den > 1e-9 * den.max()
+        extras[p] = (np.array(direct), np.array(adjoint), v3, num[keep] / den[keep])
     return SpectralRecord(
         np.asarray(nu),
         {p: lp_norm_G(g, p) for p in ps},
@@ -400,27 +408,6 @@ def hausdorff_young_margins(
 
 
 # -- the norm chain ------------------------------------------------------------------
-
-
-def _slice_ratios(g: SampledFunction, reciprocal, p: float):
-    """slice_ratios from reciprocal, the (grids, values) of
-    g.transform_reciprocal(), which does not depend on p."""
-    q = conjugate_exponent(p)
-    rgrids, vals = reciprocal
-    num = slice_lp_mass(vals, rgrids, q) ** (1 / q)
-    den = slice_lp_mass(g.values, g.n_grids, p) ** (1 / p)
-    keep = den > 1e-9 * den.max()
-    return num[keep] / den[keep]
-
-
-def slice_ratios(g: SampledFunction, p: float):
-    """Per-slice transform-to-function norm ratios over the reciprocal grid.
-
-    Slices with negligible mass are dropped to keep the ratios meaningful.
-    Takes one FFT of g; a spectral record carries these ratios at each of
-    its chain exponents.
-    """
-    return _slice_ratios(g, CharacterSlice(g).transform_reciprocal(), p)
 
 
 def check_proof_chain(
@@ -736,20 +723,26 @@ def schatten_property_suite(count: int, size: int, seed: int) -> CheckResult:
     return deviation_result("schatten-suite", np.max([r.lhs for r in verdicts]), tol, detail)
 
 
-def check_gaussian_extremality(g: SampledFunction, p: float) -> CheckResult:
+def check_gaussian_extremality(
+    g: SampledFunction,
+    dual: DualOrbitModel,
+    p: float,
+    config: DualSamplingConfig | None = None,
+    record: SpectralRecord | None = None,
+) -> CheckResult:
     """Gaussians saturate the abelian Babenko-Beckner inequality, so each
     slice of the Gaussian g must realize at least 0.99 of the sharp constant
     A_p^dim, with no further slack.
 
-    Slices of negligible mass are dropped (see slice_ratios); when every
-    slice is, the ratio is NaN and the check fails.  g is sampled on
-    whatever grids the caller chose."""
-    ratios = slice_ratios(g, p)
-    bound = babenko_constant(p, g.dim_N)
-    return inequality_result(
-        "gaussian-extremality",
-        0.99 * bound,
-        float(ratios.min()) if ratios.size else np.nan,
-        0.0,
-        detail=f"{g.model.name} p={p:g} {ratios.size} slices",
-    )
+    The slice ratios are those of the spectral record of g, which must carry
+    p in its chain (one is built here at p when none is given): the check
+    reads their minimum, where the proof-chain slice bound reads their
+    maximum.  Slices of negligible mass are dropped; when every slice is,
+    the ratio is NaN and the check fails."""
+    if record is None:
+        record = spectral_record(g, dual, (p,), config, chain=(p,))  # rejects p outside (1, 2]
+    *_, ratios = record.chain[p]
+    bound = 0.99 * babenko_constant(p, dual.group.dim_N)
+    rhs = float(ratios.min()) if ratios.size else np.nan
+    detail = f"{dual.group.name} p={p:g} {ratios.size} slices"
+    return inequality_result("gaussian-extremality", bound, rhs, 0.0, detail)

@@ -181,10 +181,10 @@ def test_criterion_08_nilpotent_bound():
 
 @pytest.mark.parametrize("group", ["axb", "heisenberg"])
 def test_criterion_09_gaussian_extremality(group):
-    model, _ = make_group(group)
+    model, dual = make_group(group)
     g = sample(gaussian_fixtures(group, 1)[0], *default_grids(group), model)
     for p in (4 / 3, 1.5, 1.8):
-        r = check_gaussian_extremality(g, p)
+        r = check_gaussian_extremality(g, dual, p)
         assert r.passed, f"p={p}: {r}"
         assert r.lhs == pytest.approx(0.99 * babenko_constant(p, 2 if group == "heisenberg" else 1))
     print(f"criterion 9 [{group}]: slice ratios within 1% of the sharp constant")

@@ -727,10 +727,12 @@ def test_default_heisenberg_run_pairs_each_fixture_once(heisenberg_run):
     "p, checks, calls",  # calls: lp_norm_G, transform_reciprocal, sample
     [
         # 10 records at p = 2, 6 of them also at 1.5; one FFT for each of the
-        # 3 proof-chain fixtures, and gaussian-extremality's own
-        ((1.5,), ("all",), (16, 4, 25)),
+        # 3 proof-chain fixtures, whose catalog Gaussian 0 gaussian-extremality reads
+        ((1.5,), ("all",), (16, 3, 25)),
         # one FFT per fixture serves the chain at all three exponents
         ((1.2, 1.5, 1.8), ("proof-chain",), (9, 3, 3)),
+        # gaussian-extremality alone reads a chain record of catalog Gaussian 0
+        ((1.5,), ("gaussian-extremality",), (1, 1, 1)),
     ],
 )
 def test_a_run_takes_each_norm_and_fft_once_per_record(monkeypatch, p, checks, calls):

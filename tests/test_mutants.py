@@ -28,7 +28,9 @@ norm and no verdict.
 
 The no-modular-factor defect is also caught without a run: the ax+b kernel
 closed form in tests/test_oracle.py holds the exponent-0 kernel off by at
-least 1.2 of the largest entry on every catalog Gaussian, orbit and q.
+least 1.2 of the largest entry on every catalog Gaussian, orbit and q, and
+the per-orbit ax+b pin there puts each orbit of catalog Gaussian 0 at 191 to
+465 times its oracle value.
 
 A defect must fail a check, not raise out of one, so no function in the
 package asserts: an assert turns a wrong value into a traceback, and under

@@ -27,10 +27,11 @@ G(omega) = sqrt(2 pi) w_b exp(-2 pi^2 w_b^2 omega^2 + 2 pi i omega c_b) the
 transform of the N factor, e^-(xi - gamma) the modular function at the slice
 and e^(-gamma/q) the Duflo-Moore column factor Delta^(1/q).  On an H grid of
 spacing h wide enough that the Gaussians vanish at its ends (xi over
-[-10, 24], h = min(1/4, w_h/4)), sum over sigma0 of ||h k||_{S_q}^q is the
-continuum orbit sum, computed with numpy's SVD alone: it shows where the ax+b
-Gaussian ratio goes as w_h shrinks, and that the pipeline's error on the
-default grids comes from its H window.
+[-10, 24], h = min(1/4, w_h/4)), ||h k||_{S_q}^q at each sigma0 and its sum
+over sigma0 are the continuum values, computed with numpy's SVD alone: they
+show where the ax+b Gaussian ratio goes as w_h shrinks, that the ratio does
+not depend on w_b, and that the pipeline's error on the default grids comes
+from its H window.
 """
 
 import math
@@ -137,13 +138,14 @@ def test_every_axb_kernel_matches_its_closed_form():
                 assert err <= 1e-8, (spec, sigma0, q, err)
 
 
-def axb_orbit_sum(spec, q):
-    """sum over sigma0 = +-1 of ||h k||_{S_q}^q, k on xi over [-10, 24] with
-    spacing h = min(1/4, w_h/4): the continuum orbit sum of the Gaussian."""
+def axb_orbit_sq(spec, q):
+    """||h k||_{S_q}^q at sigma0 = 1 and -1, the order of the ax+b
+    transversal, k on xi over [-10, 24] with spacing h = min(1/4, w_h/4): the
+    continuum value of each orbit of the Gaussian."""
     h = min(0.25, spec.width_h / 4)
     xi = np.arange(-10.0, 24.0 + h / 2, h)
     singular = [np.linalg.svd(h * axb_kernel(spec, s, xi, q), compute_uv=False) for s in (1.0, -1.0)]
-    return sum(float((s**q).sum()) for s in singular)
+    return np.array([(s**q).sum() for s in singular])
 
 
 def axb_ratio(p, wh, wb=1.0):
@@ -154,7 +156,7 @@ def axb_ratio(p, wh, wb=1.0):
     q = p / (p - 1)
     norm = (wb * wh * (2 * math.pi / p) * math.exp(wh**2 / (2 * p))) ** (1 / p)
     spec = TestFunctionSpec(kind="gaussian", width_n=(wb,), width_h=wh)
-    return axb_orbit_sum(spec, q) ** (1 / q) / (verify.babenko_constant(p, 1) ** 2 * norm)
+    return axb_orbit_sq(spec, q).sum() ** (1 / q) / (verify.babenko_constant(p, 1) ** 2 * norm)
 
 
 def gaussian_ratios(p):
@@ -224,25 +226,66 @@ def test_the_axb_supremum_catches_a_constant_one_percent_too_large(monkeypatch):
         assert axb_ratio(p, AXB_WIDTHS[-1]) < 0.99
 
 
+@pytest.mark.parametrize("p", EXPONENTS)
+def test_the_axb_ratio_is_invariant_under_the_n_dilation(p):
+    """Conjugation by (a, 0) is an automorphism of ax+b that scales b by a,
+    so it leaves the transform norm over ||g||_p alone: at w_h = 1, the
+    ratios at w_b = 0.5, 1 and 2 agree to 1e-8 relative.  Measured spread:
+    9.0e-10 at p = 1.2, 6.9e-10 at 1.5 and 3.5e-9 at 1.8.  Doubling w_b
+    shifts the kernel by log 2 in xi, which is no multiple of the oracle's
+    spacing 1/4, so the spread is the oracle's own quadrature error."""
+    ratios = [axb_ratio(p, 1.0, wb) for wb in (0.5, 1.0, 2.0)]
+    assert max(ratios) - min(ratios) <= 1e-8 * min(ratios), ratios
+
+
+# 256 H points over [-16, 16): the default H spacing on twice the default extent
+DOUBLED_H = {"h_count": 256, "h_extent": (-16.0, 16.0)}
+
+
+def axb_records(specs, ps, **grid_changes):
+    """The spectral record at ps of each ax+b spec, sampled on the default
+    grids with grid_changes."""
+    model, dual = make_group("axb")
+    grids = make_grids(**{**verify.DESK_GRIDS["axb"], **grid_changes})
+    return [verify.spectral_record(sample(spec, *grids, model), dual, ps) for spec in specs]
+
+
 def test_the_axb_orbit_sum_error_is_the_h_window():
     """The pipeline's orbit sum sum nu ||k_sigma||_{S_q}^q against the
     oracle's on catalog Gaussians 0-4 at p = 1.2, 1.5, 2.  On the default
     grids every deviation is negative, the mass the H window [-8, 8) cuts off
     (measured at p = 1.2: -3.3e-2, -1.0e-2, -7.5e-2, -3.5e-2, -3.9e-2; at
     p = 2 between -2.5e-3 and -9.1e-3).  On 256 H points over [-16, 16),
-    the same spacing, each is at most 2.6e-5, at least 2,900x smaller."""
-    model, dual = make_group("axb")
+    the same spacing, each is at most 2.6e-5, at least 2,900x smaller, and
+    each orbit sigma0 = 1 and -1 is within 5e-5 of its own oracle value
+    (measured: at most 2.55e-5, on Gaussian 2 at p = 1.2)."""
     ps = (1.2, 1.5, 2.0)
     specs = verify.gaussian_fixtures("axb", 5)
-    oracle = np.array([[axb_orbit_sum(spec, p / (p - 1)) for p in ps] for spec in specs])
+    oracle = np.array([[axb_orbit_sq(spec, p / (p - 1)) for p in ps] for spec in specs])
     devs = []
-    for extent in ({}, {"h_count": 256, "h_extent": (-16.0, 16.0)}):
-        grids = make_grids(**{**verify.DESK_GRIDS["axb"], **extent})
-        records = [verify.spectral_record(sample(spec, *grids, model), dual, ps) for spec in specs]
-        devs.append(np.array([[r.nu @ r.sq[p] for p in ps] for r in records]) / oracle - 1)
-    default, doubled = devs
+    for extent in ({}, DOUBLED_H):
+        records = axb_records(specs, ps, **extent)
+        sq = np.array([[r.sq[p] for p in ps] for r in records])  # fixture, exponent, orbit
+        devs.append((sq @ records[0].nu / oracle.sum(axis=-1) - 1, sq / oracle - 1))
+    (default, _), (doubled, per_orbit) = devs
     assert np.all(default < 0), default
     assert np.all(np.abs(doubled) <= 5e-5) and np.all(np.abs(doubled) <= 1e-3 * np.abs(default)), doubled
+    assert np.all(np.abs(per_orbit) <= 5e-5), per_orbit
+
+
+def test_the_axb_orbit_pin_catches_a_missing_modular_factor(monkeypatch):
+    """Every kernel built with column exponent 0, that is without the
+    Duflo-Moore factor Delta^(1/q), puts catalog Gaussian 0 at the doubled H
+    extent far off the per-orbit pin above: each orbit's ||k||_{S_q}^q is
+    191 to 465 times its oracle value at p = 1.2, 1.5 and 2 (measured)."""
+    kernel = verify.kernel_from_pair_table
+    monkeypatch.setattr(verify, "kernel_from_pair_table", lambda P, h, delta, _: kernel(P, h, delta, 0.0))
+    ps = (1.2, 1.5, 2.0)
+    spec = verify.gaussian_fixtures("axb", 1)[0]
+    (record,) = axb_records([spec], ps, **DOUBLED_H)
+    for p in ps:
+        per_orbit = record.sq[p] / axb_orbit_sq(spec, p / (p - 1)) - 1
+        assert np.all(per_orbit > 100), (p, per_orbit)
 
 
 @pytest.mark.parametrize("p", EXPONENTS)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from hywbench.grids import lp_norm_G, make_grids, modular_on_grid, sample
+from hywbench.grids import lp_norm_G, make_grids, modular_on_grid, sample, slice_lp_mass
 from hywbench.groups import make_group
 from hywbench.schatten import (
     WeightedKernel,
@@ -45,7 +45,6 @@ from hywbench.verify import (
     russo_fournier_random_suite,
     schatten_property_suite,
     semi_invariance_suite,
-    slice_ratios,
     spectral_record,
 )
 from hywbench.groups import DualSamplingConfig, GroupElement
@@ -62,6 +61,17 @@ def axb_base():
     model, dual = make_group("axb")
     g = sample_fixture("axb", gaussian_fixtures("axb", 1)[0])
     return model, dual, g
+
+
+def reference_slice_ratios(g, p):
+    """||F_N g(., t)||_q / ||g(., t)||_p on every slice t whose L^p mass is
+    at least 1e-9 of the largest, from one FFT of g and no spectral record."""
+    q = conjugate_exponent(p)
+    rgrids, transformed = CharacterSlice(g).transform_reciprocal()
+    num = slice_lp_mass(transformed, rgrids, q) ** (1 / q)
+    den = slice_lp_mass(g.values, g.n_grids, p) ** (1 / p)
+    keep = den > 1e-9 * den.max()
+    return num[keep] / den[keep]
 
 
 def chain_values(results):
@@ -393,18 +403,20 @@ def test_record_backed_checks_equal_standalone_calls(group, ps):
     planch = check_plancherel(g, dual, cfg)
     hy = hausdorff_young_margins(g, dual, ps, config=cfg)
     chains = {p: check_proof_chain(g, dual, p, config=cfg) for p in ps}
+    extremality = {p: check_gaussian_extremality(g, dual, p, cfg) for p in ps}
     for f in (g, blank, foreign):
         assert check_plancherel(f, dual, cfg, record=record) == planch
         assert hausdorff_young_margins(f, dual, ps, config=cfg, record=record) == hy
         for p in ps:
             assert check_proof_chain(f, dual, p, config=cfg, record=record) == chains[p]
+            assert check_gaussian_extremality(f, dual, p, cfg, record) == extremality[p]
             if group == "heisenberg":
                 nil = check_nilpotent_bound(f, dual, p, cfg, record)
                 assert nil == check_nilpotent_bound(g, dual, p, cfg)
 
 
 def test_record_carries_each_exponents_norm_and_slice_ratios():
-    # ||g||_p and the slice bound's ratios are what lp_norm_G and slice_ratios
+    # ||g||_p and the slice bound's ratios are what lp_norm_G and one FFT of g
     # give at that exponent, bit for bit: no exponent's value is read for another
     _, dual = make_group("axb")
     g = sample_fixture("axb", random_fixtures("axb", 1)[0])
@@ -414,7 +426,7 @@ def test_record_carries_each_exponents_norm_and_slice_ratios():
     for p in ps:
         results = check_proof_chain(g, dual, p, record=record)
         (bound,) = [r for r in results if r.name == "proof-chain:slice-bound"]
-        assert bound.lhs == slice_ratios(g, p).max()
+        assert bound.lhs == reference_slice_ratios(g, p).max()
 
 
 @pytest.mark.parametrize("group", ["axb", "heisenberg"])
@@ -506,7 +518,7 @@ def test_chain_rejects_bad_exponent():
 
 def test_slice_ratios_constant_for_gaussian():
     _, _, g = axb_base()
-    ratios = slice_ratios(g, 4 / 3)
+    ratios = reference_slice_ratios(g, 4 / 3)
     assert ratios.size > 0
     # a separable Gaussian has identically shaped slices, one common ratio
     assert ratios.max() - ratios.min() <= 1e-10 * ratios.max()
@@ -515,8 +527,9 @@ def test_slice_ratios_constant_for_gaussian():
 
 def test_gaussian_extremality_both_groups():
     for name in ("axb", "heisenberg"):
+        _, dual = make_group(name)
         g = sample_fixture(name, gaussian_fixtures(name, 1)[0])
-        r = check_gaussian_extremality(g, 4 / 3)
+        r = check_gaussian_extremality(g, dual, 4 / 3)
         assert r.passed
         assert r.rhs >= 0.999 * babenko_constant(4 / 3, 2 if name == "heisenberg" else 1)
 

@@ -38,6 +38,7 @@ CONFIGS = (
     "--group heisenberg --p 1.2,1.5,2 --seed 7",
     "--group axb --checks plancherel,proof-chain,gaussian-extremality --grid-n 4 --grid-h 4",
     "--group heisenberg --checks gaussian-extremality,proof-chain --p 1.5,1.8",
+    "--group heisenberg --checks gaussian-extremality --p 1.2,1.5,2",
     "--group heisenberg --grid-n 4 --grid-h 4",
 )
 DEMOS = (
