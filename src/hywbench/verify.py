@@ -727,7 +727,6 @@ def check_gaussian_extremality(
     g: SampledFunction,
     dual: DualOrbitModel,
     p: float,
-    config: DualSamplingConfig | None = None,
     record: SpectralRecord | None = None,
 ) -> CheckResult:
     """Gaussians saturate the abelian Babenko-Beckner inequality, so each
@@ -737,10 +736,11 @@ def check_gaussian_extremality(
     The slice ratios are those of the spectral record of g, which must carry
     p in its chain (one is built here at p when none is given): the check
     reads their minimum, where the proof-chain slice bound reads their
-    maximum.  Slices of negligible mass are dropped; when every slice is,
-    the ratio is NaN and the check fails."""
+    maximum.  The ratios read only g, never the dual transversal, so the
+    check takes no sampling config.  Slices of negligible mass are dropped;
+    when every slice is, the ratio is NaN and the check fails."""
     if record is None:
-        record = spectral_record(g, dual, (p,), config, chain=(p,))  # rejects p outside (1, 2]
+        record = spectral_record(g, dual, (p,), chain=(p,))  # rejects p outside (1, 2]
     *_, ratios = record.chain[p]
     bound = 0.99 * babenko_constant(p, dual.group.dim_N)
     rhs = float(ratios.min()) if ratios.size else np.nan

@@ -403,30 +403,36 @@ def test_record_backed_checks_equal_standalone_calls(group, ps):
     planch = check_plancherel(g, dual, cfg)
     hy = hausdorff_young_margins(g, dual, ps, config=cfg)
     chains = {p: check_proof_chain(g, dual, p, config=cfg) for p in ps}
-    extremality = {p: check_gaussian_extremality(g, dual, p, cfg) for p in ps}
+    extremality = {p: check_gaussian_extremality(g, dual, p) for p in ps}
     for f in (g, blank, foreign):
         assert check_plancherel(f, dual, cfg, record=record) == planch
         assert hausdorff_young_margins(f, dual, ps, config=cfg, record=record) == hy
         for p in ps:
             assert check_proof_chain(f, dual, p, config=cfg, record=record) == chains[p]
-            assert check_gaussian_extremality(f, dual, p, cfg, record) == extremality[p]
+            assert check_gaussian_extremality(f, dual, p, record=record) == extremality[p]
             if group == "heisenberg":
                 nil = check_nilpotent_bound(f, dual, p, cfg, record)
                 assert nil == check_nilpotent_bound(g, dual, p, cfg)
 
 
 def test_record_carries_each_exponents_norm_and_slice_ratios():
-    # ||g||_p and the slice bound's ratios are what lp_norm_G and one FFT of g
-    # give at that exponent, bit for bit: no exponent's value is read for another
+    # ||g||_p and the slice ratios are what lp_norm_G and one FFT of g give at
+    # that exponent, bit for bit and slice by slice: no exponent's value is read
+    # for another, and the slice bound and gaussian-extremality read their max
+    # and min
     _, dual = make_group("axb")
     g = sample_fixture("axb", random_fixtures("axb", 1)[0])
     ps = (1.2, 1.5, 1.8)
     record = spectral_record(g, dual, (2.0,), chain=ps)
     assert record.lp == {p: lp_norm_G(g, p) for p in (*ps, 2.0)}
     for p in ps:
+        reference = reference_slice_ratios(g, p)
+        *_, ratios = record.chain[p]
+        assert np.array_equal(ratios, reference)
         results = check_proof_chain(g, dual, p, record=record)
         (bound,) = [r for r in results if r.name == "proof-chain:slice-bound"]
-        assert bound.lhs == reference_slice_ratios(g, p).max()
+        assert bound.lhs == reference.max()
+        assert check_gaussian_extremality(g, dual, p, record=record).rhs == reference.min()
 
 
 @pytest.mark.parametrize("group", ["axb", "heisenberg"])
@@ -517,12 +523,14 @@ def test_chain_rejects_bad_exponent():
 
 
 def test_slice_ratios_constant_for_gaussian():
-    _, _, g = axb_base()
-    ratios = reference_slice_ratios(g, 4 / 3)
-    assert ratios.size > 0
-    # a separable Gaussian has identically shaped slices, one common ratio
-    assert ratios.max() - ratios.min() <= 1e-10 * ratios.max()
-    assert ratios.max() == pytest.approx(babenko_constant(4 / 3, 1), rel=1e-6)
+    # the ratios of one FFT of g and those the spectral record carries
+    _, dual, g = axb_base()
+    *_, carried = spectral_record(g, dual, (4 / 3,), chain=(4 / 3,)).chain[4 / 3]
+    for ratios in (reference_slice_ratios(g, 4 / 3), carried):
+        assert ratios.size > 0
+        # a separable Gaussian has identically shaped slices, one common ratio
+        assert ratios.max() - ratios.min() <= 1e-10 * ratios.max()
+        assert ratios.max() == pytest.approx(babenko_constant(4 / 3, 1), rel=1e-6)
 
 
 def test_gaussian_extremality_both_groups():
