@@ -127,7 +127,7 @@ class RunConfig:
         )
         try:
             self.p = tuple(float(p) for p in self.p)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"exponents p={self.p!r} are not a list of numbers") from None
         if not self.p:
             raise ConfigError("need at least one exponent p")
@@ -148,7 +148,8 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown tolerance classes {sorted(unknown)}")
         for name, tol in self.tolerances.items():
-            if not (_is_number(tol) and math.isfinite(tol) and tol >= 0):
+            # compared exactly, never converted: NaN, inf and an int past the float range fail
+            if not (_is_number(tol) and 0 <= tol <= sys.float_info.max):
                 raise ConfigError(f"tolerance {name}={tol!r} is not a finite number >= 0")
         bad = [
             c
@@ -184,8 +185,8 @@ class RunConfig:
             )
         try:
             n_grids, h_grid = self.grids()
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ConfigError(f"bad grid extents: {exc}") from None
+        except (TypeError, ValueError, IndexError, OverflowError) as exc:
+            raise ConfigError(f"bad grids: {exc}") from None
         size = 16 * math.prod(g.n for g in (*n_grids, h_grid))  # complex128 samples
         if size > MAX_FIXTURE_BYTES:
             raise ConfigError(f"{size}-byte fixtures, over the {MAX_FIXTURE_BYTES}-byte cap")
@@ -249,8 +250,8 @@ class _Run:
     """What the families of one run read: the group model and dual, the grids,
     the modular function delta on the H grid (the model record's unimodular
     is whether it is 1 everywhere), the dual sampling, the fixture pools and a
-    spectral record per pooled recipe, built on first request at what the
-    plan says the selected families need.
+    spectral record per pooled recipe, which cases builds when a family first
+    samples the recipe, at what the plan says the selected families need.
     record_s sums the time spent building records.  The run keeps no sampled
     fixture: cases holds one at a time, and a record holds none.
 
@@ -282,64 +283,28 @@ class _Run:
                 need_chain.update(ps if family in ("proof-chain", "gaussian-extremality") else ())
 
     def cases(self, family, check):
-        """The results of check(p, g) at every exponent p of family and every
-        fixture g of its pool, exponent-major as the report lists them.
+        """The results of check(g, p, record) at every exponent p of family
+        and every fixture g of its pool, exponent-major as the report lists
+        them, where record is the spectral record of g's recipe.
 
-        The pool is walked fixture-major: each recipe is sampled once on the
-        run's grids, checked at every exponent and released before the next
-        is sampled, so one fixture is alive at a time.  Nothing is sampled
-        when the family checks no exponent."""
+        This is where a recipe's record is built: on its first fixture, at
+        what the plan says the selected families need, and kept for the
+        families after.  The pool is walked fixture-major: each recipe is
+        sampled once on the run's grids, checked at every exponent and
+        released before the next is sampled, so one fixture is alive at a
+        time.  Nothing is sampled when the family checks no exponent."""
         ps = _exponents(family, self.p)
         by_p = [[] for _ in ps]
         for spec in self.pools[family] if ps else ():
-            g = sample(spec, self.n_grids, self.h_grid, self.model)
+            g, key = sample(spec, self.n_grids, self.h_grid, self.model), spec.key()
+            if key not in self.built:
+                start, (need_ps, chain) = time.perf_counter(), self.plan[key]
+                self.built[key] = spectral_record(g, self.dual, need_ps, self.sampling, chain)
+                self.record_s += time.perf_counter() - start
             for p, results in zip(ps, by_p):
-                results.extend(check(p, g))
+                results.extend(check(g, p, self.built[key]))
             del g  # before the next recipe is sampled
         return [r for results in by_p for r in results]
-
-    def record(self, g):
-        key = g.spec.key()
-        if key not in self.built:
-            start, (ps, chain) = time.perf_counter(), self.plan[key]
-            self.built[key] = spectral_record(g, self.dual, ps, self.sampling, chain)
-            self.record_s += time.perf_counter() - start
-        return self.built[key]
-
-
-def _family_plancherel(cfg, run):
-    return run.cases(
-        "plancherel",
-        lambda p, g: [check_plancherel(g, run.dual, record=run.record(g))],
-    )
-
-
-def _family_hausdorff_young(cfg, run):
-    return run.cases(
-        "hausdorff-young",
-        lambda p, g: hausdorff_young_margins(g, run.dual, (p,), cfg.constants, record=run.record(g)),
-    )
-
-
-def _family_proof_chain(cfg, run):
-    return run.cases(
-        "proof-chain",
-        lambda p, g: check_proof_chain(g, run.dual, p, cfg.constants, record=run.record(g)),
-    )
-
-
-def _family_gaussian_extremality(cfg, run):
-    return run.cases(
-        "gaussian-extremality",
-        lambda p, g: [check_gaussian_extremality(g, run.dual, p, record=run.record(g))],
-    )
-
-
-def _family_nilpotent(cfg, run):
-    return run.cases(
-        "nilpotent-bound",
-        lambda p, g: [check_nilpotent_bound(g, run.dual, p, record=run.record(g))],
-    )
 
 
 CHECK_FAMILIES = {
@@ -352,11 +317,24 @@ CHECK_FAMILIES = {
     "semi-invariance": lambda cfg, run: semi_invariance_suite(
         run.dual, run.sampling, run.h_grid, count=20, seed=cfg.seed
     ),
-    "plancherel": _family_plancherel,
-    "hausdorff-young": _family_hausdorff_young,
-    "proof-chain": _family_proof_chain,
-    "gaussian-extremality": _family_gaussian_extremality,
-    "nilpotent-bound": _family_nilpotent,
+    "plancherel": lambda cfg, run: run.cases(
+        "plancherel", lambda g, p, rec: [check_plancherel(g, run.dual, record=rec)]
+    ),
+    "hausdorff-young": lambda cfg, run: run.cases(
+        "hausdorff-young",
+        lambda g, p, rec: hausdorff_young_margins(g, run.dual, (p,), cfg.constants, record=rec),
+    ),
+    "proof-chain": lambda cfg, run: run.cases(
+        "proof-chain",
+        lambda g, p, rec: check_proof_chain(g, run.dual, p, cfg.constants, record=rec),
+    ),
+    "gaussian-extremality": lambda cfg, run: run.cases(
+        "gaussian-extremality",
+        lambda g, p, rec: [check_gaussian_extremality(g, run.dual, p, record=rec)],
+    ),
+    "nilpotent-bound": lambda cfg, run: run.cases(
+        "nilpotent-bound", lambda g, p, rec: [check_nilpotent_bound(g, run.dual, p, record=rec)]
+    ),
 }
 
 
@@ -506,9 +484,11 @@ def write_fixture_files(group: str, out_dir: str, seed: int):
 
 def _load_config_file(path):
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:  # JSON text is UTF-8, whatever the locale
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # not UTF-8, not JSON, nested past the recursion limit, or an integer
+    # literal past the digit limit of int conversion
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")

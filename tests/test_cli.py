@@ -395,6 +395,11 @@ NAMED_VALUE_ERRORS = {
         *map(json.loads, NAMED_GRID_ERRORS),
         {"checks": ["nilpotent-bound"]},  # the bound is specific to heisenberg
         *map(json.loads, NAMED_VALUE_ERRORS),
+        # integers beyond the float range
+        {"grid_n": 2**1100},
+        {"grid_h": 2**1100},
+        {"p": [10**400]},
+        {"tolerances": {"bound": 10**400}},
     ],
 )
 def test_config_file_errors_exit_two(tmp_path, capsys, config):
@@ -415,6 +420,26 @@ def test_config_file_errors_exit_two(tmp_path, capsys, config):
 
 
 @pytest.mark.parametrize(
+    "data",
+    [
+        b'{"p": 1.5',  # not JSON
+        b'[1.5]',  # JSON, but not an object
+        b'{"p": "\xff"}',  # not UTF-8
+        b"[" * 200_000 + b"]" * 200_000,  # nested past the recursion limit
+        b'{"seed": ' + b"1" * 5001 + b"}",  # past the digit limit of int conversion
+    ],
+    ids=["not-json", "not-an-object", "not-utf-8", "too-deep", "too-many-digits"],
+)
+def test_a_config_file_that_is_not_a_json_object_exits_two(tmp_path, capsys, data):
+    cfg_file = tmp_path / "bad.json"
+    cfg_file.write_bytes(data)
+    out = tmp_path / "never.jsonl"
+    assert run_main(["--config", str(cfg_file), "--out", str(out)]) == 2
+    assert one_line(capsys.readouterr().err, "configuration error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["run", "--group", "foo"],
@@ -423,6 +448,8 @@ def test_config_file_errors_exit_two(tmp_path, capsys, config):
         [],
         ["fixtures", "--group", "axb"],  # no --out
         ["run", "--p", "1.5,"],  # a trailing comma is an empty exponent, not none
+        ["run", "--group", "axb", "--grid-n", str(2**1100)],  # beyond the float range
+        ["run", "--group", "axb", "--grid-h", str(2**1100)],
     ],
 )
 def test_usage_errors_exit_two_with_one_line(tmp_path, monkeypatch, capsys, argv):
@@ -461,7 +488,7 @@ def test_grid_extents_and_bands_are_capped_in_validate():
 
 SAMPLED_FAMILIES = ["plancherel", "hausdorff-young", "proof-chain", "gaussian-extremality",
                     "nilpotent-bound"]
-JUNK = st.sampled_from([None, 0, -4, 3, 6, 8.0, "8", True, [4]])
+JUNK = st.sampled_from([None, 0, -4, 3, 6, 8.0, "8", True, [4], 2**1100])
 EXTENT = st.lists(st.floats(width=64), min_size=2, max_size=2)
 
 

@@ -34,6 +34,7 @@ not depend on w_b, and that the pipeline's error on the default grids comes
 from its H window.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -138,6 +139,7 @@ def test_every_axb_kernel_matches_its_closed_form():
                 assert err <= 1e-8, (spec, sigma0, q, err)
 
 
+@functools.cache  # the supremum tests and the planted constant share these SVDs
 def axb_orbit_sq(spec, q):
     """||h k||_{S_q}^q at sigma0 = 1 and -1, the order of the ax+b
     transversal, k on xi over [-10, 24] with spacing h = min(1/4, w_h/4): the
