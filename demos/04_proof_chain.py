@@ -18,7 +18,6 @@ from hywbench.groups import make_group
 from hywbench.verify import (
     check_proof_chain,
     default_grids,
-    default_sampling_config,
     gaussian_fixtures,
     random_fixtures,
 )
@@ -51,7 +50,7 @@ for r in check_proof_chain(g_r, dual, 1.5):
 model_h, dual_h = make_group("heisenberg")
 n_grids_h, h_grid_h = default_grids("heisenberg")
 gh = sample(gaussian_fixtures("heisenberg", 1)[0], n_grids_h, h_grid_h, model_h)
-v = chain_values(check_proof_chain(gh, dual_h, 1.5, config=default_sampling_config("heisenberg")))
+v = chain_values(check_proof_chain(gh, dual_h, 1.5))
 print(f"\nheisenberg p=1.5: V0={v[0]:.4f} <= V1={v[1]:.4f} <= "
       f"V2={v[2]:.4f} <= V3={v[3]:.4f} ~ V4={v[4]:.4f}")
 print("(the last link is quadrature-tight for Gaussians: the dual-side")

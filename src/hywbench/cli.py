@@ -15,7 +15,9 @@ records built and their time (``# records <n> built <seconds>s``) and
 human-oriented prose, and are excluded from the determinism contract; the
 non-comment body is byte-identical across runs with the same configuration
 and seed, numpy/BLAS build and BLAS thread count.  The report is written
-atomically (temp file, then rename) even when checks fail.  JSON has no
+atomically even when checks fail: to ``.hyw.tmp.<pid>`` in the report's
+directory, whose length does not grow with the report's name (a 255-byte
+report name is written), then renamed over it.  JSON has no
 non-finite numbers, so an overflowed or undefined value (exponents within
 about 0.005 of 1 overflow the q-th powers of the norm chain) is written as
 the string ``"inf"``, ``"-inf"`` or ``"nan"``; a check holding one fails
@@ -25,9 +27,10 @@ the ``model`` record shows.
 
 Exit codes: 0 all selected checks pass, 1 at least one check failed,
 2 configuration or usage error, or an output path that cannot be written,
-each on one stderr line (``run --out`` naming a directory, grids over the
-size or extent limits and an H grid where the modular function overflows
-are rejected before any check runs).
+each on one stderr line (a ``run --out`` holding a NUL byte or naming an
+existing directory, FIFO or other file that is not a regular file, grids
+over the size or extent limits and an H grid where the modular function
+overflows are rejected before any check runs).
 """
 
 from __future__ import annotations
@@ -167,10 +170,11 @@ class RunConfig:
         self.checks = tuple(f for f in CHECK_FAMILIES if f in chosen and f not in heisenberg_only)
         if self.checks and not any(_exponents(f, self.p) for f in self.checks):
             raise ConfigError(f"{self.checks} check no p in {self.p} (nilpotent-bound: p < 2)")
-        if not (isinstance(self.out, str) and self.out):
+        if not (isinstance(self.out, str) and self.out and "\0" not in self.out):
             raise ConfigError(f"out={self.out!r} is not a path")
-        if os.path.isdir(self.out):
-            raise ConfigError(f"out={self.out!r} is a directory, not a report path")
+        # the rename would swap a directory, FIFO or device node for the report
+        if os.path.exists(self.out) and not os.path.isfile(self.out):
+            raise ConfigError(f"out={self.out!r} exists and is not a regular file")
         if self.h_extent is not None and not _is_extent(self.h_extent):
             raise ConfigError(f"h_extent must be [lo, hi] numbers, got {self.h_extent!r}")
         axes = len(verify.DESK_GRIDS[self.group]["n_counts"])
@@ -315,7 +319,7 @@ CHECK_FAMILIES = {
         run.model, count=100, seed=cfg.seed
     ),
     "semi-invariance": lambda cfg, run: semi_invariance_suite(
-        run.dual, run.sampling, run.h_grid, count=20, seed=cfg.seed
+        run.dual, run.h_grid, count=20, seed=cfg.seed
     ),
     "plancherel": lambda cfg, run: run.cases(
         "plancherel", lambda g, p, rec: [check_plancherel(g, run.dual, record=rec)]
@@ -437,7 +441,7 @@ def run_suite(cfg: RunConfig, stream=None):
 def _write_atomic(path, text):
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    tmp = os.path.join(directory, f".{os.path.basename(path)}.tmp.{os.getpid()}")
+    tmp = os.path.join(directory, f".hyw.tmp.{os.getpid()}")  # length independent of path's
     try:
         with open(tmp, "w") as fh:
             fh.write(text)

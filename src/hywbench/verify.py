@@ -415,7 +415,6 @@ def check_proof_chain(
     dual: DualOrbitModel,
     p: float,
     constants: str = "sharp",
-    config: DualSamplingConfig | None = None,
     record: SpectralRecord | None = None,
 ) -> list:
     """Every majorization between the direct-integral norm and the abelian
@@ -445,12 +444,12 @@ def check_proof_chain(
     The results carry every V: averaging reports V0 <= V1, cauchy-schwarz
     V1 <= V2, minkowski-swap V2 <= V3 and slice-hausdorff-young V3 <= V4.
     All of them, and the slice ratios of the slice bound, reduce the
-    spectral record of g, which must carry p in its chain; one is built here
-    when none is given.
+    spectral record of g, which must carry p in its chain; one is built here,
+    on the dual's default transversal, when none is given.
     """
     p = float(p)
     if record is None:
-        record = spectral_record(g, dual, (p,), config, chain=(p,))  # rejects p outside (1, 2]
+        record = spectral_record(g, dual, (p,), chain=(p,))  # rejects p outside (1, 2]
     q = conjugate_exponent(p)
     lin, quad, eq = TOLERANCES["linalg"], TOLERANCES["quadrature"], TOLERANCES["equality"]
     bound = babenko_constant(p, dual.group.dim_N, constants)
@@ -528,9 +527,12 @@ def check_semi_invariance(
     return deviation_result("semi-invariance", dev, TOLERANCES["linalg"], detail)
 
 
-def semi_invariance_suite(dual: DualOrbitModel, config, h_grid, count: int, seed: int) -> list:
+def semi_invariance_suite(dual: DualOrbitModel, h_grid, count: int, seed: int) -> list:
+    """check_semi_invariance at count seeded shifts x of H-grid steps, each at
+    a point sigma0 drawn from the dual's default transversal: the identity
+    holds at every sigma0, so the suite takes no sampling config."""
     model = dual.group
-    params, _ = dual.transversal(config)
+    params, _ = dual.transversal(None)
     rng = np.random.default_rng(seed)
     out = []
     for i in range(count):
@@ -664,7 +666,6 @@ def check_nilpotent_bound(
     g: SampledFunction,
     dual: DualOrbitModel,
     p: float,
-    config: DualSamplingConfig | None = None,
     record: SpectralRecord | None = None,
 ) -> CheckResult:
     """Two-step nilpotent bound on the Heisenberg instance: the transform
@@ -677,15 +678,15 @@ def check_nilpotent_bound(
     how it is computed here.  It equals the abelian constant of the
     two-dimensional normal subgroup.  lhs and the slack are those of
     hausdorff_young_margins at p, and rhs reads ||g||_p, all from one
-    spectral record of g (built here at p when none is given).  An lhs of
-    exactly 0 fails, as there.
+    spectral record of g (built here at p, on the dual's default
+    transversal, when none is given).  An lhs of exactly 0 fails, as there.
     """
     if dual.group.name != "heisenberg":
         raise ValueError("the nilpotent bound check is specific to the Heisenberg instance")
     p = float(p)
     constant = babenko_constant(p, 1) ** 2
     if record is None:
-        record = spectral_record(g, dual, (p,), config)
+        record = spectral_record(g, dual, (p,))
     (hy,) = hausdorff_young_margins(g, dual, (p,), record=record)
     rhs = constant * record.lp[p]
     res = inequality_result("nilpotent-bound", hy.lhs, rhs, hy.tolerance, detail=f"p={p:g}")

@@ -100,7 +100,6 @@ def test_criterion_03_hausdorff_young_sharp(group):
 def test_criterion_04_proof_chain_monotone_and_equalities(group):
     model, dual = make_group(group)
     n_grids, h_grid = default_grids(group)
-    sampling = default_sampling_config(group)
     if group == "axb":
         specs = gaussian_fixtures(group, 3) + random_fixtures(group, 5, base_seed=4000)
         ps = (1.2, 1.5, 1.8)
@@ -111,13 +110,13 @@ def test_criterion_04_proof_chain_monotone_and_equalities(group):
     for spec in specs:
         g = sample(spec, n_grids, h_grid, model)
         for p in ps:
-            for r in check_proof_chain(g, dual, p, config=sampling):
+            for r in check_proof_chain(g, dual, p):
                 assert r.passed, f"{spec.kind} seed={spec.seed} p={p}: {r}"
                 checked += 1
     # exponent 2: every link an equality within 1e-2 relative
     for spec in (gaussian_fixtures(group, 1) + random_fixtures(group, 1, base_seed=4100)):
         g = sample(spec, n_grids, h_grid, model)
-        results = check_proof_chain(g, dual, 2.0, config=sampling)
+        results = check_proof_chain(g, dual, 2.0)
         equalities = [r for r in results if r.name.startswith("proof-chain:equal-at-two")]
         assert len(equalities) == 4
         for r in results:
@@ -130,8 +129,8 @@ def test_criterion_04_proof_chain_monotone_and_equalities(group):
 @pytest.mark.parametrize("group", ["axb", "heisenberg"])
 def test_criterion_05_semi_invariance(group):
     _, dual = make_group(group)
-    sampling, h_grid = default_sampling_config(group), default_grids(group)[1]
-    results = semi_invariance_suite(dual, sampling, h_grid, count=20, seed=500)
+    h_grid = default_grids(group)[1]
+    results = semi_invariance_suite(dual, h_grid, count=20, seed=500)
     assert len(results) == 20
     worst = max(r.lhs for r in results)
     assert all(r.passed and r.tolerance == 1e-10 for r in results)
@@ -161,7 +160,6 @@ def test_criterion_07_dual_measure_scaling(group):
 def test_criterion_08_nilpotent_bound():
     model, dual = make_group("heisenberg")
     n_grids, h_grid = default_grids("heisenberg")
-    sampling = default_sampling_config("heisenberg")
     p = 1.5
     # the instance is three-dimensional with two-dimensional generic dual
     # orbits, so the line constant enters at the power 3 - 2/2 = 2
@@ -171,7 +169,7 @@ def test_criterion_08_nilpotent_bound():
     violations = 0
     for spec in specs:
         g = sample(spec, n_grids, h_grid, model)
-        r = check_nilpotent_bound(g, dual, p, sampling)
+        r = check_nilpotent_bound(g, dual, p)
         assert r.rhs == pytest.approx(expected * lp_norm_G(g, p), rel=1e-12)
         if not r.passed:
             violations += 1

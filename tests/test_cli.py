@@ -1,11 +1,13 @@
 """End-to-end checks for the batch entry point and its report contract."""
 
 import contextlib
+import dataclasses
 import hashlib
 import inspect
 import io
 import json
 import os
+import stat
 import time
 import tracemalloc
 from types import SimpleNamespace
@@ -127,6 +129,19 @@ def test_report_structure_and_summary_consistency(tmp_path):
     assert fams == sorted(fams, key=order.index)
     # comment lines carry the timestamp and prose footer
     assert any(ln.startswith("# generated") for ln in lines)
+
+
+def test_run_prints_one_line_per_check_then_the_summary(tmp_path, capsys):
+    out = tmp_path / "r.jsonl"
+    assert main(["run", "--group", "axb", "--checks", "dual-measure-scaling,hausdorff-young",
+                 "--out", str(out)]) == 0
+    _, _, records = parse_report(out)
+    checks = [r for r in records if r["record"] == "check"]
+    summary = records[-1]
+    fields = [f.name for f in dataclasses.fields(verify.CheckResult)]
+    expected = [str(verify.CheckResult(**{f: r[f] for f in fields})) for r in checks]
+    expected.append(f"{summary['checks']} checks: {summary['passed']} passed, 0 failed -> {out}")
+    assert capsys.readouterr().out.splitlines() == expected and len(checks) == 106
 
 
 @pytest.mark.parametrize(
@@ -321,6 +336,33 @@ def test_out_directory_is_rejected_before_any_check(tmp_path, capsys, monkeypatc
     assert os.listdir(tmp_path) == ["reports"] and os.listdir(out) == []
 
 
+def test_an_out_that_is_not_a_regular_file_is_rejected_before_any_check(
+    tmp_path, capsys, monkeypatch
+):
+    ran = []
+    monkeypatch.setitem(CHECK_FAMILIES, "minkowski", lambda cfg, _: ran.append(cfg) or [])
+    fifo = tmp_path / "f"
+    os.mkfifo(fifo)  # the rename would make it a regular file
+    assert run_main(["--group", "axb", "--checks", "minkowski", "--out", str(fifo)]) == 2
+    assert one_line(capsys.readouterr().err, "configuration error: ")
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    cfg_file = tmp_path / "nul.json"  # open() raises ValueError on a NUL byte
+    cfg_file.write_text(json.dumps({"group": "axb", "checks": ["minkowski"], "out": "r\0.jsonl"}))
+    monkeypatch.chdir(tmp_path)
+    assert run_main(["--config", str(cfg_file)]) == 2
+    assert one_line(capsys.readouterr().err, "configuration error: ")
+    assert not ran  # no family ran
+    assert sorted(os.listdir(tmp_path)) == ["f", "nul.json"]
+
+
+def test_a_report_name_of_255_bytes_is_written(tmp_path, capsys):
+    name = "r" * 249 + ".jsonl"
+    assert len(name) == 255
+    assert run_main(["--group", "axb", "--checks", "", "--out", str(tmp_path / name)]) == 0
+    assert os.listdir(tmp_path) == [name]  # and no temp file left beside it
+    assert parse_report(tmp_path / name)[0][0] == "HYWREPORT 1"
+
+
 def test_unwritable_report_path_exits_two(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -400,6 +442,9 @@ NAMED_VALUE_ERRORS = {
         {"grid_h": 2**1100},
         {"p": [10**400]},
         {"tolerances": {"bound": 10**400}},
+        {"p": []},
+        {"tolerances": [1]},
+        {"tolerances": None},
     ],
 )
 def test_config_file_errors_exit_two(tmp_path, capsys, config):
@@ -506,7 +551,13 @@ def mostly(valid):
             "grid_n": mostly(st.sampled_from([4, 8])),
             "grid_h": mostly(st.sampled_from([4, 8])),
             "checks": st.lists(st.sampled_from(SAMPLED_FAMILIES), min_size=1, max_size=3),
-            "p": mostly(st.lists(st.floats(1.0, 2.0, exclude_min=True), min_size=1, max_size=2)),
+            "p": mostly(st.lists(st.floats(1.0, 2.0, exclude_min=True), max_size=2)),
+            "constants": mostly(st.sampled_from(["sharp", "classical"])),
+            "tolerances": mostly(
+                st.dictionaries(
+                    st.sampled_from(sorted(verify.TOLERANCES)), st.floats(0.0, 1.0) | JUNK
+                )
+            ),
             "seed": mostly(st.integers(0, 3)),
             "n_extents": mostly(st.lists(EXTENT, min_size=1, max_size=2)),
             "h_extent": (st.sampled_from([1000.0, 745.5, 740.0, 709.7]) | st.floats(0.0, 1e308))

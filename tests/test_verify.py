@@ -294,8 +294,8 @@ def test_semi_invariance_identity_is_exact():
 def test_semi_invariance_suites():
     for name in ("axb", "heisenberg"):
         _, dual = make_group(name)
-        sampling, h_grid = default_sampling_config(name), default_grids(name)[1]
-        results = semi_invariance_suite(dual, sampling, h_grid, count=8, seed=2)
+        h_grid = default_grids(name)[1]
+        results = semi_invariance_suite(dual, h_grid, count=8, seed=2)
         assert all(r.passed for r in results)
         assert all(r.lhs <= 1e-10 for r in results)
 
@@ -348,9 +348,9 @@ def test_every_check_reads_one_orbit_sum():
     cfg = default_sampling_config("heisenberg")
     record = spectral_record(g, dual, (1.5,), cfg, chain=(1.5,))
     (hy,) = hausdorff_young_margins(g, dual, (1.5,), config=cfg, record=record)
-    v = chain_values(check_proof_chain(g, dual, 1.5, config=cfg, record=record))
+    v = chain_values(check_proof_chain(g, dual, 1.5, record=record))
     assert hy.lhs == v[0] ** (1 / conjugate_exponent(1.5))
-    nil = check_nilpotent_bound(g, dual, 1.5, cfg, record)
+    nil = check_nilpotent_bound(g, dual, 1.5, record)
     assert (nil.lhs, nil.tolerance) == (hy.lhs, hy.tolerance)
 
 
@@ -402,17 +402,17 @@ def test_record_backed_checks_equal_standalone_calls(group, ps):
     record = spectral_record(g, dual, (2.0,), cfg, chain=ps)
     planch = check_plancherel(g, dual, cfg)
     hy = hausdorff_young_margins(g, dual, ps, config=cfg)
-    chains = {p: check_proof_chain(g, dual, p, config=cfg) for p in ps}
+    chains = {p: check_proof_chain(g, dual, p) for p in ps}
     extremality = {p: check_gaussian_extremality(g, dual, p) for p in ps}
     for f in (g, blank, foreign):
         assert check_plancherel(f, dual, cfg, record=record) == planch
         assert hausdorff_young_margins(f, dual, ps, config=cfg, record=record) == hy
         for p in ps:
-            assert check_proof_chain(f, dual, p, config=cfg, record=record) == chains[p]
+            assert check_proof_chain(f, dual, p, record=record) == chains[p]
             assert check_gaussian_extremality(f, dual, p, record=record) == extremality[p]
             if group == "heisenberg":
-                nil = check_nilpotent_bound(f, dual, p, cfg, record)
-                assert nil == check_nilpotent_bound(g, dual, p, cfg)
+                nil = check_nilpotent_bound(f, dual, p, record)
+                assert nil == check_nilpotent_bound(g, dual, p)
 
 
 def test_record_carries_each_exponents_norm_and_slice_ratios():
@@ -493,8 +493,7 @@ def test_chain_checks_pass_both_groups():
     assert all(r.passed for r in check_proof_chain(g, dual, 1.5))
     _, dual_h = make_group("heisenberg")
     gh = sample_fixture("heisenberg", gaussian_fixtures("heisenberg", 1)[0])
-    cfg = default_sampling_config("heisenberg")
-    assert all(r.passed for r in check_proof_chain(gh, dual_h, 1.5, config=cfg))
+    assert all(r.passed for r in check_proof_chain(gh, dual_h, 1.5))
 
 
 def test_chain_collapses_at_two():
@@ -545,7 +544,7 @@ def test_gaussian_extremality_both_groups():
 def test_nilpotent_bound_holds_and_guards():
     _, dual_h = make_group("heisenberg")
     g = sample_fixture("heisenberg", gaussian_fixtures("heisenberg", 1)[0])
-    r = check_nilpotent_bound(g, dual_h, 1.5, default_sampling_config("heisenberg"))
+    r = check_nilpotent_bound(g, dual_h, 1.5)
     assert r.passed
     assert r.rhs == pytest.approx(babenko_constant(1.5, 2) * lp_norm_G(g, 1.5), rel=1e-12)
     _, dual_a, ga = axb_base()

@@ -40,6 +40,7 @@ CONFIGS = (
     "--group heisenberg --checks gaussian-extremality,proof-chain --p 1.5,1.8",
     "--group heisenberg --checks gaussian-extremality --p 1.2,1.5,2",
     "--group heisenberg --grid-n 4 --grid-h 4",
+    "--group axb --constants classical --checks hausdorff-young,proof-chain --p 1.2,1.8",
 )
 DEMOS = (
     "demos/01_group_models.py",
