@@ -20,6 +20,7 @@ from hywbench.verify import (
     default_grids,
     gaussian_fixtures,
     random_fixtures,
+    spectral_record,
 )
 
 
@@ -39,18 +40,19 @@ g = sample(gaussian_fixtures("axb", 1)[0], n_grids, h_grid, model)
 print("axb, Gaussian fixture:")
 print(f"{'p':>5} {'V0':>12} {'V1':>12} {'V2':>12} {'V3':>12} {'V4':>12}")
 for p in (1.2, 1.5, 1.8, 2.0):
-    print(f"{p:5.1f}" + "".join(f" {v:12.6f}" for v in chain_values(check_proof_chain(g, dual, p))))
+    results = check_proof_chain(spectral_record(g, dual, (p,), chain=(p,)), model, p)
+    print(f"{p:5.1f}" + "".join(f" {v:12.6f}" for v in chain_values(results)))
 
 print("\nall chain checks on a random fixture at p = 1.5:")
 g_r = sample(random_fixtures("axb", 1, base_seed=3)[0], n_grids, h_grid, model)
-for r in check_proof_chain(g_r, dual, 1.5):
+for r in check_proof_chain(spectral_record(g_r, dual, (1.5,), chain=(1.5,)), model, 1.5):
     print(" ", r)
 
 # the Heisenberg chain carries the |lambda| orbit weights through unchanged
 model_h, dual_h = make_group("heisenberg")
 n_grids_h, h_grid_h = default_grids("heisenberg")
 gh = sample(gaussian_fixtures("heisenberg", 1)[0], n_grids_h, h_grid_h, model_h)
-v = chain_values(check_proof_chain(gh, dual_h, 1.5))
+v = chain_values(check_proof_chain(spectral_record(gh, dual_h, (1.5,), chain=(1.5,)), model_h, 1.5))
 print(f"\nheisenberg p=1.5: V0={v[0]:.4f} <= V1={v[1]:.4f} <= "
       f"V2={v[2]:.4f} <= V3={v[3]:.4f} ~ V4={v[4]:.4f}")
 print("(the last link is quadrature-tight for Gaussians: the dual-side")

@@ -27,10 +27,12 @@ the ``model`` record shows.
 
 Exit codes: 0 all selected checks pass, 1 at least one check failed,
 2 configuration or usage error, or an output path that cannot be written,
-each on one stderr line (a ``run --out`` holding a NUL byte or naming an
-existing directory, FIFO or other file that is not a regular file, grids
+each on one stderr line (a ``run --out`` holding a NUL byte, naming an
+existing directory, FIFO or other file that is not a regular file, or
+under a path whose nearest existing part is not a directory, grids
 over the size or extent limits and an H grid where the modular function
-overflows are rejected before any check runs).
+overflows are rejected before any check runs).  A symlink given as the
+report is written through: the report replaces the link's target.
 """
 
 from __future__ import annotations
@@ -175,6 +177,11 @@ class RunConfig:
         # the rename would swap a directory, FIFO or device node for the report
         if os.path.exists(self.out) and not os.path.isfile(self.out):
             raise ConfigError(f"out={self.out!r} exists and is not a regular file")
+        parent = os.path.dirname(os.path.realpath(self.out))
+        while not os.path.exists(parent):  # the write makes the missing directories
+            parent = os.path.dirname(parent)
+        if not os.path.isdir(parent):
+            raise ConfigError(f"out={self.out!r} lies under {parent!r}, not a directory")
         if self.h_extent is not None and not _is_extent(self.h_extent):
             raise ConfigError(f"h_extent must be [lo, hi] numbers, got {self.h_extent!r}")
         axes = len(verify.DESK_GRIDS[self.group]["n_counts"])
@@ -329,15 +336,13 @@ CHECK_FAMILIES = {
         lambda g, p, rec: hausdorff_young_margins(g, run.dual, (p,), cfg.constants, record=rec),
     ),
     "proof-chain": lambda cfg, run: run.cases(
-        "proof-chain",
-        lambda g, p, rec: check_proof_chain(g, run.dual, p, cfg.constants, record=rec),
+        "proof-chain", lambda g, p, rec: check_proof_chain(rec, run.model, p, cfg.constants)
     ),
     "gaussian-extremality": lambda cfg, run: run.cases(
-        "gaussian-extremality",
-        lambda g, p, rec: [check_gaussian_extremality(g, run.dual, p, record=rec)],
+        "gaussian-extremality", lambda g, p, rec: [check_gaussian_extremality(rec, run.model, p)]
     ),
     "nilpotent-bound": lambda cfg, run: run.cases(
-        "nilpotent-bound", lambda g, p, rec: [check_nilpotent_bound(g, run.dual, p, record=rec)]
+        "nilpotent-bound", lambda g, p, rec: [check_nilpotent_bound(rec, run.model, p)]
     ),
 }
 
@@ -439,7 +444,8 @@ def run_suite(cfg: RunConfig, stream=None):
 
 
 def _write_atomic(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
+    path = os.path.realpath(path)  # a symlink is written through, to its target
+    directory = os.path.dirname(path)
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".hyw.tmp.{os.getpid()}")  # length independent of path's
     try:

@@ -252,7 +252,7 @@ class SpectralRecord:
     ||F_N g(., t)||_q / ||g(., t)||_p over the slices of non-negligible mass,
     whose maximum the proof-chain slice bound reads and whose minimum
     gaussian-extremality reads.  Neither a pairing table nor a sample of g
-    is kept: a check given a record reads only the record and the dual."""
+    is kept: a check given a record reads only the record and the group."""
 
     nu: np.ndarray
     lp: dict
@@ -393,29 +393,26 @@ def hausdorff_young_margins(
     Plancherel identity), so the slack widens to the quadrature tolerance, 1e-2.
     An lhs of exactly 0 fails: a fixture with no transform mass proves nothing.
     """
-    model = dual.group
     ps = [float(p) for p in ps]
     if record is None:
         record = spectral_record(g, dual, ps, config)  # rejects p outside (1, 2]
-    out = []
-    for p in ps:
-        lhs = _orbit_sum(record, p) ** (1.0 / conjugate_exponent(p))
-        rhs = babenko_constant(p, model.dim_N, constants) * record.lp[p]
-        tol = TOLERANCES["bound"] if p < 2.0 else TOLERANCES["quadrature"]
-        detail = f"{model.name} p={p:g} {constants}"
-        out.append(_require_mass(inequality_result("hausdorff-young", lhs, rhs, tol, detail)))
-    return out
+    return [_hausdorff_young(record, dual.group, p, constants) for p in ps]
+
+
+def _hausdorff_young(record: SpectralRecord, model: GroupExtensionModel, p, constants):
+    """The Hausdorff-Young result at p, whose lhs nilpotent-bound shares."""
+    lhs = _orbit_sum(record, p) ** (1.0 / conjugate_exponent(p))
+    rhs = babenko_constant(p, model.dim_N, constants) * record.lp[p]
+    tol = TOLERANCES["bound"] if p < 2.0 else TOLERANCES["quadrature"]
+    detail = f"{model.name} p={p:g} {constants}"
+    return _require_mass(inequality_result("hausdorff-young", lhs, rhs, tol, detail))
 
 
 # -- the norm chain ------------------------------------------------------------------
 
 
 def check_proof_chain(
-    g: SampledFunction,
-    dual: DualOrbitModel,
-    p: float,
-    constants: str = "sharp",
-    record: SpectralRecord | None = None,
+    record: SpectralRecord, group: GroupExtensionModel, p: float, constants: str = "sharp"
 ) -> list:
     """Every majorization between the direct-integral norm and the abelian
     bound, slack 1e-10 on the links exact on the grid and 1e-2 on the one
@@ -444,15 +441,12 @@ def check_proof_chain(
     The results carry every V: averaging reports V0 <= V1, cauchy-schwarz
     V1 <= V2, minkowski-swap V2 <= V3 and slice-hausdorff-young V3 <= V4.
     All of them, and the slice ratios of the slice bound, reduce the
-    spectral record of g, which must carry p in its chain; one is built here,
-    on the dual's default transversal, when none is given.
+    spectral record of g, which must carry p in its chain.
     """
     p = float(p)
-    if record is None:
-        record = spectral_record(g, dual, (p,), chain=(p,))  # rejects p outside (1, 2]
     q = conjugate_exponent(p)
     lin, quad, eq = TOLERANCES["linalg"], TOLERANCES["quadrature"], TOLERANCES["equality"]
-    bound = babenko_constant(p, dual.group.dim_N, constants)
+    bound = babenko_constant(p, group.dim_N, constants)
     nu, sq = record.nu, record.sq[p]
     direct, adjoint, v3, ratios = record.chain[p]
     c_direct, c_adjoint = float(nu @ direct), float(nu @ adjoint)
@@ -663,10 +657,7 @@ def minkowski_random_suite(count: int, seed: int) -> CheckResult:
 
 
 def check_nilpotent_bound(
-    g: SampledFunction,
-    dual: DualOrbitModel,
-    p: float,
-    record: SpectralRecord | None = None,
+    record: SpectralRecord, group: GroupExtensionModel, p: float
 ) -> CheckResult:
     """Two-step nilpotent bound on the Heisenberg instance: the transform
     norm is at most A_p^(3 - 2/2) ||g||_p = A_p^2 ||g||_p, slack 1e-6 below
@@ -677,17 +668,15 @@ def check_nilpotent_bound(
     one-dimensional sharp constant to the power 3 - 2/2 = 2, and that is
     how it is computed here.  It equals the abelian constant of the
     two-dimensional normal subgroup.  lhs and the slack are those of
-    hausdorff_young_margins at p, and rhs reads ||g||_p, all from one
-    spectral record of g (built here at p, on the dual's default
-    transversal, when none is given).  An lhs of exactly 0 fails, as there.
+    hausdorff_young_margins at p, and rhs reads ||g||_p, all from the
+    spectral record of g, which must carry p.  An lhs of exactly 0 fails, as
+    there.
     """
-    if dual.group.name != "heisenberg":
+    if group.name != "heisenberg":
         raise ValueError("the nilpotent bound check is specific to the Heisenberg instance")
     p = float(p)
     constant = babenko_constant(p, 1) ** 2
-    if record is None:
-        record = spectral_record(g, dual, (p,))
-    (hy,) = hausdorff_young_margins(g, dual, (p,), record=record)
+    hy = _hausdorff_young(record, group, p, "sharp")
     rhs = constant * record.lp[p]
     res = inequality_result("nilpotent-bound", hy.lhs, rhs, hy.tolerance, detail=f"p={p:g}")
     return _require_mass(res)
@@ -725,25 +714,19 @@ def schatten_property_suite(count: int, size: int, seed: int) -> CheckResult:
 
 
 def check_gaussian_extremality(
-    g: SampledFunction,
-    dual: DualOrbitModel,
-    p: float,
-    record: SpectralRecord | None = None,
+    record: SpectralRecord, group: GroupExtensionModel, p: float
 ) -> CheckResult:
     """Gaussians saturate the abelian Babenko-Beckner inequality, so each
     slice of the Gaussian g must realize at least 0.99 of the sharp constant
     A_p^dim, with no further slack.
 
     The slice ratios are those of the spectral record of g, which must carry
-    p in its chain (one is built here at p when none is given): the check
-    reads their minimum, where the proof-chain slice bound reads their
-    maximum.  The ratios read only g, never the dual transversal, so the
-    check takes no sampling config.  Slices of negligible mass are dropped;
-    when every slice is, the ratio is NaN and the check fails."""
-    if record is None:
-        record = spectral_record(g, dual, (p,), chain=(p,))  # rejects p outside (1, 2]
+    p in its chain: the check reads their minimum, where the proof-chain
+    slice bound reads their maximum.  The ratios read only g, never the dual
+    transversal.  Slices of negligible mass are dropped; when every slice
+    is, the ratio is NaN and the check fails."""
     *_, ratios = record.chain[p]
-    bound = 0.99 * babenko_constant(p, dual.group.dim_N)
+    bound = 0.99 * babenko_constant(p, group.dim_N)
     rhs = float(ratios.min()) if ratios.size else np.nan
-    detail = f"{dual.group.name} p={p:g} {ratios.size} slices"
+    detail = f"{group.name} p={p:g} {ratios.size} slices"
     return inequality_result("gaussian-extremality", bound, rhs, 0.0, detail)

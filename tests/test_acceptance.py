@@ -28,6 +28,7 @@ from hywbench.verify import (
     russo_fournier_random_suite,
     schatten_property_suite,
     semi_invariance_suite,
+    spectral_record,
 )
 
 
@@ -110,13 +111,13 @@ def test_criterion_04_proof_chain_monotone_and_equalities(group):
     for spec in specs:
         g = sample(spec, n_grids, h_grid, model)
         for p in ps:
-            for r in check_proof_chain(g, dual, p):
+            for r in check_proof_chain(spectral_record(g, dual, (p,), chain=(p,)), model, p):
                 assert r.passed, f"{spec.kind} seed={spec.seed} p={p}: {r}"
                 checked += 1
     # exponent 2: every link an equality within 1e-2 relative
     for spec in (gaussian_fixtures(group, 1) + random_fixtures(group, 1, base_seed=4100)):
         g = sample(spec, n_grids, h_grid, model)
-        results = check_proof_chain(g, dual, 2.0)
+        results = check_proof_chain(spectral_record(g, dual, (2.0,), chain=(2.0,)), model, 2.0)
         equalities = [r for r in results if r.name.startswith("proof-chain:equal-at-two")]
         assert len(equalities) == 4
         for r in results:
@@ -169,7 +170,7 @@ def test_criterion_08_nilpotent_bound():
     violations = 0
     for spec in specs:
         g = sample(spec, n_grids, h_grid, model)
-        r = check_nilpotent_bound(g, dual, p)
+        r = check_nilpotent_bound(spectral_record(g, dual, (p,)), model, p)
         assert r.rhs == pytest.approx(expected * lp_norm_G(g, p), rel=1e-12)
         if not r.passed:
             violations += 1
@@ -182,7 +183,7 @@ def test_criterion_09_gaussian_extremality(group):
     model, dual = make_group(group)
     g = sample(gaussian_fixtures(group, 1)[0], *default_grids(group), model)
     for p in (4 / 3, 1.5, 1.8):
-        r = check_gaussian_extremality(g, dual, p)
+        r = check_gaussian_extremality(spectral_record(g, dual, (p,), chain=(p,)), model, p)
         assert r.passed, f"p={p}: {r}"
         assert r.lhs == pytest.approx(0.99 * babenko_constant(p, 2 if group == "heisenberg" else 1))
     print(f"criterion 9 [{group}]: slice ratios within 1% of the sharp constant")

@@ -363,12 +363,26 @@ def test_a_report_name_of_255_bytes_is_written(tmp_path, capsys):
     assert parse_report(tmp_path / name)[0][0] == "HYWREPORT 1"
 
 
-def test_unwritable_report_path_exits_two(tmp_path, capsys):
+def test_unwritable_report_path_exits_two(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setitem(CHECK_FAMILIES, "minkowski", lambda cfg, _: ran.append(cfg) or [])
     blocker = tmp_path / "file"
     blocker.write_text("")
-    out = blocker / "report.jsonl"  # its directory is a regular file
-    assert run_main(["--group", "axb", "--checks", "", "--out", str(out)]) == 2
-    assert one_line(capsys.readouterr().err, "cannot write output: ")
+    for out in (blocker / "report.jsonl", blocker / "sub" / "report.jsonl"):
+        assert run_main(["--group", "axb", "--checks", "minkowski", "--out", str(out)]) == 2
+        assert one_line(capsys.readouterr().err, "configuration error: ")
+    assert not ran  # rejected before any family ran
+    assert os.listdir(tmp_path) == ["file"]
+
+
+def test_a_symlinked_report_is_written_to_its_target(tmp_path, capsys):
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_text("")
+    link.symlink_to(target)
+    assert run_main(["--group", "axb", "--checks", "", "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert parse_report(target)[0][0] == "HYWREPORT 1"
+    assert sorted(os.listdir(tmp_path)) == ["link", "target"]  # no temp file left
 
 
 def test_failed_rename_leaves_no_temp_file(tmp_path):

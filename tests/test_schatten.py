@@ -123,6 +123,10 @@ def test_kernel_validation():
     with pytest.raises(ValueError):
         WeightedKernel(np.zeros((3, 3)), -np.ones(3), np.ones(3))
     with pytest.raises(ValueError):
+        WeightedKernel(np.zeros((3, 3)), np.ones(3), np.array([1.0, -1.0, 1.0]))
+    # a zero weight is a point of measure zero, not an error
+    WeightedKernel(np.zeros((3, 3)), np.array([0.0, 1.0, 1.0]), np.array([1.0, 1.0, 0.0]))
+    with pytest.raises(ValueError):
         WeightedKernel(np.zeros(3), np.ones(3), np.ones(3))
     with pytest.raises(NotImplementedError):
         WeightedKernel(np.zeros((2, 2, 2)), np.ones(2), np.ones(2))
@@ -158,6 +162,7 @@ def test_cross_norm_validates_exponents():
         cross_norm_qpq(k, 2.5)  # inner exponent above 2
     with pytest.raises(ValueError):
         cross_norm_qpq(k, 1.0)  # inner exponent 1: its conjugate is infinite
+    assert np.isfinite(cross_norm_qpq(k, 1.005))  # every exponent above 1 is taken
 
 
 def test_averaging_bound_is_equality_at_two():

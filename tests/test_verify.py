@@ -330,10 +330,10 @@ def test_plancherel_heisenberg_desk_scale():
 
 
 def test_hausdorff_young_consistent_with_chain():
-    _, dual, g = axb_base()
+    model, dual, g = axb_base()
     p = 1.5
     (r,) = hausdorff_young_margins(g, dual, (p,))
-    v = chain_values(check_proof_chain(g, dual, p))
+    v = chain_values(check_proof_chain(spectral_record(g, dual, (p,), chain=(p,)), model, p))
     q = conjugate_exponent(p)
     assert r.passed
     assert r.lhs == pytest.approx(v[0] ** (1 / q), rel=1e-12)
@@ -343,14 +343,14 @@ def test_hausdorff_young_consistent_with_chain():
 def test_every_check_reads_one_orbit_sum():
     # hausdorff-young's lhs, nilpotent-bound's lhs and the chain's V0 come
     # from one sum over the orbits, so they agree bit for bit
-    _, dual = make_group("heisenberg")
+    model, dual = make_group("heisenberg")
     g = sample_fixture("heisenberg", random_fixtures("heisenberg", 1)[0])
     cfg = default_sampling_config("heisenberg")
     record = spectral_record(g, dual, (1.5,), cfg, chain=(1.5,))
     (hy,) = hausdorff_young_margins(g, dual, (1.5,), config=cfg, record=record)
-    v = chain_values(check_proof_chain(g, dual, 1.5, record=record))
+    v = chain_values(check_proof_chain(record, model, 1.5))
     assert hy.lhs == v[0] ** (1 / conjugate_exponent(1.5))
-    nil = check_nilpotent_bound(g, dual, 1.5, record)
+    nil = check_nilpotent_bound(record, model, 1.5)
     assert (nil.lhs, nil.tolerance) == (hy.lhs, hy.tolerance)
 
 
@@ -392,7 +392,8 @@ def test_one_svd_serves_every_exponent_on_heisenberg():
 def test_record_backed_checks_equal_standalone_calls(group, ps):
     # given its record, a check reads only the record and the dual: on g with
     # its values zeroed, and on another fixture sampled on 8-point grids, it
-    # still equals the standalone call on g
+    # still equals the standalone call on g; and a check of one record built
+    # at every exponent equals the check of a record built at p alone
     model, dual = make_group(group)
     g = sample_fixture(group, random_fixtures(group, 1, base_seed=5)[0])
     blank = dataclasses.replace(g, values=np.zeros_like(g.values))
@@ -402,17 +403,17 @@ def test_record_backed_checks_equal_standalone_calls(group, ps):
     record = spectral_record(g, dual, (2.0,), cfg, chain=ps)
     planch = check_plancherel(g, dual, cfg)
     hy = hausdorff_young_margins(g, dual, ps, config=cfg)
-    chains = {p: check_proof_chain(g, dual, p) for p in ps}
-    extremality = {p: check_gaussian_extremality(g, dual, p) for p in ps}
     for f in (g, blank, foreign):
         assert check_plancherel(f, dual, cfg, record=record) == planch
         assert hausdorff_young_margins(f, dual, ps, config=cfg, record=record) == hy
-        for p in ps:
-            assert check_proof_chain(f, dual, p, record=record) == chains[p]
-            assert check_gaussian_extremality(f, dual, p, record=record) == extremality[p]
-            if group == "heisenberg":
-                nil = check_nilpotent_bound(f, dual, p, record)
-                assert nil == check_nilpotent_bound(g, dual, p)
+    for p in ps:
+        alone = spectral_record(g, dual, (p,), chain=(p,))
+        assert check_proof_chain(record, model, p) == check_proof_chain(alone, model, p)
+        extremality = check_gaussian_extremality(alone, model, p)
+        assert check_gaussian_extremality(record, model, p) == extremality
+        if group == "heisenberg":
+            nil = check_nilpotent_bound(spectral_record(g, dual, (p,)), model, p)
+            assert check_nilpotent_bound(record, model, p) == nil
 
 
 def test_record_carries_each_exponents_norm_and_slice_ratios():
@@ -420,7 +421,7 @@ def test_record_carries_each_exponents_norm_and_slice_ratios():
     # that exponent, bit for bit and slice by slice: no exponent's value is read
     # for another, and the slice bound and gaussian-extremality read their max
     # and min
-    _, dual = make_group("axb")
+    model, dual = make_group("axb")
     g = sample_fixture("axb", random_fixtures("axb", 1)[0])
     ps = (1.2, 1.5, 1.8)
     record = spectral_record(g, dual, (2.0,), chain=ps)
@@ -429,10 +430,10 @@ def test_record_carries_each_exponents_norm_and_slice_ratios():
         reference = reference_slice_ratios(g, p)
         *_, ratios = record.chain[p]
         assert np.array_equal(ratios, reference)
-        results = check_proof_chain(g, dual, p, record=record)
+        results = check_proof_chain(record, model, p)
         (bound,) = [r for r in results if r.name == "proof-chain:slice-bound"]
         assert bound.lhs == reference.max()
-        assert check_gaussian_extremality(g, dual, p, record=record).rhs == reference.min()
+        assert check_gaussian_extremality(record, model, p).rhs == reference.min()
 
 
 @pytest.mark.parametrize("group", ["axb", "heisenberg"])
@@ -473,32 +474,34 @@ def test_heisenberg_window_term_is_linear_in_lambda_min():
 
 
 def test_chain_values_axb_frozen():
-    _, dual, g = axb_base()
-    v = chain_values(check_proof_chain(g, dual, 1.5))
+    model, dual, g = axb_base()
+    v = chain_values(check_proof_chain(spectral_record(g, dual, (1.5,), chain=(1.5,)), model, 1.5))
     frozen = [23.1873467558, 26.4241724734, 26.4241724734, 29.5045946456, 29.5963057277]
     for i, ref in enumerate(frozen):
         assert v[i] == pytest.approx(ref, rel=1e-9), f"V{i}"
 
 
 def test_chain_is_monotone_axb():
-    _, dual, g = axb_base()
+    model, dual, g = axb_base()
     for p in (1.2, 1.5, 2.0):
-        v = chain_values(check_proof_chain(g, dual, p))
+        v = chain_values(check_proof_chain(spectral_record(g, dual, (p,), chain=(p,)), model, p))
         assert all(a <= b * (1 + 1e-10) for a, b in zip(v[:3], v[1:4]))
         assert v[3] <= v[4] * 1.01
 
 
 def test_chain_checks_pass_both_groups():
-    _, dual, g = axb_base()
-    assert all(r.passed for r in check_proof_chain(g, dual, 1.5))
-    _, dual_h = make_group("heisenberg")
+    model, dual, g = axb_base()
+    record = spectral_record(g, dual, (1.5,), chain=(1.5,))
+    assert all(r.passed for r in check_proof_chain(record, model, 1.5))
+    model_h, dual_h = make_group("heisenberg")
     gh = sample_fixture("heisenberg", gaussian_fixtures("heisenberg", 1)[0])
-    assert all(r.passed for r in check_proof_chain(gh, dual_h, 1.5))
+    record_h = spectral_record(gh, dual_h, (1.5,), chain=(1.5,))
+    assert all(r.passed for r in check_proof_chain(record_h, model_h, 1.5))
 
 
 def test_chain_collapses_at_two():
-    _, dual, g = axb_base()
-    results = check_proof_chain(g, dual, 2.0)
+    model, dual, g = axb_base()
+    results = check_proof_chain(spectral_record(g, dual, (2.0,), chain=(2.0,)), model, 2.0)
     names = [r.name for r in results]
     assert sum(n.startswith("proof-chain:equal-at-two") for n in names) == 4
     assert all(r.passed for r in results)
@@ -509,13 +512,15 @@ def test_chain_collapses_at_two():
 def test_chain_random_fixture_ordered():
     model, dual = make_group("axb")
     g = sample_fixture("axb", random_fixtures("axb", 1, base_seed=42)[0])
-    assert all(r.passed for r in check_proof_chain(g, dual, 1.2))
+    record = spectral_record(g, dual, (1.2,), chain=(1.2,))
+    assert all(r.passed for r in check_proof_chain(record, model, 1.2))
 
 
 def test_chain_rejects_bad_exponent():
-    _, dual, g = axb_base()
+    # spectral_record is the one place that validates p
+    model, dual, g = axb_base()
     with pytest.raises(ValueError):
-        check_proof_chain(g, dual, 2.5)
+        check_proof_chain(spectral_record(g, dual, (2.5,), chain=(2.5,)), model, 2.5)
 
 
 # -- slice diagnostics and instance bounds -------------------------------------------
@@ -534,22 +539,23 @@ def test_slice_ratios_constant_for_gaussian():
 
 def test_gaussian_extremality_both_groups():
     for name in ("axb", "heisenberg"):
-        _, dual = make_group(name)
+        model, dual = make_group(name)
         g = sample_fixture(name, gaussian_fixtures(name, 1)[0])
-        r = check_gaussian_extremality(g, dual, 4 / 3)
+        record = spectral_record(g, dual, (4 / 3,), chain=(4 / 3,))
+        r = check_gaussian_extremality(record, model, 4 / 3)
         assert r.passed
         assert r.rhs >= 0.999 * babenko_constant(4 / 3, 2 if name == "heisenberg" else 1)
 
 
 def test_nilpotent_bound_holds_and_guards():
-    _, dual_h = make_group("heisenberg")
+    model_h, dual_h = make_group("heisenberg")
     g = sample_fixture("heisenberg", gaussian_fixtures("heisenberg", 1)[0])
-    r = check_nilpotent_bound(g, dual_h, 1.5)
+    r = check_nilpotent_bound(spectral_record(g, dual_h, (1.5,)), model_h, 1.5)
     assert r.passed
     assert r.rhs == pytest.approx(babenko_constant(1.5, 2) * lp_norm_G(g, 1.5), rel=1e-12)
-    _, dual_a, ga = axb_base()
+    model_a, dual_a, ga = axb_base()
     with pytest.raises(ValueError):
-        check_nilpotent_bound(ga, dual_a, 1.5)
+        check_nilpotent_bound(spectral_record(ga, dual_a, (1.5,)), model_a, 1.5)
 
 
 def test_schatten_suite_catches_a_mis_scaled_svd(monkeypatch):
