@@ -30,7 +30,12 @@ Pairing in chunks: spectral_record pairs the orbits of a transversal 16 at a
 time through pair_orbits.  The trailing frequency is constant along a dual
 orbit, so one pair call contracts the trailing N axis for every orbit of the
 chunk with a single GEMM.  The ax+b group has no trailing axis; its two orbits
-share one call.
+share one call.  For a real g on a symmetric transversal only the first half
+of the orbits is paired: the dual action is linear, so the table at -sigma is
+the conjugate of the table at sigma, and its norms repeat those at sigma bit
+for bit (see spectral_record).  A chunk's GEMM blocking follows its row
+count, so an orbit paired alone may differ from the same orbit paired in its
+chunk by roundoff.
 
 Index bookkeeping: quotient translations act by index shifts, so the kernel
 only ever reads g at h-differences that land back on the quotient grid;

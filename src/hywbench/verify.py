@@ -260,6 +260,14 @@ class SpectralRecord:
     chain: dict
 
 
+def _mirrored(g: SampledFunction, params) -> bool:
+    """Whether the orbit at -sigma repeats the orbit at sigma: the
+    transversal lists an even count of points as its own negation reversed,
+    and g is real, read from its values."""
+    symmetric = len(params) % 2 == 0 and np.array_equal(params[::-1], -params)
+    return symmetric and not g.values.imag.any()
+
+
 def spectral_record(
     g: SampledFunction,
     dual: DualOrbitModel,
@@ -276,6 +284,18 @@ def spectral_record(
     chunk is paired, and then the one copy of g that transform_reciprocal
     makes; the L^p masses are summed in blocks (slice_lp_mass).
 
+    When g is real and the transversal symmetric (an even count of points,
+    the second half the first negated in reverse order: +-1 on ax+b, +-lambda
+    on Heisenberg), only the first half of the orbits is paired, and each
+    per-orbit value of the second half repeats its mirror's.  The dual action
+    is linear, so the pairing table at -sigma is the conjugate of the table
+    at sigma, and its kernel has the same singular values, cross norms and
+    row masses; in IEEE arithmetic the orbit map negates exactly, the band
+    test reads |omega|, Delta is real and conjugating the characters only
+    flips signs, so the values at -sigma are those at sigma bit for bit, and
+    the record is the one the full transversal gives.  A complex g pairs
+    every orbit.
+
     The exponents of chain are added to ps.  Where the modular function is
     1 on every grid point (on a unimodular group), the kernel does not depend
     on the exponent: it is built once per orbit, and with two or more
@@ -285,7 +305,8 @@ def spectral_record(
     and the H measure of the swapped form is the H weights times that one
     Delta.  Each kernel holds only the rows of its orbit that stay in band, so
     the SVD and both cross norms run on an r x n matrix; the slice mass reads the
-    full pairing table, whose out-of-band rows add exact zeros.  ||g||_p is
+    full pairing table, whose out-of-band rows add exact zeros, and sums the
+    orbits in transversal order, each with its own weight.  ||g||_p is
     taken once per exponent, and the slice ratios of every chain exponent
     read one FFT of g, taken after the last chunk of tables is released; a
     slice is dropped when its L^p mass is below 1e-9 of the largest, so a g
@@ -293,6 +314,8 @@ def spectral_record(
     """
     chain = {float(p) for p in chain}
     ps = sorted({float(p) for p in ps} | chain)
+    if not ps:
+        raise ValueError("need at least one exponent p, got an empty exponent list")
     if not all(1.0 < p <= 2.0 for p in ps):
         raise ValueError("need 1 < p <= 2")
     qs = [conjugate_exponent(p) for p in ps]
@@ -303,11 +326,12 @@ def spectral_record(
     measure = h.weights() * delta
     cs = CharacterSlice(g)
     params, nu = dual.transversal(config)
+    paired = params[: len(params) // 2] if _mirrored(g, params) else params
     sq = {p: [] for p in ps}
-    extras = {p: ([], [], np.zeros(h.n)) for p in chain}
-    for start in range(0, len(params), _PAIR_CHUNK):
-        tables = pair_orbits(cs, dual, params[start : start + _PAIR_CHUNK])
-        for table, weight in zip(tables, nu[start : start + _PAIR_CHUNK]):
+    extras = {p: ([], [], []) for p in chain}
+    for start in range(0, len(paired), _PAIR_CHUNK):
+        tables = pair_orbits(cs, dual, paired[start : start + _PAIR_CHUNK])
+        for table in tables:
             k = kernel_from_pair_table(table, h, delta, 1.0 / qs[0])
             if shared_svd:
                 norms = schatten_norms(weighted_operator_matrix(k), qs)
@@ -318,25 +342,33 @@ def spectral_record(
                 # numpy powers overflow to inf where a Python float raises
                 sq[p].append(np.float64(norm) ** q)
                 if p in chain:
-                    direct, adjoint, slice_mass = extras[p]
+                    direct, adjoint, masses = extras[p]
                     direct.append(np.float64(cross_norm_qpq(k, p)) ** q)
                     adjoint.append(np.float64(cross_norm_qpq(adjoint_kernel(k), p)) ** q)
-                    # dual-side q-mass of every slice, row s contributing its orbit weight
-                    slice_mass += weight * (measure @ np.abs(table) ** q)
+                    # dual-side q-mass of every slice
+                    masses.append(measure @ np.abs(table) ** q)
         del tables, table  # the chunk and a view of it: released before the next is paired
+
+    def every_orbit(values):  # the paired orbits, then their mirrors in transversal order
+        return values + values[::-1][: len(params) - len(paired)]
+
     if chain:
         rgrids, transformed = cs.transform_reciprocal()
-    for p, (direct, adjoint, slice_mass) in extras.items():
+    for p, (direct, adjoint, masses) in extras.items():
         q = conjugate_exponent(p)
+        slice_mass = np.zeros(h.n)
+        for weight, m in zip(nu, every_orbit(masses)):  # row s contributing its orbit weight
+            slice_mass += weight * m
         v3 = float((measure @ slice_mass ** (p / q)) ** (q / p))  # the swapped iterated form
         num = slice_lp_mass(transformed, rgrids, q) ** (1 / q)
         den = slice_lp_mass(g.values, g.n_grids, p) ** (1 / p)
         keep = den > 1e-9 * den.max()
-        extras[p] = (np.array(direct), np.array(adjoint), v3, num[keep] / den[keep])
+        direct, adjoint = np.array(every_orbit(direct)), np.array(every_orbit(adjoint))
+        extras[p] = (direct, adjoint, v3, num[keep] / den[keep])
     return SpectralRecord(
         np.asarray(nu),
         {p: lp_norm_G(g, p) for p in ps},
-        {p: np.array(v) for p, v in sq.items()},
+        {p: np.array(every_orbit(v)) for p, v in sq.items()},
         extras,
     )
 

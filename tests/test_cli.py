@@ -760,14 +760,14 @@ def count_record_builds(patch):
 def heisenberg_run():
     """One Heisenberg run of every family at p = 1.2, 1.5: its check records,
     report text and wall time, the fixture keys of its spectral record
-    builds, and the rows of every pairing by fixture key."""
+    builds, and the rows of every pairing by fixture spec."""
     from hywbench.transform import CharacterSlice
 
     paired = {}
     pair = CharacterSlice.pair
 
     def counted(self, omegas):
-        paired.setdefault(self.g.spec.key(), []).append(np.atleast_2d(omegas))
+        paired.setdefault(self.g.spec, []).append(np.atleast_2d(omegas))
         return pair(self, omegas)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -806,13 +806,18 @@ def test_nilpotent_bound_reads_the_hausdorff_young_margins(heisenberg_run, monke
 
 def test_default_heisenberg_run_pairs_each_fixture_once(heisenberg_run):
     # 10 distinct fixtures across plancherel, hausdorff-young, proof-chain and
-    # nilpotent-bound, each paired once at its 64 transversal points x 128
-    # quotient points, however the orbits are grouped into pair calls
+    # nilpotent-bound, each paired once, however the orbits are grouped into
+    # pair calls: a random fixture at its 64 transversal points x 128 quotient
+    # points, a real catalog Gaussian at the 32 points of one lambda sign,
+    # whose mirrors at -lambda repeat them
     paired = heisenberg_run.paired
-    assert len(paired) == 10
-    for calls in paired.values():
+    assert sorted(spec.kind for spec in paired) == ["gaussian"] * 5 + ["random-bandlimited"] * 5
+    for spec, calls in paired.items():
         rows = np.concatenate(calls)
-        assert rows.shape == (64 * 128, 2) and len(np.unique(rows, axis=0)) == 64 * 128
+        orbits = 32 if spec.kind == "gaussian" else 64
+        assert rows.shape == (orbits * 128, 2) and len(np.unique(rows, axis=0)) == orbits * 128
+        if spec.kind == "gaussian":  # the trailing frequency is lambda
+            assert len(np.unique(np.sign(rows[:, 1]))) == 1
 
 
 @pytest.mark.parametrize(

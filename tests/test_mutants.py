@@ -21,6 +21,11 @@ The cross norm with its exponents swapped is a case, but only through the
 norm chain: the russo-fournier suite passes it on both groups, because
 every random kernel still meets the averaging bound with the swapped norms.
 
+A real fixture is paired on half of its symmetric transversal, the
+orbits at -sigma repeating those at sigma; a complex one is not, and the
+mirror planted for complex fixtures too fails plancherel on every random
+fixture of both groups.
+
 One change is planted to show that it changes nothing: an all-zero row
 appended to every kernel.  The kernel keeps only its nonzero rows, and
 restricting the codomain to them is an isometry, so a zero row must move no
@@ -44,6 +49,7 @@ not the table, and passes.
 import ast
 import json
 import pathlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -129,6 +135,12 @@ def nan_table(pair):
         return table
 
     return planted
+
+
+def mirror_ignores_realness(mirrored):
+    """The orbits at -sigma taken from those at sigma for every g on a
+    symmetric transversal, complex or real."""
+    return lambda g, params: mirrored(SimpleNamespace(values=g.values.real), params)
 
 
 def action_at_t(dual_action):
@@ -220,6 +232,20 @@ MUTANTS = {
                 )
             },
         },
+    ),
+    # a complex fixture mirrored as if real: its norms at -sigma differ from
+    # those at sigma, so plancherel fails every random fixture on both
+    # groups, and on ax+b at three exponents hausdorff-young and the chain's
+    # last link fail twice each
+    "mirror-ignores-realness-heisenberg": (
+        (verify, "_mirrored", mirror_ignores_realness),
+        RunConfig(group="heisenberg", checks=("plancherel",)),
+        {"plancherel": 5},
+    ),
+    "mirror-ignores-realness-axb": (
+        (verify, "_mirrored", mirror_ignores_realness),
+        RunConfig(group="axb", p=(1.2, 1.5, 1.8), checks=("plancherel", "hausdorff-young", "proof-chain")),
+        {"plancherel": 5, "hausdorff-young": 2, "proof-chain:slice-hausdorff-young": 2},
     ),
     # the dual action taken at t instead of -t (the id keeps the quotient
     # point's field name h): on ax+b the image measure scales by 1/Delta(t),

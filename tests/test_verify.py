@@ -7,6 +7,7 @@ and asserted as a regression value.
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,13 +16,16 @@ from hywbench.grids import lp_norm_G, make_grids, modular_on_grid, sample, slice
 from hywbench.groups import make_group
 from hywbench.schatten import (
     WeightedKernel,
+    adjoint_kernel,
     conjugate_exponent,
+    cross_norm_qpq,
     schatten_norm,
     schatten_norms,
     weighted_operator_matrix,
 )
 from hywbench.transform import CharacterSlice, kernel_from_pair_table, pair_orbits
 from hywbench.verify import (
+    _PAIR_CHUNK,
     TOLERANCES,
     babenko_constant,
     check_dual_measure_scaling,
@@ -386,6 +390,60 @@ def test_one_svd_serves_every_exponent_on_heisenberg():
         a = weighted_operator_matrix(kernel_from_pair_table(table, g.h_grid, delta, 1 / 3))
         for q, norm in zip(qs, schatten_norms(a, qs)):
             assert norm**q == schatten_norm(a, q) ** q
+
+
+@pytest.mark.parametrize("group", ["axb", "heisenberg"])
+def test_a_real_fixture_mirrors_each_orbit_bit_for_bit(group):
+    # a real g is paired on the first half of the symmetric transversal and
+    # the second half repeats it in reverse order; every per-orbit entry, on
+    # both halves, equals that orbit's own table reduced as the record
+    # reduces it, at a chain exponent and at p = 2.  Each orbit is paired in
+    # the chunk the full transversal puts it in: paired alone, a Heisenberg
+    # table moves by up to 2e-16, as the GEMM's blocking follows its row count
+    model, dual = make_group(group)
+    cfg = default_sampling_config(group)
+    params, _ = dual.transversal(cfg)
+    assert np.array_equal(params[::-1], -params)
+    for spec in gaussian_fixtures(group, 5):
+        g = sample_fixture(group, spec)
+        assert not g.values.imag.any()
+        cs, h = CharacterSlice(g), g.h_grid
+        delta = modular_on_grid(model, h)
+        record = spectral_record(g, dual, (2.0,), cfg, chain=(1.5,))
+        direct, adjoint, *_ = record.chain[1.5]
+        chunks = range(0, len(params), _PAIR_CHUNK)
+        tables = np.concatenate([pair_orbits(cs, dual, params[s : s + _PAIR_CHUNK]) for s in chunks])
+        for i, table in enumerate(tables):
+            for p in (1.5, 2.0):
+                q = conjugate_exponent(p)
+                k = kernel_from_pair_table(table, h, delta, 1.0 / q)
+                sq = np.float64(schatten_norm(weighted_operator_matrix(k), q)) ** q
+                assert np.array_equal(record.sq[p][i], sq), (spec, i, p)
+            k = kernel_from_pair_table(table, h, delta, 1.0 / 3.0)
+            assert np.array_equal(direct[i], np.float64(cross_norm_qpq(k, 1.5)) ** 3.0)
+            assert np.array_equal(adjoint[i], np.float64(cross_norm_qpq(adjoint_kernel(k), 1.5)) ** 3.0)
+
+
+def test_realness_is_read_from_the_values():
+    # the real catalog Gaussian is paired at one lambda sign; the same
+    # Gaussian with one sample given an imaginary part at all 64 orbits
+    _, dual = make_group("heisenberg")
+    cfg = default_sampling_config("heisenberg")
+    g = sample_fixture("heisenberg", gaussian_fixtures("heisenberg", 1)[0])
+    values = g.values.copy()
+    values[32, 32, 64] += 1e-3j
+    for f, orbits in ((g, 32), (dataclasses.replace(g, values=values), 64)):
+        with mock.patch("hywbench.verify.pair_orbits", side_effect=pair_orbits) as paired:
+            spectral_record(f, dual, (1.5,), cfg)
+        assert sum(len(call.args[2]) for call in paired.call_args_list) == orbits
+
+
+def test_an_empty_exponent_list_is_a_value_error():
+    _, dual, g = axb_base()
+    with pytest.raises(ValueError, match="empty exponent list"):
+        spectral_record(g, dual, ())
+    with pytest.raises(ValueError, match="empty exponent list"):
+        hausdorff_young_margins(g, dual, ())
 
 
 @pytest.mark.parametrize("group, ps", [("axb", (1.2, 1.8)), ("heisenberg", (1.5, 1.8))])
