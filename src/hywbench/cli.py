@@ -47,6 +47,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -159,18 +160,19 @@ class RunConfig:
         bad = [
             c
             for c in self.checks
-            if not isinstance(c, str) or (c and c != "all" and c not in CHECK_FAMILIES)
+            if not isinstance(c, str) or (c and c != "all" and c not in FAMILY_TABLE)
         ]
         if bad:
             raise ConfigError(
-                f"unknown checks {bad}; valid: {', '.join(CHECK_FAMILIES)} (or 'all')"
+                f"unknown checks {bad}; valid: {', '.join(FAMILY_TABLE)} (or 'all')"
             )
-        if "nilpotent-bound" in self.checks and self.group != "heisenberg":
-            raise ConfigError(f"nilpotent-bound is specific to heisenberg, not {self.group}")
-        chosen = CHECK_FAMILIES if "all" in self.checks else self.checks
-        heisenberg_only = () if self.group == "heisenberg" else ("nilpotent-bound",)
-        self.checks = tuple(f for f in CHECK_FAMILIES if f in chosen and f not in heisenberg_only)
-        if self.checks and not any(_exponents(f, self.p) for f in self.checks):
+        for f, row in FAMILY_TABLE.items():
+            if f in self.checks and self.group not in row.groups:
+                raise ConfigError(f"{f} is specific to {' or '.join(row.groups)}, not {self.group}")
+        chosen = FAMILY_TABLE if "all" in self.checks else self.checks
+        supported = (f for f, row in FAMILY_TABLE.items() if self.group in row.groups)
+        self.checks = tuple(f for f in supported if f in chosen)
+        if self.checks and not any(FAMILY_TABLE[f].exponents(self.p) for f in self.checks):
             raise ConfigError(f"{self.checks} check no p in {self.p} (nilpotent-bound: p < 2)")
         if not (isinstance(self.out, str) and self.out and "\0" not in self.out):
             raise ConfigError(f"out={self.out!r} is not a path")
@@ -231,30 +233,58 @@ def _tolerance_overrides(overrides):
 
 
 # -- check families ------------------------------------------------------------------
-#
-# Every family takes the run configuration and the run.
-
-def _exponents(family, ps):
-    """plancherel checks only p = 2, nilpotent-bound only p < 2, the rest the run's p."""
-    if family == "plancherel":
-        return (2.0,)
-    return tuple(p for p in ps if p < 2.0 or family != "nilpotent-bound")
 
 
-# each family's check, whose docstring states what the family asserts and at
-# which slack, and its fixture pool: (catalog Gaussians, seeded randoms)
+class _Family(NamedTuple):
+    """Every fact of one check family.  check is the verify function whose
+    docstring explain prints; run(cfg, run) returns the family's results in
+    report order; pool is its fixture pool, (catalog Gaussians, seeded
+    randoms); exponents(ps) is which of the run's p it checks; chain is
+    whether its spectral records carry the norm chain; groups is the groups
+    it runs on.  The defaults are those of the synthetic and structural
+    suites, which sample no fixture."""
+
+    check: Callable
+    run: Callable
+    pool: tuple = (0, 0)
+    exponents: Callable = lambda ps: ps
+    chain: bool = False
+    groups: tuple = tuple(GROUPS)
+
+
+# one row per family, in report order
 FAMILY_TABLE = {
-    "schatten-suite": (schatten_property_suite, (0, 0)),
-    "russo-fournier": (russo_fournier_random_suite, (0, 0)),
-    "minkowski": (minkowski_random_suite, (0, 0)),
-    "dual-measure-scaling": (check_dual_measure_scaling, (0, 0)),
-    "semi-invariance": (check_semi_invariance, (0, 0)),
-    "plancherel": (check_plancherel, (5, 5)),
-    "hausdorff-young": (hausdorff_young_margins, (2, 4)),
-    "proof-chain": (check_proof_chain, (2, 1)),
-    "gaussian-extremality": (check_gaussian_extremality, (1, 0)),
-    "nilpotent-bound": (check_nilpotent_bound, (2, 3)),
+    "schatten-suite": _Family(schatten_property_suite, lambda cfg, _: [
+        schatten_property_suite(count=20, size=32, seed=cfg.seed)]),
+    "russo-fournier": _Family(russo_fournier_random_suite, lambda cfg, _: [
+        russo_fournier_random_suite(count=1000, seed=cfg.seed)]),
+    "minkowski": _Family(minkowski_random_suite, lambda cfg, _: [
+        minkowski_random_suite(count=1000, seed=cfg.seed)]),
+    "dual-measure-scaling": _Family(check_dual_measure_scaling, lambda cfg, run: (
+        dual_measure_suite(run.model, count=100, seed=cfg.seed))),
+    "semi-invariance": _Family(check_semi_invariance, lambda cfg, run: (
+        semi_invariance_suite(run.dual, run.h_grid, count=20, seed=cfg.seed))),
+    "plancherel": _Family(check_plancherel, lambda cfg, run: run.cases(
+        "plancherel", lambda g, p, rec: [check_plancherel(g, run.dual, record=rec)]
+    ), pool=(5, 5), exponents=lambda ps: (2.0,)),
+    "hausdorff-young": _Family(hausdorff_young_margins, lambda cfg, run: run.cases(
+        "hausdorff-young",
+        lambda g, p, rec: hausdorff_young_margins(g, run.dual, (p,), cfg.constants, record=rec),
+    ), pool=(2, 4)),
+    "proof-chain": _Family(check_proof_chain, lambda cfg, run: run.cases(
+        "proof-chain", lambda g, p, rec: check_proof_chain(rec, run.model, p, cfg.constants)
+    ), pool=(2, 1), chain=True),
+    "gaussian-extremality": _Family(check_gaussian_extremality, lambda cfg, run: run.cases(
+        "gaussian-extremality", lambda g, p, rec: [check_gaussian_extremality(rec, run.model, p)]
+    ), pool=(1, 0), chain=True),
+    "nilpotent-bound": _Family(check_nilpotent_bound, lambda cfg, run: run.cases(
+        "nilpotent-bound", lambda g, p, rec: [check_nilpotent_bound(rec, run.model, p)]
+    ), pool=(2, 3), exponents=lambda ps: tuple(p for p in ps if p < 2.0), groups=("heisenberg",)),
 }
+
+# each family's runner, looked up here by run_suite so that a profiler can wrap
+# them one by one
+CHECK_FAMILIES = {name: row.run for name, row in FAMILY_TABLE.items()}
 
 
 class _Run:
@@ -263,8 +293,10 @@ class _Run:
     is whether it is 1 everywhere), the dual sampling, the fixture pools and a
     spectral record per pooled recipe, which cases builds when a family first
     samples the recipe, at what the plan says the selected families need.
-    record_s sums the time spent building records.  The run keeps no sampled
-    fixture: cases holds one at a time, and a record holds none.
+    The pools and the plan read each family's pool, exponents and chain from
+    its row of FAMILY_TABLE.  record_s sums the time spent building records.
+    The run keeps no sampled fixture: cases holds one at a time, and a record
+    holds none.
 
     An H grid on which the modular function is not finite and positive (on
     ax+b, exp(t) overflows or underflows at |t| beyond about 709) is a
@@ -284,14 +316,14 @@ class _Run:
         self.sampling = default_sampling_config(cfg.group)
         self.pools, self.plan, self.built, self.record_s = {}, {}, {}, 0.0
         for family in cfg.checks:
-            n, m = FAMILY_TABLE[family][1]
+            row = FAMILY_TABLE[family]
+            (n, m), ps = row.pool, row.exponents(self.p)
             pool = gaussian_fixtures(cfg.group, n) + random_fixtures(cfg.group, m, cfg.seed)
             self.pools[family] = pool
-            ps = _exponents(family, self.p)
             for spec in pool:
                 need_ps, need_chain = self.plan.setdefault(spec.key(), (set(), set()))
                 need_ps.update(ps)
-                need_chain.update(ps if family in ("proof-chain", "gaussian-extremality") else ())
+                need_chain.update(ps if row.chain else ())
 
     def cases(self, family, check):
         """The results of check(g, p, record) at every exponent p of family
@@ -304,7 +336,7 @@ class _Run:
         sampled once on the run's grids, checked at every exponent and
         released before the next is sampled, so one fixture is alive at a
         time.  Nothing is sampled when the family checks no exponent."""
-        ps = _exponents(family, self.p)
+        ps = FAMILY_TABLE[family].exponents(self.p)
         by_p = [[] for _ in ps]
         for spec in self.pools[family] if ps else ():
             g, key = sample(spec, self.n_grids, self.h_grid, self.model), spec.key()
@@ -316,35 +348,6 @@ class _Run:
                 results.extend(check(g, p, self.built[key]))
             del g  # before the next recipe is sampled
         return [r for results in by_p for r in results]
-
-
-CHECK_FAMILIES = {
-    "schatten-suite": lambda cfg, _: [schatten_property_suite(count=20, size=32, seed=cfg.seed)],
-    "russo-fournier": lambda cfg, _: [russo_fournier_random_suite(count=1000, seed=cfg.seed)],
-    "minkowski": lambda cfg, _: [minkowski_random_suite(count=1000, seed=cfg.seed)],
-    "dual-measure-scaling": lambda cfg, run: dual_measure_suite(
-        run.model, count=100, seed=cfg.seed
-    ),
-    "semi-invariance": lambda cfg, run: semi_invariance_suite(
-        run.dual, run.h_grid, count=20, seed=cfg.seed
-    ),
-    "plancherel": lambda cfg, run: run.cases(
-        "plancherel", lambda g, p, rec: [check_plancherel(g, run.dual, record=rec)]
-    ),
-    "hausdorff-young": lambda cfg, run: run.cases(
-        "hausdorff-young",
-        lambda g, p, rec: hausdorff_young_margins(g, run.dual, (p,), cfg.constants, record=rec),
-    ),
-    "proof-chain": lambda cfg, run: run.cases(
-        "proof-chain", lambda g, p, rec: check_proof_chain(rec, run.model, p, cfg.constants)
-    ),
-    "gaussian-extremality": lambda cfg, run: run.cases(
-        "gaussian-extremality", lambda g, p, rec: [check_gaussian_extremality(rec, run.model, p)]
-    ),
-    "nilpotent-bound": lambda cfg, run: run.cases(
-        "nilpotent-bound", lambda g, p, rec: [check_nilpotent_bound(rec, run.model, p)]
-    ),
-}
 
 
 # -- report --------------------------------------------------------------------------
@@ -464,7 +467,7 @@ def explain(name: str) -> str:
     """The docstring of the check behind family name."""
     if name not in FAMILY_TABLE:
         raise ConfigError(f"unknown check {name!r}; valid names: {', '.join(sorted(FAMILY_TABLE))}")
-    return inspect.getdoc(FAMILY_TABLE[name][0])
+    return inspect.getdoc(FAMILY_TABLE[name].check)
 
 
 # -- fixtures ------------------------------------------------------------------------

@@ -81,6 +81,20 @@ def test_selected_families_skips_nilpotent_on_axb():
     assert "nilpotent-bound" in fams_h
 
 
+def test_a_family_runs_on_the_groups_its_row_names(monkeypatch):
+    import hywbench.cli as cli
+
+    with pytest.raises(ConfigError, match="^nilpotent-bound is specific to heisenberg, not axb$"):
+        RunConfig(group="axb", checks=("nilpotent-bound",)).validate()
+    row = cli.FAMILY_TABLE["minkowski"]
+    monkeypatch.setitem(cli.FAMILY_TABLE, "minkowski", row._replace(groups=("heisenberg",)))
+    with pytest.raises(ConfigError, match="^minkowski is specific to heisenberg, not axb$"):
+        RunConfig(group="axb", checks=("minkowski",)).validate()
+    fams = RunConfig(group="axb").validate().checks
+    assert "minkowski" not in fams and "russo-fournier" in fams
+    assert "minkowski" in RunConfig(group="heisenberg").validate().checks
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"group": "axb", "p": [1.8], "seed": 9, "checks": "plancherel"}))
@@ -742,25 +756,28 @@ def test_family_wall_times_are_comment_lines():
 
 
 def count_record_builds(patch):
-    """Every spectral record build in the package, by fixture key."""
+    """Every spectral record build in the package: the fixture keys in build
+    order, and each key's exponents and chain exponents."""
     import hywbench.cli as cli
 
-    builds = []
+    builds, plans = [], {}
     build = cli.spectral_record
 
-    def counted(g, *args):
+    def counted(g, dual, ps, sampling, chain):
         builds.append(g.spec.key())
-        return build(g, *args)
+        plans[g.spec.key()] = (set(ps), set(chain))
+        return build(g, dual, ps, sampling, chain)
 
     patch.setattr(cli, "spectral_record", counted)
-    return builds
+    return builds, plans
 
 
 @pytest.fixture(scope="module")
 def heisenberg_run():
     """One Heisenberg run of every family at p = 1.2, 1.5: its check records,
     report text and wall time, the fixture keys of its spectral record
-    builds, and the rows of every pairing by fixture spec."""
+    builds and each key's exponents and chain exponents, and the rows of
+    every pairing by fixture spec."""
     from hywbench.transform import CharacterSlice
 
     paired = {}
@@ -771,13 +788,15 @@ def heisenberg_run():
         return pair(self, omegas)
 
     with pytest.MonkeyPatch.context() as patch:
-        builds = count_record_builds(patch)
+        builds, plans = count_record_builds(patch)
         patch.setattr(CharacterSlice, "pair", counted)
         cfg = RunConfig(group="heisenberg", p=(1.2, 1.5)).validate()
         start = time.perf_counter()
         records, _, text = run_suite(cfg)
         seconds = time.perf_counter() - start
-    return SimpleNamespace(records=records, text=text, seconds=seconds, builds=builds, paired=paired)
+    return SimpleNamespace(
+        records=records, text=text, seconds=seconds, builds=builds, plans=plans, paired=paired
+    )
 
 
 def test_nilpotent_bound_reads_the_hausdorff_young_margins(heisenberg_run, monkeypatch):
@@ -796,7 +815,7 @@ def test_nilpotent_bound_reads_the_hausdorff_young_margins(heisenberg_run, monke
             assert nil[5 * i + j]["lhs"] == hy[6 * i + j]["lhs"]
 
     # the records live for one run: the same run again builds its own
-    builds = count_record_builds(monkeypatch)
+    builds, _ = count_record_builds(monkeypatch)
     cfg = RunConfig(group="heisenberg", p=(1.5,), grid_n=16, grid_h=16, checks=("nilpotent-bound",))
     run_suite(cfg.validate())
     assert len(builds) == 5
@@ -818,6 +837,21 @@ def test_default_heisenberg_run_pairs_each_fixture_once(heisenberg_run):
         assert rows.shape == (orbits * 128, 2) and len(np.unique(rows, axis=0)) == orbits * 128
         if spec.kind == "gaussian":  # the trailing frequency is lambda
             assert len(np.unique(np.sign(rows[:, 1]))) == 1
+
+
+def test_the_family_rows_plan_each_record_of_a_heisenberg_run(heisenberg_run):
+    # every record serves plancherel at p = 2 alone; the pools of
+    # hausdorff-young (Gaussians 0-1, randoms 0-3) and nilpotent-bound
+    # (Gaussians 0-1, randoms 0-2) add the run's p, and those of proof-chain
+    # (Gaussians 0-1, random 0) and gaussian-extremality (Gaussian 0) its chain
+    gaussians = [spec.key() for spec in verify.gaussian_fixtures("heisenberg", 5)]
+    randoms = [spec.key() for spec in verify.random_fixtures("heisenberg", 5)]
+    every_p, chain = {1.2, 1.5, 2.0}, {1.2, 1.5}
+    assert heisenberg_run.plans == {
+        **{key: (every_p, chain) for key in gaussians[:2] + randoms[:1]},
+        **{key: (every_p, set()) for key in randoms[1:4]},
+        **{key: ({2.0}, set()) for key in gaussians[2:] + randoms[4:]},
+    }
 
 
 @pytest.mark.parametrize(

@@ -42,6 +42,7 @@ CONFIGS = (
     "--group heisenberg --grid-n 4 --grid-h 4",
     "--group axb --constants classical --checks hausdorff-young,proof-chain --p 1.2,1.8",
     "--group heisenberg --checks nilpotent-bound,gaussian-extremality --p 1.5,2",
+    "--group axb --p 1.5,2",
 )
 DEMOS = (
     "demos/01_group_models.py",
