@@ -34,6 +34,8 @@ __all__ = [
     "adjoint_kernel",
     "cross_norm_qpq",
     "weighted_operator_matrix",
+    "stack_by_width",
+    "russo_gaps",
     "russo_gap",
 ]
 
@@ -67,7 +69,7 @@ def schatten_norms(a: np.ndarray, ps) -> list:
     ps = [float(p) for p in ps]
     if not all(p >= 1.0 for p in ps):
         raise ValueError("need p >= 1")
-    if not np.all(np.isfinite(a.view(float) if a.dtype.kind == "c" else a)):
+    if not np.isfinite(a.view(float) if a.dtype.kind == "c" else a).all():
         return [np.nan] * len(ps)
     if any(p != 2.0 for p in ps):
         try:
@@ -136,8 +138,63 @@ def weighted_operator_matrix(k: WeightedKernel) -> np.ndarray:
     return np.sqrt(k.xi_weights)[:, None] * k.values * np.sqrt(k.gamma_weights)[None, :]
 
 
+def stack_by_width(kernels):
+    """Stack kernels so that batched sums over them keep every bit.
+
+    kernels is a sequence of (values, xi_weights, gamma_weights).  Yields
+    (indices, values, xi_weights, gamma_weights) per group of kernels with
+    the same column count n: (m, r, n) values and (m, r) xi weights, each
+    kernel's rows zero-padded to the group's largest row count r, and (m, n)
+    gamma weights.  numpy sums a contiguous axis pairwise and a strided one
+    in order, so a sum over columns sees each kernel's own n entries, and a
+    sum over rows only adds exact zeros for the padding.  A one-column
+    kernel makes the row axis contiguous, so those are grouped by exact row
+    count too.
+    """
+    groups = {}
+    for i, (values, _, _) in enumerate(kernels):
+        r, n = np.shape(values)
+        groups.setdefault((n, r if n == 1 else -1), []).append(i)
+    for idx in groups.values():
+        n = np.shape(kernels[idx[0]][0])[1]
+        r = max(len(kernels[i][1]) for i in idx)
+        values = np.zeros((len(idx), r, n), np.result_type(*(kernels[i][0] for i in idx)))
+        xi = np.zeros((len(idx), r))
+        gamma = np.empty((len(idx), n))
+        for j, (v, wx, wg) in enumerate(kernels[i] for i in idx):
+            values[j, : len(wx)], xi[j, : len(wx)], gamma[j] = v, wx, wg
+        yield idx, values, xi, gamma
+
+
+def russo_gaps(kernels, ps) -> list:
+    """[russo_gap(k, p) for k, p in zip(kernels, ps)], each kernel given as
+    (values, xi_weights, gamma_weights) and left unvalidated.
+
+    |k|^p, the weighted operator matrices and the inner sums of both cross
+    norms are taken once per stack_by_width group; the SVD (schatten_norms
+    on the kernel's own rows) and the two outer dot products run per kernel,
+    so every value is the one a kernel alone gives, bit for bit.
+    """
+    ps = [float(p) for p in ps]
+    if not all(1.0 < p <= 2.0 for p in ps):
+        raise ValueError("need 1 < p <= 2 for the inner exponent")
+    qs = [conjugate_exponent(p) for p in ps]
+    gaps = [None] * len(ps)
+    for idx, values, xi, gamma in stack_by_width(kernels):
+        q_over_p = np.array([[qs[i] / ps[i]] for i in idx])
+        mass = np.abs(values) ** np.array([ps[i] for i in idx])[:, None, None]
+        direct = (mass * xi[:, :, None]).sum(axis=1) ** q_over_p  # over xi, per gamma
+        adjoint = (mass * gamma[:, None, :]).sum(axis=2) ** q_over_p  # over gamma, per xi
+        ops = np.sqrt(xi)[:, :, None] * values * np.sqrt(gamma)[:, None, :]
+        for j, i in enumerate(idx):
+            r, q = len(kernels[i][1]), qs[i]
+            (lhs,) = schatten_norms(ops[j, :r], (q,))
+            direct_norm = (direct[j] @ gamma[j]) ** (1.0 / q)
+            adjoint_norm = (adjoint[j, :r] @ xi[j, :r]) ** (1.0 / q)
+            gaps[i] = lhs, float(np.sqrt(float(direct_norm) * float(adjoint_norm)))
+    return gaps
+
+
 def russo_gap(k: WeightedKernel, p: float):
     """(operator S_q norm, geometric mean of the two cross norms), q = p'."""
-    lhs = schatten_norm(weighted_operator_matrix(k), conjugate_exponent(p))
-    rhs = float(np.sqrt(cross_norm_qpq(k, p) * cross_norm_qpq(adjoint_kernel(k), p)))
-    return lhs, rhs
+    return russo_gaps([(k.values, k.xi_weights, k.gamma_weights)], [p])[0]

@@ -16,6 +16,7 @@ from hywbench.schatten import (
     conjugate_exponent,
     cross_norm_qpq,
     russo_gap,
+    russo_gaps,
     schatten_norm,
     schatten_norms,
     weighted_operator_matrix,
@@ -181,6 +182,25 @@ def test_averaging_bound_random_suite():
         p = rng.uniform(1.05, 2.0)
         lhs, rhs = russo_gap(k, p)
         assert lhs <= rhs * (1 + 1e-10)
+
+
+def test_russo_gaps_keep_the_bits_of_each_kernel_alone():
+    # a batch of one-row, one-column and wider kernels of up to 24 rows gives
+    # each kernel the S_q norm of its operator matrix and the cross norms of
+    # it and its adjoint, bit for bit; numpy sums a column of 8 or more
+    # entries pairwise, so padding a one-column kernel's rows would move them
+    rng = np.random.default_rng(9)
+    shapes = [(nx, ng) for nx in (1, 2, 3, 8, 9, 13, 24) for ng in (1, 2, 7, 24)]
+    kernels = [random_kernel(rng, nx, ng) for nx, ng in shapes for _ in range(3)]
+    kernels = [kernels[i] for i in rng.permutation(len(kernels))]
+    ps = rng.uniform(1.05, 2.0, len(kernels))
+    triples = [(k.values, k.xi_weights, k.gamma_weights) for k in kernels]
+    for k, p, gap in zip(kernels, ps, russo_gaps(triples, ps)):
+        lhs = schatten_norm(weighted_operator_matrix(k), conjugate_exponent(p))
+        rhs = float(np.sqrt(cross_norm_qpq(k, p) * cross_norm_qpq(adjoint_kernel(k), p)))
+        assert gap == (lhs, rhs) == russo_gap(k, p)
+    with pytest.raises(ValueError):
+        russo_gaps(triples[:1], [2.5])
 
 
 def test_averaging_bound_diagonal_is_tight():

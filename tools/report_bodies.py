@@ -43,6 +43,7 @@ CONFIGS = (
     "--group axb --constants classical --checks hausdorff-young,proof-chain --p 1.2,1.8",
     "--group heisenberg --checks nilpotent-bound,gaussian-extremality --p 1.5,2",
     "--group axb --p 1.5,2",
+    "--group axb --checks schatten-suite,russo-fournier,minkowski --seed 11",
 )
 DEMOS = (
     "demos/01_group_models.py",
