@@ -56,34 +56,55 @@ def schatten_norm(a: np.ndarray, p: float) -> float:
 
 
 def schatten_norms(a: np.ndarray, ps) -> list:
-    """[schatten_norm(a, p) for p in ps] from at most one SVD.
+    """[schatten_norm(a, p) for p in ps] from at most one factorization.
 
-    At p = 2 it is the Frobenius norm: no SVD, and slightly more accurate
-    than powering singular values.  A norm that cannot be computed is NaN:
-    every norm is NaN when a has a non-finite entry or the SVD fails, so a
-    verdict that reads it fails rather than raises.
+    At p = 2 it is the Frobenius norm: no factorization, and slightly more
+    accurate than powering singular values.  The other exponents take one
+    of two routes, and the route forks by necessity, not for speed alone:
+
+    - every p >= 2: the squared singular values are the eigenvalues of the
+      smaller Gram matrix, a a* when a has no more rows than columns and
+      a* a otherwise, taken by eigvalsh and clipped at 0.  S_p^p is the sum
+      of lambda^(p/2) and S_inf the square root of the largest.  Each
+      eigenvalue is off by about eps s_max^2, which enters S_p^p with a
+      weight of at most (p/2) s_max^(p-2), so every norm stays at roundoff
+      relative to itself.
+    - any p < 2: one SVD.  There a small singular value counts for more
+      than its square, so it needs the relative accuracy that the Gram
+      matrix squares away.
+
+    A norm that cannot be computed is NaN: every norm is NaN when a has a
+    non-finite entry or the factorization fails, so a verdict that reads it
+    fails rather than raises.  A matrix with no entries has every norm 0.
     """
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError("schatten_norm expects a matrix")
-    ps = [float(p) for p in ps]
-    if not all(p >= 1.0 for p in ps):
+    ps = list(map(float, ps))
+    if not all(map((1.0).__le__, ps)):  # a NaN exponent fails too
         raise ValueError("need p >= 1")
     if not np.isfinite(a.view(float) if a.dtype.kind == "c" else a).all():
         return [np.nan] * len(ps)
-    if any(p != 2.0 for p in ps):
-        try:
+    if not a.size:
+        return [0.0] * len(ps)
+    s = lam = None
+    try:
+        if min(ps, default=2.0) < 2.0:
             s = np.linalg.svd(a, compute_uv=False)
-        except np.linalg.LinAlgError:
-            return [np.nan] * len(ps)
+        elif ps.count(2.0) < len(ps):
+            ah = a.conj().T
+            lam = np.linalg.eigvalsh(a @ ah if a.shape[0] <= a.shape[1] else ah @ a)
+            np.maximum(lam, 0.0, out=lam)
+    except np.linalg.LinAlgError:
+        return [np.nan] * len(ps)
     out = []
     for p in ps:
         if p == 2.0:
             out.append(float(np.sqrt((np.abs(a) ** 2).sum())))
-        elif np.isinf(p):
-            out.append(float(s[0]) if s.size else 0.0)
-        else:
-            out.append(float((s**p).sum() ** (1.0 / p)))
+        elif lam is None:
+            out.append(float(s[0] if p == np.inf else (s**p).sum() ** (1.0 / p)))
+        else:  # Gram eigenvalues, in ascending order
+            out.append(float(np.sqrt(lam[-1]) if p == np.inf else (lam ** (p / 2)).sum() ** (1.0 / p)))
     return out
 
 

@@ -45,7 +45,10 @@ g as supported on its grid.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import Grid1D, SampledFunction, cell_weight
 from .groups import (
@@ -157,6 +160,17 @@ def pair_orbits(cs: CharacterSlice, dual: DualOrbitModel, sigma0s):
     return cs.pair(omegas.reshape(-1, omegas.shape[-1])).reshape(*omegas.shape[:2], -1)
 
 
+@functools.lru_cache(maxsize=8)
+def _difference_index(n: int, origin_index: int):
+    """(index, valid) on an n-point quotient grid, both (n, n): index[s, m]
+    is the slice index s - m + origin_index clipped to the grid, and valid
+    marks where no clip was needed.  Both depend on s - m alone, so each is
+    a read-only window view of one array of its 2n - 1 diagonals."""
+    diagonals = n - 1 + origin_index - np.arange(2 * n - 1)  # s - m + origin_index at m - s + n - 1
+    window = lambda a: sliding_window_view(a, n)[::-1]
+    return window(np.clip(diagonals, 0, n - 1)), window((diagonals >= 0) & (diagonals < n))
+
+
 def kernel_from_pair_table(
     P: np.ndarray,
     h_grid: Grid1D,
@@ -170,14 +184,14 @@ def kernel_from_pair_table(
     modular function at that difference.  Differences off the quotient grid
     give zero entries.  Only the rows where P is not identically zero are
     kept, with their weights (see the band discipline above); an orbit with
-    no row in band gives a (0, n) kernel, every norm of which is 0.
+    no row in band gives a (0, n) kernel, every norm of which is 0.  The
+    difference index of the grid is built once (_difference_index) and the
+    kept rows are gathered from P through it directly.
     """
-    n, i0 = h_grid.n, h_grid.origin_index
+    index, valid = _difference_index(h_grid.n, h_grid.origin_index)
     rows = np.flatnonzero(P.any(axis=1))
-    D = rows[:, None] - np.arange(n)[None, :] + i0
-    valid = (D >= 0) & (D < n)
-    Dc = np.clip(D, 0, n - 1)
-    vals = np.take_along_axis(P[rows], Dc, axis=1) * delta_h[Dc] * valid * delta_h ** dimension_exponent
+    Dc = index[rows]
+    vals = P[rows[:, None], Dc] * delta_h[Dc] * valid[rows] * delta_h ** dimension_exponent
     w = h_grid.weights()
     return WeightedKernel(vals, w[rows], w)
 

@@ -6,7 +6,7 @@ that imported it by name, and a method is rebound on its class.  Each case
 runs the smallest family selection that catches its defect, checks that the
 selection passes without it, and names the checks the defect must fail.
 
-Three defects fail no family and are not cases here.  The pairing table
+Four defects fail no family and are not cases here.  The pairing table
 read one slice off on Heisenberg is exactly a right translation along H by
 one step, with wraparound: there Delta = 1, so it changes no norm (see
 test_translation_along_h_shifts_the_kernel_columns), and the per-orbit
@@ -17,6 +17,15 @@ nothing, because edge rows carry negligible mass.  The Babenko-Beckner
 constant 1% too large below p = 2 passes every check on both groups, since
 no shipped Gaussian comes within 1% of the supremum; the Gaussian supremum
 tests in tests/test_oracle.py, on Heisenberg and on ax+b, catch it.
+The Gram matrix of the all-p >= 2 route of schatten_norms taken without
+the conjugate (b @ b.T for b @ b*) passes every check of `hyw run --group
+axb --p 1.2,1.5,1.8` and `--group heisenberg --p 1.5`, though it halves
+the orbit sums of the seed-0 random fixture on both groups: it lowers the
+transform side, the small side of every inequality it enters.
+tests/test_schatten.py plants it in a copy of schatten_norms and the
+comparison with the singular values fails it at relative error 0.53; the
+150-fixture ax+b sweep of tests/test_acceptance.py (proof-chain orbit
+averaging) and the perfbench reference gate fail it too.
 The cross norm with its exponents swapped is a case, but only through the
 norm chain: the russo-fournier suite passes it on both groups, because
 every random kernel still meets the averaging bound with the swapped norms.

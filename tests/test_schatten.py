@@ -4,12 +4,15 @@ The averaging bound is exact on atomic measure spaces, so the random suites
 assert it at near machine precision rather than with a modelling tolerance.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from hywbench import schatten
 from hywbench.schatten import (
     WeightedKernel,
     adjoint_kernel,
@@ -105,8 +108,8 @@ def test_schatten_rejects_bad_input():
     with pytest.raises(ValueError):  # the exponent is checked before the entries
         schatten_norms(np.array([[np.nan, 0.0], [0.0, 1.0]]), (3.0, 0.5))
     for bad in (np.nan, np.inf, complex(0.0, np.inf)):
-        norms = schatten_norms(np.array([[bad, 0.0], [0.0, 1.0]]), (1.0, 2.0, 3.0, 6.0, np.inf))
-        assert np.all(np.isnan(norms))
+        for ps in ((1.0, 2.0, 3.0, 6.0, np.inf), (3.0, np.inf)):  # the SVD and the Gram route
+            assert np.all(np.isnan(schatten_norms(np.array([[bad, 0.0], [0.0, 1.0]]), ps)))
 
 
 def test_a_failed_svd_gives_nan_norms(monkeypatch):
@@ -114,8 +117,77 @@ def test_a_failed_svd_gives_nan_norms(monkeypatch):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", fails)
+    monkeypatch.setattr(np.linalg, "eigvalsh", fails)
     assert np.all(np.isnan(schatten_norms(np.eye(3), (1.0, 3.0, np.inf))))
+    assert np.all(np.isnan(schatten_norms(np.eye(3), (2.0, 3.0, np.inf))))  # the Gram route
     assert schatten_norms(np.eye(3), (2.0,)) == [np.sqrt(3.0)]  # p = 2 needs no SVD
+
+
+def singular_value_norms(a, ps):
+    """Each norm from the singular-value formula: the Gram route's reference."""
+    s = np.linalg.svd(a, compute_uv=False) if a.size else np.zeros(0)
+    return [s.max(initial=0.0) if p == np.inf else (s**p).sum() ** (1.0 / p) for p in ps]
+
+
+def gram_matrices():
+    rng = np.random.default_rng(12)
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    return {
+        "wide": draw(5, 9),
+        "tall": draw(9, 5),
+        "square": draw(7, 7),
+        "rank-1": np.outer(draw(6), draw(8)),
+        "empty": np.zeros((0, 4), dtype=complex),
+    }
+
+
+def worst_gram_error(norms):
+    """Largest relative gap of norms(a, ps) to the singular-value formula,
+    over every matrix of gram_matrices and every all-p >= 2 set."""
+    worst = 0.0
+    for a in gram_matrices().values():
+        for ps in ((2.25,), (3.0, 6.0, np.inf), (2.0, 3.0)):
+            got, want = np.array(norms(a, ps)), np.array(singular_value_norms(a, ps))
+            assert got.shape == want.shape
+            rel = np.abs(got - want) / np.where(want > 0, want, 1.0)
+            worst = max(worst, float(rel.max()))
+    return worst
+
+
+def test_the_gram_route_matches_the_singular_values():
+    assert worst_gram_error(schatten_norms) <= 1e-13
+
+
+def test_a_gram_without_the_conjugate_fails_the_gram_test():
+    # plant b @ b.T in place of the Hermitian Gram b @ b* in a copy of
+    # schatten_norms: on complex matrices the test above must fail it
+    source = inspect.getsource(schatten.schatten_norms)
+    assert source.count("a.conj().T") == 1
+    namespace = dict(vars(schatten))
+    exec(source.replace("a.conj().T", "a.T"), namespace)
+    assert worst_gram_error(namespace["schatten_norms"]) > 1e-2
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(np.linalg, name)
+    monkeypatch.setattr(np.linalg, name, lambda *args, **kw: calls.append(1) or original(*args, **kw))
+    return calls
+
+
+def test_an_exponent_below_two_takes_the_svd(monkeypatch):
+    # the Schatten battery asks for 1, 1.3 and 1.7: its norms stay on the SVD
+    svd, eigvalsh = count_calls(monkeypatch, "svd"), count_calls(monkeypatch, "eigvalsh")
+    a = gram_matrices()["wide"]
+    schatten_norms(a, (1.7, 3.0, np.inf))
+    assert (len(svd), len(eigvalsh)) == (1, 0)
+    schatten_norms(a, (3.0, 6.0, np.inf))
+    assert (len(svd), len(eigvalsh)) == (1, 1)
+    schatten_norms(a, (2.0,))
+    assert (len(svd), len(eigvalsh)) == (1, 1)
 
 
 def test_kernel_validation():

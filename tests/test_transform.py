@@ -542,3 +542,45 @@ def test_a_chunk_of_orbits_all_out_of_band_gives_empty_kernels():
     delta = modular_on_grid(HEIS, h_grid)
     for table in tables:
         assert kernel_from_pair_table(table, h_grid, delta, 0.5).values.shape == (0, h_grid.n)
+
+
+def take_along_axis_kernel(P, h_grid, delta_h, exponent):
+    """The kernel values as the gather built them before the shared
+    difference index: the reference the new gather must equal bit for bit."""
+    n, i0 = h_grid.n, h_grid.origin_index
+    rows = np.flatnonzero(P.any(axis=1))
+    D = rows[:, None] - np.arange(n)[None, :] + i0
+    valid = (D >= 0) & (D < n)
+    Dc = np.clip(D, 0, n - 1)
+    return np.take_along_axis(P[rows], Dc, axis=1) * delta_h[Dc] * valid * delta_h**exponent
+
+
+@pytest.mark.parametrize("group_name", ["axb", "heisenberg"])
+@pytest.mark.parametrize("h_points", [None, 512])
+def test_the_kernel_gather_keeps_the_bits_of_the_take_along_axis_formula(group_name, h_points):
+    """Every 8th orbit of the seed-0 random fixture (both ax+b orbits), on
+    the default H grid and on 512 H points."""
+    model, dual = make_group(group_name)
+    n_grids, h = RunConfig(group=group_name, grid_h=h_points).grids()
+    assert h.n == (h_points or 128)
+    f = sample(random_fixtures(group_name, 1)[0], n_grids, h, model)
+    params, _ = dual.transversal(default_sampling_config(group_name))
+    delta = modular_on_grid(model, h)
+    for table in pair_orbits(CharacterSlice(f), dual, params[::8]):
+        assert table.any()
+        for exponent in (0.0, 1 / 3, 0.5):
+            k = kernel_from_pair_table(table, h, delta, exponent)
+            assert np.array_equal(k.values, take_along_axis_kernel(table, h, delta, exponent))
+
+
+def test_the_kernel_gather_keeps_the_bits_on_an_orbit_with_no_row_in_band():
+    n_grids, h_grid = RunConfig(group="heisenberg", grid_n=4).grids()
+    f = sample(random_fixtures("heisenberg", 1)[0], n_grids, h_grid, HEIS)
+    params, _ = HEIS_DUAL.transversal(default_sampling_config("heisenberg"))
+    (table,) = pair_orbits(CharacterSlice(f), HEIS_DUAL, params[:1])
+    delta = modular_on_grid(HEIS, h_grid)
+    assert not table.any()
+    for exponent in (0.0, 1 / 3, 0.5):
+        k = kernel_from_pair_table(table, h_grid, delta, exponent)
+        assert k.values.shape == (0, h_grid.n)
+        assert np.array_equal(k.values, take_along_axis_kernel(table, h_grid, delta, exponent))
