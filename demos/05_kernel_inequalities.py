@@ -13,7 +13,6 @@ import numpy as np
 
 from hywbench.schatten import (
     WeightedKernel,
-    adjoint_kernel,
     cross_norm_qpq,
     russo_gap,
     schatten_norm,
@@ -42,7 +41,7 @@ vals = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
 k = WeightedKernel(vals, rng.uniform(0.5, 1.5, 4), rng.uniform(0.5, 1.5, 6))
 lhs, rhs = russo_gap(k, p)
 print(f"random kernel,  p={p}: Schatten bound {lhs:.6f} vs cross-norm mean {rhs:.6f}")
-print("cross norm of the adjoint:", f"{cross_norm_qpq(adjoint_kernel(k), p):.6f}")
+print("cross norm of the adjoint:", f"{cross_norm_qpq(k, p)[1]:.6f}")
 print("operator matrix shape:", weighted_operator_matrix(k).shape)
 print(check_russo_fournier(k, p))
 

@@ -31,10 +31,8 @@ __all__ = [
     "schatten_norm",
     "schatten_norms",
     "WeightedKernel",
-    "adjoint_kernel",
     "cross_norm_qpq",
     "weighted_operator_matrix",
-    "stack_by_width",
     "russo_gaps",
     "russo_gap",
 ]
@@ -138,20 +136,24 @@ class WeightedKernel:
         object.__setattr__(self, "gamma_weights", wg)
 
 
-def adjoint_kernel(k: WeightedKernel) -> WeightedKernel:
-    """k*(xi, gamma) = conj(k(gamma, xi)); weights swap roles."""
-    return WeightedKernel(k.values.conj().T, k.gamma_weights, k.xi_weights)
+def _cross_norms(values, xi_weights, gamma_weights, p: float, q: float):
+    """(||k||_{q,p,q}, ||k*||_{q,p,q}) from one |k|^p: the adjoint's inner
+    sum runs over gamma (axis 1) and its outer one over xi."""
+    mass = np.abs(values) ** p
+    direct = (mass * xi_weights[:, None]).sum(axis=0) ** (q / p) @ gamma_weights
+    adjoint = (mass * gamma_weights).sum(axis=1) ** (q / p) @ xi_weights
+    return float(direct ** (1.0 / q)), float(adjoint ** (1.0 / q))
 
 
-def cross_norm_qpq(k: WeightedKernel, p: float) -> float:
-    """Mixed norm: exponent p over xi (axis 0), then exponent q = p' over gamma."""
+def cross_norm_qpq(k: WeightedKernel, p: float) -> tuple:
+    """(||k||_{q,p,q}, ||k*||_{q,p,q}), q = p': the mixed norm of k, exponent
+    p over xi (axis 0) and then q over gamma, and that of its adjoint
+    k*(xi, gamma) = conj(k(gamma, xi)), whose weights swap roles; both read
+    one |k|^p."""
     p = float(p)
     if not (1.0 < p <= 2.0):
         raise ValueError("need 1 < p <= 2 for the inner exponent")
-    q = conjugate_exponent(p)
-    inner = (np.abs(k.values) ** p * k.xi_weights[:, None]).sum(axis=0)
-    outer = (inner ** (q / p)) @ k.gamma_weights
-    return float(outer ** (1.0 / q))
+    return _cross_norms(k.values, k.xi_weights, k.gamma_weights, p, conjugate_exponent(p))
 
 
 def weighted_operator_matrix(k: WeightedKernel) -> np.ndarray:
@@ -159,60 +161,20 @@ def weighted_operator_matrix(k: WeightedKernel) -> np.ndarray:
     return np.sqrt(k.xi_weights)[:, None] * k.values * np.sqrt(k.gamma_weights)[None, :]
 
 
-def stack_by_width(kernels):
-    """Stack kernels so that batched sums over them keep every bit.
-
-    kernels is a sequence of (values, xi_weights, gamma_weights).  Yields
-    (indices, values, xi_weights, gamma_weights) per group of kernels with
-    the same column count n: (m, r, n) values and (m, r) xi weights, each
-    kernel's rows zero-padded to the group's largest row count r, and (m, n)
-    gamma weights.  numpy sums a contiguous axis pairwise and a strided one
-    in order, so a sum over columns sees each kernel's own n entries, and a
-    sum over rows only adds exact zeros for the padding.  A one-column
-    kernel makes the row axis contiguous, so those are grouped by exact row
-    count too.
-    """
-    groups = {}
-    for i, (values, _, _) in enumerate(kernels):
-        r, n = np.shape(values)
-        groups.setdefault((n, r if n == 1 else -1), []).append(i)
-    for idx in groups.values():
-        n = np.shape(kernels[idx[0]][0])[1]
-        r = max(len(kernels[i][1]) for i in idx)
-        values = np.zeros((len(idx), r, n), np.result_type(*(kernels[i][0] for i in idx)))
-        xi = np.zeros((len(idx), r))
-        gamma = np.empty((len(idx), n))
-        for j, (v, wx, wg) in enumerate(kernels[i] for i in idx):
-            values[j, : len(wx)], xi[j, : len(wx)], gamma[j] = v, wx, wg
-        yield idx, values, xi, gamma
-
-
 def russo_gaps(kernels, ps) -> list:
     """[russo_gap(k, p) for k, p in zip(kernels, ps)], each kernel given as
-    (values, xi_weights, gamma_weights) and left unvalidated.
-
-    |k|^p, the weighted operator matrices and the inner sums of both cross
-    norms are taken once per stack_by_width group; the SVD (schatten_norms
-    on the kernel's own rows) and the two outer dot products run per kernel,
-    so every value is the one a kernel alone gives, bit for bit.
-    """
+    (values, xi_weights, gamma_weights) and left unvalidated.  Each kernel is
+    judged on its own: one schatten_norms of its operator matrix, and both
+    cross norms from one |k|^p."""
     ps = [float(p) for p in ps]
     if not all(1.0 < p <= 2.0 for p in ps):
         raise ValueError("need 1 < p <= 2 for the inner exponent")
-    qs = [conjugate_exponent(p) for p in ps]
-    gaps = [None] * len(ps)
-    for idx, values, xi, gamma in stack_by_width(kernels):
-        q_over_p = np.array([[qs[i] / ps[i]] for i in idx])
-        mass = np.abs(values) ** np.array([ps[i] for i in idx])[:, None, None]
-        direct = (mass * xi[:, :, None]).sum(axis=1) ** q_over_p  # over xi, per gamma
-        adjoint = (mass * gamma[:, None, :]).sum(axis=2) ** q_over_p  # over gamma, per xi
-        ops = np.sqrt(xi)[:, :, None] * values * np.sqrt(gamma)[:, None, :]
-        for j, i in enumerate(idx):
-            r, q = len(kernels[i][1]), qs[i]
-            (lhs,) = schatten_norms(ops[j, :r], (q,))
-            direct_norm = (direct[j] @ gamma[j]) ** (1.0 / q)
-            adjoint_norm = (adjoint[j, :r] @ xi[j, :r]) ** (1.0 / q)
-            gaps[i] = lhs, float(np.sqrt(float(direct_norm) * float(adjoint_norm)))
+    gaps = []
+    for (values, xi, gamma), p in zip(kernels, ps):
+        q = conjugate_exponent(p)
+        (lhs,) = schatten_norms(np.sqrt(xi)[:, None] * values * np.sqrt(gamma)[None, :], (q,))
+        direct, adjoint = _cross_norms(values, xi, gamma, p, q)
+        gaps.append((lhs, float(np.sqrt(direct * adjoint))))
     return gaps
 
 

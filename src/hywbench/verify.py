@@ -48,14 +48,12 @@ from .groups import (
 )
 from .schatten import (
     WeightedKernel,
-    adjoint_kernel,
     conjugate_exponent,
     cross_norm_qpq,
     russo_gap,
     russo_gaps,
     schatten_norm,
     schatten_norms,
-    stack_by_width,
     weighted_operator_matrix,
 )
 from .transform import CharacterSlice, induced_rep_matrix, kernel_from_pair_table, pair_orbits
@@ -348,8 +346,8 @@ def spectral_record(
                 sq[p].append(np.float64(norm) ** q)
                 if p in chain:
                     direct, adjoint, masses = extras[p]
-                    direct.append(np.float64(cross_norm_qpq(k, p)) ** q)
-                    adjoint.append(np.float64(cross_norm_qpq(adjoint_kernel(k), p)) ** q)
+                    for side, norm in zip((direct, adjoint), cross_norm_qpq(k, p)):
+                        side.append(np.float64(norm) ** q)
                     # dual-side q-mass of every slice
                     masses.append(measure @ np.abs(table) ** q)
         del tables, table  # the chunk and a view of it: released before the next is paired
@@ -611,10 +609,8 @@ def dual_measure_suite(model: GroupExtensionModel, count: int, seed: int) -> lis
 # -- synthetic-kernel inequalities ----------------------------------------------------
 
 
-# trials per block of the random kernel suites: a block holds its draws and
-# one column-count group's stacked arrays at a time, so 1,000 russo-fournier
-# trials peak at about 1 MB traced, where one block of all 1,000 peaks at
-# 5.9 MB and raised the axb-run peak RSS by 3 MB
+# trials per block of the random kernel suites: a block bounds the draws
+# held at once, each trial being judged on its own
 _TRIAL_BLOCK = 128
 
 
@@ -665,22 +661,14 @@ def russo_fournier_random_suite(count: int, seed: int) -> CheckResult:
 
 def _minkowski_sides(kernels, ps, qs) -> list:
     """(swapped, dominant) of check_minkowski for each nonnegative kernel
-    (values, xi_weights, gamma_weights) at its (p, q), unvalidated: the
-    powers and both inner sums once per stack_by_width group, the outer dot
-    products per kernel, so every value is the one a kernel alone gives."""
-    sides = [None] * len(ps)
-    for idx, f, xi, gamma in stack_by_width(kernels):
-        p = np.array([[ps[i]] for i in idx])
-        q = np.array([[qs[i]] for i in idx])
-        swapped = (f ** p[:, :, None] * xi[:, :, None]).sum(axis=1) ** (q / p)
-        dominant = (f ** q[:, :, None] * gamma[:, None, :]).sum(axis=2) ** (p / q)
-        for j, i in enumerate(idx):
-            r = len(kernels[i][1])
-            sides[i] = (
-                float((swapped[j] @ gamma[j]) ** (1.0 / qs[i])),
-                float((dominant[j, :r] @ xi[j, :r]) ** (1.0 / ps[i])),
-            )
-    return sides
+    (values, xi_weights, gamma_weights) at its (p, q), unvalidated."""
+    return [
+        (
+            float(((f**p * wx[:, None]).sum(axis=0) ** (q / p) @ wg) ** (1.0 / q)),
+            float(((f**q * wg[None, :]).sum(axis=1) ** (p / q) @ wx) ** (1.0 / p)),
+        )
+        for (f, wx, wg), p, q in zip(kernels, ps, qs)
+    ]
 
 
 def check_minkowski(values, xi_weights, gamma_weights, p: float, q: float) -> CheckResult:
@@ -692,8 +680,8 @@ def check_minkowski(values, xi_weights, gamma_weights, p: float, q: float) -> Ch
     f = np.asarray(values, dtype=float)
     if np.any(f < 0):
         raise ValueError("kernel must be nonnegative")
-    kernel = (f, np.asarray(xi_weights, dtype=float), np.asarray(gamma_weights, dtype=float))
-    (sides,) = _minkowski_sides([kernel], [p], [q])
+    k = WeightedKernel(f, xi_weights, gamma_weights)  # rejects bad weight lengths and signs
+    (sides,) = _minkowski_sides([(f, k.xi_weights, k.gamma_weights)], [p], [q])
     return inequality_result("minkowski-swap", *sides, TOLERANCES["linalg"])
 
 

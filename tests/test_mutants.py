@@ -125,12 +125,14 @@ def zero_row_appended(kernel_from_pair_table, calls):
 
 
 def exponents_swapped(cross_norm_qpq):
-    """The cross norm with inner exponent q over xi and outer p over gamma."""
+    """Both cross norms with inner exponent q and outer p."""
 
     def swapped(k, p):
         q = schatten.conjugate_exponent(p)
-        inner = (np.abs(k.values) ** q * k.xi_weights[:, None]).sum(axis=0)
-        return float(((inner ** (p / q)) @ k.gamma_weights) ** (1.0 / p))
+        mass = np.abs(k.values) ** q
+        direct = (mass * k.xi_weights[:, None]).sum(axis=0) ** (p / q) @ k.gamma_weights
+        adjoint = (mass * k.gamma_weights).sum(axis=1) ** (p / q) @ k.xi_weights
+        return float(direct ** (1.0 / p)), float(adjoint ** (1.0 / p))
 
     return swapped
 

@@ -15,7 +15,6 @@ from hypothesis.extra import numpy as hnp
 from hywbench import schatten
 from hywbench.schatten import (
     WeightedKernel,
-    adjoint_kernel,
     conjugate_exponent,
     cross_norm_qpq,
     russo_gap,
@@ -39,6 +38,19 @@ def random_kernel(rng, nx=None, ng=None):
     wx = rng.uniform(0.1, 2.0, nx)
     wg = rng.uniform(0.1, 2.0, ng)
     return WeightedKernel(vals, wx, wg)
+
+
+def explicit_adjoint(k):
+    """k*(xi, gamma) = conj(k(gamma, xi)), the weights swapping roles."""
+    return WeightedKernel(k.values.conj().T, k.gamma_weights, k.xi_weights)
+
+
+def direct_norm(k, p):
+    """||k||_{q,p,q} alone by the plain formula: with explicit_adjoint, the
+    reference for both halves of cross_norm_qpq."""
+    q = conjugate_exponent(p)
+    inner = (np.abs(k.values) ** p * k.xi_weights[:, None]).sum(axis=0)
+    return float(((inner ** (q / p)) @ k.gamma_weights) ** (1.0 / q))
 
 
 def test_conjugate_exponent_values():
@@ -153,12 +165,13 @@ def worst_gram_error(norms):
             got, want = np.array(norms(a, ps)), np.array(singular_value_norms(a, ps))
             assert got.shape == want.shape
             rel = np.abs(got - want) / np.where(want > 0, want, 1.0)
-            worst = max(worst, float(rel.max()))
+            worst = max(worst, float(np.where(np.isnan(rel), np.inf, rel).max()))  # NaN is no match
     return worst
 
 
 def test_the_gram_route_matches_the_singular_values():
     assert worst_gram_error(schatten_norms) <= 1e-13
+    assert worst_gram_error(lambda a, ps: [np.nan] * len(ps)) == np.inf  # a NaN route fails it
 
 
 def test_a_gram_without_the_conjugate_fails_the_gram_test():
@@ -208,11 +221,11 @@ def test_kernel_validation():
 def test_adjoint_is_an_involution():
     rng = np.random.default_rng(3)
     k = random_kernel(rng)
-    kk = adjoint_kernel(adjoint_kernel(k))
+    kk = explicit_adjoint(explicit_adjoint(k))
     np.testing.assert_array_equal(kk.values, k.values)
     np.testing.assert_array_equal(kk.xi_weights, k.xi_weights)
     m = weighted_operator_matrix(k)
-    mstar = weighted_operator_matrix(adjoint_kernel(k))
+    mstar = weighted_operator_matrix(explicit_adjoint(k))
     np.testing.assert_allclose(mstar, m.conj().T, atol=1e-15)
 
 
@@ -221,11 +234,14 @@ def test_cross_norm_against_naive_loop():
     k = random_kernel(rng, nx=5, ng=7)
     p = 1.4
     q = conjugate_exponent(p)
-    acc = 0.0
+    acc = adjoint_acc = 0.0
     for j in range(7):
         inner = sum(abs(k.values[i, j]) ** p * k.xi_weights[i] for i in range(5))
         acc += inner ** (q / p) * k.gamma_weights[j]
-    assert cross_norm_qpq(k, p) == pytest.approx(acc ** (1 / q), rel=1e-12)
+    for i in range(5):  # the adjoint: p over gamma, then q over xi
+        inner = sum(abs(k.values[i, j]) ** p * k.gamma_weights[j] for j in range(7))
+        adjoint_acc += inner ** (q / p) * k.xi_weights[i]
+    assert cross_norm_qpq(k, p) == pytest.approx((acc ** (1 / q), adjoint_acc ** (1 / q)), rel=1e-12)
 
 
 def test_cross_norm_validates_exponents():
@@ -235,7 +251,7 @@ def test_cross_norm_validates_exponents():
         cross_norm_qpq(k, 2.5)  # inner exponent above 2
     with pytest.raises(ValueError):
         cross_norm_qpq(k, 1.0)  # inner exponent 1: its conjugate is infinite
-    assert np.isfinite(cross_norm_qpq(k, 1.005))  # every exponent above 1 is taken
+    assert np.isfinite(cross_norm_qpq(k, 1.005)).all()  # every exponent above 1 is taken
 
 
 def test_averaging_bound_is_equality_at_two():
@@ -257,19 +273,25 @@ def test_averaging_bound_random_suite():
 
 
 def test_russo_gaps_keep_the_bits_of_each_kernel_alone():
-    # a batch of one-row, one-column and wider kernels of up to 24 rows gives
-    # each kernel the S_q norm of its operator matrix and the cross norms of
-    # it and its adjoint, bit for bit; numpy sums a column of 8 or more
-    # entries pairwise, so padding a one-column kernel's rows would move them
+    # empty, one-row, one-column, wide and tall kernels of up to 24 rows:
+    # cross_norm_qpq takes both norms from one |k|^p, and they are the direct
+    # norms of the kernel and of its explicit adjoint, bit for bit, at
+    # p = 1.05 and at 1.5 and 2, where numpy squares the inner sums or |k|^p;
+    # and a batch gives each kernel the S_q norm of its operator matrix and
+    # the geometric mean of those two norms, bit for bit
     rng = np.random.default_rng(9)
     shapes = [(nx, ng) for nx in (1, 2, 3, 8, 9, 13, 24) for ng in (1, 2, 7, 24)]
     kernels = [random_kernel(rng, nx, ng) for nx, ng in shapes for _ in range(3)]
     kernels = [kernels[i] for i in rng.permutation(len(kernels))]
+    kernels.append(WeightedKernel(np.zeros((0, 5)), np.zeros(0), rng.uniform(0.1, 2.0, 5)))
+    for k in kernels:
+        for p in (1.05, 1.5, 2.0):
+            assert cross_norm_qpq(k, p) == (direct_norm(k, p), direct_norm(explicit_adjoint(k), p))
     ps = rng.uniform(1.05, 2.0, len(kernels))
     triples = [(k.values, k.xi_weights, k.gamma_weights) for k in kernels]
     for k, p, gap in zip(kernels, ps, russo_gaps(triples, ps)):
         lhs = schatten_norm(weighted_operator_matrix(k), conjugate_exponent(p))
-        rhs = float(np.sqrt(cross_norm_qpq(k, p) * cross_norm_qpq(adjoint_kernel(k), p)))
+        rhs = float(np.sqrt(direct_norm(k, p) * direct_norm(explicit_adjoint(k), p)))
         assert gap == (lhs, rhs) == russo_gap(k, p)
     with pytest.raises(ValueError):
         russo_gaps(triples[:1], [2.5])

@@ -18,7 +18,6 @@ from hywbench.grids import lp_norm_G, make_grids, modular_on_grid, sample, slice
 from hywbench.groups import make_group
 from hywbench.schatten import (
     WeightedKernel,
-    adjoint_kernel,
     conjugate_exponent,
     cross_norm_qpq,
     schatten_norm,
@@ -211,6 +210,13 @@ def test_minkowski_validation():
         check_minkowski(np.ones((2, 2)), np.ones(2), np.ones(2), 2.0, 2.0)
     with pytest.raises(ValueError):
         check_minkowski(-np.ones((2, 2)), np.ones(2), np.ones(2), 1.5, 3.0)
+    # a gamma weight short, a xi weight short, and a negative xi weight
+    with pytest.raises(ValueError, match="weight lengths"):
+        check_minkowski(np.ones((2, 3)), np.ones(2), np.ones(1), 1.5, 3.0)
+    with pytest.raises(ValueError, match="weight lengths"):
+        check_minkowski(np.ones((2, 3)), np.ones(1), np.ones(3), 1.5, 3.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        check_minkowski(np.ones((2, 3)), [1.0, -0.5], np.ones(3), 1.5, 3.0)
 
 
 def test_minkowski_random_suite_clean():
@@ -263,12 +269,12 @@ def _minkowski_trials(seed, count):
 
 @pytest.mark.parametrize("seed", [0, 7, 60, 61])
 def test_the_suites_judge_each_kernel_as_one_trial_would(seed):
-    # the suites judge width-grouped blocks; every record must be the one
-    # that judging each kernel alone gives, bit for bit, at 200 and 1000
-    # trials (200 ends inside a block)
+    # the suites judge their draws block by block; every record must be the
+    # one that judging each kernel through its public check gives, bit for
+    # bit, at 200 and 1000 trials (200 ends inside a block)
     russo = _russo_trials(seed, 1000)
     minkowski, shapes = _minkowski_trials(seed, 1000)
-    # one-column kernels sum their rows pairwise, one-row kernels have nothing to pad
+    # one-column kernels sum their rows pairwise, one-row kernels their columns
     assert any(ng == 1 for _, ng in shapes) and any(nx == 1 for nx, _ in shapes)
     for count in (200, 1000):
         for suite, trials in ((russo_fournier_random_suite, russo), (minkowski_random_suite, minkowski)):
@@ -315,7 +321,8 @@ def test_a_nan_minkowski_trial_is_the_suite_worst(monkeypatch):
 
 @pytest.mark.parametrize("suite", [russo_fournier_random_suite, minkowski_random_suite])
 def test_the_kernel_suites_judge_in_blocks(suite):
-    # 1,000 russo-fournier trials judged at once peak at 5.9 MB traced
+    # 1,000 russo-fournier trials drawn in blocks of 128 and judged one by
+    # one peak at about 0.5 MB traced
     suite(count=1, seed=0)  # numpy's lazy imports are not the suite's
     tracemalloc.start()
     try:
@@ -323,7 +330,7 @@ def test_the_kernel_suites_judge_in_blocks(suite):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2e6
+    assert peak < 1e6
 
 
 def test_russo_fournier_diagonal_equality():
@@ -527,8 +534,9 @@ def test_a_real_fixture_mirrors_each_orbit_bit_for_bit(group):
                 sq = np.float64(schatten_norm(weighted_operator_matrix(k), q)) ** q
                 assert np.array_equal(record.sq[p][i], sq), (spec, i, p)
             k = kernel_from_pair_table(table, h, delta, 1.0 / 3.0)
-            assert np.array_equal(direct[i], np.float64(cross_norm_qpq(k, 1.5)) ** 3.0)
-            assert np.array_equal(adjoint[i], np.float64(cross_norm_qpq(adjoint_kernel(k), 1.5)) ** 3.0)
+            k_adjoint = WeightedKernel(k.values.conj().T, k.gamma_weights, k.xi_weights)
+            assert np.array_equal(direct[i], np.float64(cross_norm_qpq(k, 1.5)[0]) ** 3.0)
+            assert np.array_equal(adjoint[i], np.float64(cross_norm_qpq(k_adjoint, 1.5)[0]) ** 3.0)
 
 
 def test_realness_is_read_from_the_values():
