@@ -22,7 +22,7 @@ genuine (finite, atomic) measure spaces rather than discretizations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "cross_norm_qpq",
     "weighted_operator_matrix",
     "russo_gaps",
-    "russo_gap",
 ]
 
 
@@ -71,9 +70,17 @@ def schatten_norms(a: np.ndarray, ps) -> list:
       than its square, so it needs the relative accuracy that the Gram
       matrix squares away.
 
+    Either route must keep the mass: the squared singular values (or the
+    eigenvalues) sum to ||a||_F^2, summed over the entries of a.  That
+    identity is exact, and a factorization that misses it by more than 1e-12
+    of the mass is wrong: a Gram matrix built without its conjugate, say,
+    whose eigenvalues still sum to its own trace.  The entries' sum is also
+    the norm at p = 2.
+
     A norm that cannot be computed is NaN: every norm is NaN when a has a
-    non-finite entry or the factorization fails, so a verdict that reads it
-    fails rather than raises.  A matrix with no entries has every norm 0.
+    non-finite entry, the factorization fails or loses mass, so a verdict
+    that reads it fails rather than raises.  A matrix with no entries has
+    every norm 0.
     """
     a = np.asarray(a)
     if a.ndim != 2:
@@ -85,55 +92,57 @@ def schatten_norms(a: np.ndarray, ps) -> list:
         return [np.nan] * len(ps)
     if not a.size:
         return [0.0] * len(ps)
+    mass = (np.abs(a) ** 2).sum()  # ||a||_F^2, summed over the entries
     s = lam = None
     try:
         if min(ps, default=2.0) < 2.0:
             s = np.linalg.svd(a, compute_uv=False)
+            lam = s**2
         elif ps.count(2.0) < len(ps):
             ah = a.conj().T
             lam = np.linalg.eigvalsh(a @ ah if a.shape[0] <= a.shape[1] else ah @ a)
             np.maximum(lam, 0.0, out=lam)
     except np.linalg.LinAlgError:
         return [np.nan] * len(ps)
+    if lam is not None and abs(lam.sum() - mass) > 1e-12 * mass:
+        return [np.nan] * len(ps)
     out = []
     for p in ps:
         if p == 2.0:
-            out.append(float(np.sqrt((np.abs(a) ** 2).sum())))
-        elif lam is None:
+            out.append(float(np.sqrt(mass)))
+        elif s is not None:
             out.append(float(s[0] if p == np.inf else (s**p).sum() ** (1.0 / p)))
         else:  # Gram eigenvalues, in ascending order
             out.append(float(np.sqrt(lam[-1]) if p == np.inf else (lam ** (p / 2)).sum() ** (1.0 / p)))
     return out
 
 
-@dataclass(frozen=True)
-class WeightedKernel:
-    """Kernel values on a product of two weighted atomic point sets.
+class WeightedKernel(namedtuple("WeightedKernel", "values xi_weights gamma_weights")):
+    """Kernel values on a product of two weighted atomic point sets, as the
+    validated triple (values, xi_weights, gamma_weights).
 
     values[i, j] = k(xi_i, gamma_j).  Entries may themselves be operators in
     later extensions; this implementation handles scalar entries only and
-    refuses higher-rank input rather than guessing a convention.
+    refuses higher-rank input rather than guessing a convention.  Every
+    reader unpacks its kernel, so a plain (values, xi_weights, gamma_weights)
+    triple, such as a random suite draws, is read the same way unvalidated.
     """
 
-    values: np.ndarray
-    xi_weights: np.ndarray
-    gamma_weights: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
+    def __new__(cls, values, xi_weights, gamma_weights):
+        v = np.asarray(values, dtype=np.complex128)
         if v.ndim > 2:
             raise NotImplementedError("operator-valued kernel entries are not supported")
         if v.ndim != 2:
             raise ValueError("kernel values must form a matrix")
-        wx = np.asarray(self.xi_weights, dtype=float)
-        wg = np.asarray(self.gamma_weights, dtype=float)
+        wx = np.asarray(xi_weights, dtype=float)
+        wg = np.asarray(gamma_weights, dtype=float)
         if wx.shape != (v.shape[0],) or wg.shape != (v.shape[1],):
             raise ValueError("weight lengths must match the kernel shape")
         if np.any(wx < 0) or np.any(wg < 0):
             raise ValueError("weights must be nonnegative")
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "xi_weights", wx)
-        object.__setattr__(self, "gamma_weights", wg)
+        return super().__new__(cls, v, wx, wg)
 
 
 def _cross_norms(values, xi_weights, gamma_weights, p: float, q: float):
@@ -145,7 +154,7 @@ def _cross_norms(values, xi_weights, gamma_weights, p: float, q: float):
     return float(direct ** (1.0 / q)), float(adjoint ** (1.0 / q))
 
 
-def cross_norm_qpq(k: WeightedKernel, p: float) -> tuple:
+def cross_norm_qpq(k, p: float) -> tuple:
     """(||k||_{q,p,q}, ||k*||_{q,p,q}), q = p': the mixed norm of k, exponent
     p over xi (axis 0) and then q over gamma, and that of its adjoint
     k*(xi, gamma) = conj(k(gamma, xi)), whose weights swap roles; both read
@@ -153,31 +162,27 @@ def cross_norm_qpq(k: WeightedKernel, p: float) -> tuple:
     p = float(p)
     if not (1.0 < p <= 2.0):
         raise ValueError("need 1 < p <= 2 for the inner exponent")
-    return _cross_norms(k.values, k.xi_weights, k.gamma_weights, p, conjugate_exponent(p))
+    return _cross_norms(*k, p, conjugate_exponent(p))
 
 
-def weighted_operator_matrix(k: WeightedKernel) -> np.ndarray:
+def weighted_operator_matrix(k) -> np.ndarray:
     """sqrt(w_xi) k sqrt(w_gamma): the matrix carrying the operator's norms."""
-    return np.sqrt(k.xi_weights)[:, None] * k.values * np.sqrt(k.gamma_weights)[None, :]
+    values, xi_weights, gamma_weights = k
+    return np.sqrt(xi_weights)[:, None] * values * np.sqrt(gamma_weights)[None, :]
 
 
 def russo_gaps(kernels, ps) -> list:
-    """[russo_gap(k, p) for k, p in zip(kernels, ps)], each kernel given as
-    (values, xi_weights, gamma_weights) and left unvalidated.  Each kernel is
-    judged on its own: one schatten_norms of its operator matrix, and both
-    cross norms from one |k|^p."""
+    """(operator S_q norm, geometric mean of the two cross norms), q = p',
+    for each kernel and its p.  Each kernel is judged on its own: one
+    schatten_norms of its operator matrix, and both cross norms from one
+    |k|^p."""
     ps = [float(p) for p in ps]
     if not all(1.0 < p <= 2.0 for p in ps):
         raise ValueError("need 1 < p <= 2 for the inner exponent")
     gaps = []
-    for (values, xi, gamma), p in zip(kernels, ps):
+    for k, p in zip(kernels, ps):
         q = conjugate_exponent(p)
-        (lhs,) = schatten_norms(np.sqrt(xi)[:, None] * values * np.sqrt(gamma)[None, :], (q,))
-        direct, adjoint = _cross_norms(values, xi, gamma, p, q)
+        (lhs,) = schatten_norms(weighted_operator_matrix(k), (q,))
+        direct, adjoint = _cross_norms(*k, p, q)
         gaps.append((lhs, float(np.sqrt(direct * adjoint))))
     return gaps
-
-
-def russo_gap(k: WeightedKernel, p: float):
-    """(operator S_q norm, geometric mean of the two cross norms), q = p'."""
-    return russo_gaps([(k.values, k.xi_weights, k.gamma_weights)], [p])[0]

@@ -50,7 +50,6 @@ from .schatten import (
     WeightedKernel,
     conjugate_exponent,
     cross_norm_qpq,
-    russo_gap,
     russo_gaps,
     schatten_norm,
     schatten_norms,
@@ -299,17 +298,21 @@ def spectral_record(
     the record is the one the full transversal gives.  A complex g pairs
     every orbit.
 
-    The exponents of chain are added to ps.  Where the modular function is
-    1 on every grid point (on a unimodular group), the kernel does not depend
+    The exponents of chain are added to ps.  Every record exponent is
+    p <= 2, so its norm exponent is q = p' >= 2, and no record runs an SVD:
+    each norm comes from the eigenvalues of the smaller Gram matrix, or from
+    the entries at q = 2 (schatten_norms).  Where the modular function is 1
+    on every grid point (on a unimodular group), the kernel does not depend
     on the exponent: it is built once per orbit, and with two or more
-    exponents below 2 one SVD per orbit serves them all.  Elsewhere
-    Delta^(1/q) changes the spectrum, so every exponent gets its own kernel
-    and SVD.  The test reads Delta on g's H grid, as the model record does,
-    and the H measure of the swapped form is the H weights times that one
-    Delta.  Each kernel holds only the rows of its orbit that stay in band, so
-    the SVD and both cross norms run on an r x n matrix; the slice mass reads the
-    full pairing table, whose out-of-band rows add exact zeros, and sums the
-    orbits in transversal order, each with its own weight.  ||g||_p is
+    exponents below 2 one Gram eigendecomposition per orbit serves them all.
+    Elsewhere Delta^(1/q) changes the spectrum, so every exponent gets its
+    own kernel and Gram matrix.  The test reads Delta on g's H grid, as the
+    model record does, and the H measure of the swapped form is the H
+    weights times that one Delta.  Each kernel holds only the rows of its
+    orbit that stay in band, so the Gram matrix and both cross norms are
+    taken from an r x n matrix; the slice mass reads the full pairing table,
+    whose out-of-band rows add exact zeros, and sums the orbits in
+    transversal order, each with its own weight.  ||g||_p is
     taken once per exponent, and the slice ratios of every chain exponent
     read one FFT of g, taken after the last chunk of tables is released; a
     slice is dropped when its L^p mass is below 1e-9 of the largest, so a g
@@ -325,7 +328,7 @@ def spectral_record(
     h = g.h_grid
     delta = modular_on_grid(dual.group, h)
     flat = bool(np.all(delta == 1.0))
-    shared_svd = flat and sum(p < 2.0 for p in ps) >= 2
+    shared_gram = flat and sum(p < 2.0 for p in ps) >= 2
     measure = h.weights() * delta
     cs = CharacterSlice(g)
     params, nu = dual.transversal(config)
@@ -336,12 +339,12 @@ def spectral_record(
         tables = pair_orbits(cs, dual, paired[start : start + _PAIR_CHUNK])
         for table in tables:
             k = kernel_from_pair_table(table, h, delta, 1.0 / qs[0])
-            if shared_svd:
+            if shared_gram:
                 norms = schatten_norms(weighted_operator_matrix(k), qs)
             for i, (p, q) in enumerate(zip(ps, qs)):
                 if i and not flat:  # Delta^(1/q) changes the kernel
                     k = kernel_from_pair_table(table, h, delta, 1.0 / q)
-                norm = norms[i] if shared_svd else schatten_norm(weighted_operator_matrix(k), q)
+                norm = norms[i] if shared_gram else schatten_norm(weighted_operator_matrix(k), q)
                 # numpy powers overflow to inf where a Python float raises
                 sq[p].append(np.float64(norm) ** q)
                 if p in chain:
@@ -615,7 +618,7 @@ _TRIAL_BLOCK = 128
 
 
 def check_russo_fournier(kernel: WeightedKernel, p: float) -> CheckResult:
-    lhs, rhs = russo_gap(kernel, p)
+    lhs, rhs = russo_gaps([kernel], [p])[0]
     return inequality_result("russo-fournier", lhs, rhs, TOLERANCES["linalg"])
 
 
@@ -680,8 +683,8 @@ def check_minkowski(values, xi_weights, gamma_weights, p: float, q: float) -> Ch
     f = np.asarray(values, dtype=float)
     if np.any(f < 0):
         raise ValueError("kernel must be nonnegative")
-    k = WeightedKernel(f, xi_weights, gamma_weights)  # rejects bad weight lengths and signs
-    (sides,) = _minkowski_sides([(f, k.xi_weights, k.gamma_weights)], [p], [q])
+    _, wx, wg = WeightedKernel(f, xi_weights, gamma_weights)  # rejects bad weight lengths and signs
+    (sides,) = _minkowski_sides([(f, wx, wg)], [p], [q])  # f stays real, and so do its powers
     return inequality_result("minkowski-swap", *sides, TOLERANCES["linalg"])
 
 

@@ -6,7 +6,7 @@ that imported it by name, and a method is rebound on its class.  Each case
 runs the smallest family selection that catches its defect, checks that the
 selection passes without it, and names the checks the defect must fail.
 
-Four defects fail no family and are not cases here.  The pairing table
+Three defects fail no family and are not cases here.  The pairing table
 read one slice off on Heisenberg is exactly a right translation along H by
 one step, with wraparound: there Delta = 1, so it changes no norm (see
 test_translation_along_h_shifts_the_kernel_columns), and the per-orbit
@@ -17,15 +17,15 @@ nothing, because edge rows carry negligible mass.  The Babenko-Beckner
 constant 1% too large below p = 2 passes every check on both groups, since
 no shipped Gaussian comes within 1% of the supremum; the Gaussian supremum
 tests in tests/test_oracle.py, on Heisenberg and on ax+b, catch it.
+
 The Gram matrix of the all-p >= 2 route of schatten_norms taken without
-the conjugate (b @ b.T for b @ b*) passes every check of `hyw run --group
-axb --p 1.2,1.5,1.8` and `--group heisenberg --p 1.5`, though it halves
-the orbit sums of the seed-0 random fixture on both groups: it lowers the
-transform side, the small side of every inequality it enters.
-tests/test_schatten.py plants it in a copy of schatten_norms and the
-comparison with the singular values fails it at relative error 0.53; the
-150-fixture ax+b sweep of tests/test_acceptance.py (proof-chain orbit
-averaging) and the perfbench reference gate fail it too.
+the conjugate (b @ b.T for b @ b*) halves the orbit sums of the seed-0
+random fixture on both groups: it lowers the transform side, the small side
+of every inequality it enters, so no bound alone fails on it.  It is a
+case because the eigenvalues of b @ b.T then miss the mass of b, summed
+over its entries, and schatten_norms gives NaN norms where a factorization
+loses mass; tests/test_schatten.py also plants it in a copy of
+schatten_norms.
 The cross norm with its exponents swapped is a case, but only through the
 norm chain: the russo-fournier suite passes it on both groups, because
 every random kernel still meets the averaging bound with the swapped norms.
@@ -56,6 +56,7 @@ not the table, and passes.
 """
 
 import ast
+import inspect
 import json
 import pathlib
 from types import SimpleNamespace
@@ -135,6 +136,14 @@ def exponents_swapped(cross_norm_qpq):
         return float(direct ** (1.0 / p)), float(adjoint ** (1.0 / p))
 
     return swapped
+
+
+def gram_without_conjugate(schatten_norms):
+    """The Gram matrix of the all-p >= 2 route taken as b @ b.T, not b @ b*."""
+    source = inspect.getsource(schatten_norms)
+    namespace = dict(vars(schatten))
+    exec(source.replace("a.conj().T", "a.T"), namespace)
+    return namespace["schatten_norms"]
 
 
 def nan_table(pair):
@@ -222,8 +231,21 @@ MUTANTS = {
             "proof-chain:minkowski-swap": 3,
         },
     ),
+    # the Gram matrix without its conjugate: its eigenvalues miss the
+    # mass of a complex kernel, so every norm it gives there is NaN and each
+    # check that reads one fails
+    "gram-without-conjugate-axb": (
+        (schatten, "schatten_norms", gram_without_conjugate),
+        RunConfig(group="axb", checks=("hausdorff-young", "proof-chain")),
+        {"hausdorff-young": 4, "proof-chain:orbit-averaging": 1, "proof-chain:averaging": 1},
+    ),
+    "gram-without-conjugate-heisenberg": (
+        (schatten, "schatten_norms", gram_without_conjugate),
+        RunConfig(group="heisenberg", checks=("hausdorff-young", "proof-chain")),
+        {"hausdorff-young": 5, "proof-chain:orbit-averaging": 2, "proof-chain:averaging": 2},
+    ),
     # a NaN in every pairing table: each check that reads the table fails,
-    # on ax+b through one SVD per exponent
+    # on ax+b with one kernel per exponent
     "nan-pairing-table": (
         (transform.CharacterSlice, "pair", nan_table),
         RunConfig(group="axb", checks=("plancherel", "hausdorff-young", "proof-chain")),
@@ -281,8 +303,8 @@ def test_planted_defect_fails_a_family(monkeypatch, mutant):
     assert {n: failed.count(n) for n in failed} == expected
 
 
-def test_a_nan_pairing_table_fails_the_shared_svd_run_with_a_report(monkeypatch, tmp_path):
-    # Heisenberg is unimodular, so p = 1.2 and 1.5 read one SVD per orbit
+def test_a_nan_pairing_table_fails_the_shared_gram_run_with_a_report(monkeypatch, tmp_path):
+    # Heisenberg is unimodular, so p = 1.2 and 1.5 read one Gram matrix per orbit
     args = ["run", "--quiet", "--group", "heisenberg", "--p", "1.2,1.5", "--checks", "hausdorff-young"]
     assert main([*args, "--out", str(tmp_path / "clean.jsonl")]) == 0
     plant(monkeypatch, transform.CharacterSlice, "pair", nan_table)

@@ -17,7 +17,6 @@ from hywbench.schatten import (
     WeightedKernel,
     conjugate_exponent,
     cross_norm_qpq,
-    russo_gap,
     russo_gaps,
     schatten_norm,
     schatten_norms,
@@ -259,7 +258,7 @@ def test_averaging_bound_is_equality_at_two():
     rng = np.random.default_rng(6)
     for _ in range(20):
         k = random_kernel(rng)
-        lhs, rhs = russo_gap(k, 2.0)
+        lhs, rhs = russo_gaps([k], [2.0])[0]
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -268,7 +267,7 @@ def test_averaging_bound_random_suite():
     for _ in range(300):
         k = random_kernel(rng)
         p = rng.uniform(1.05, 2.0)
-        lhs, rhs = russo_gap(k, p)
+        lhs, rhs = russo_gaps([k], [p])[0]
         assert lhs <= rhs * (1 + 1e-10)
 
 
@@ -292,14 +291,48 @@ def test_russo_gaps_keep_the_bits_of_each_kernel_alone():
     for k, p, gap in zip(kernels, ps, russo_gaps(triples, ps)):
         lhs = schatten_norm(weighted_operator_matrix(k), conjugate_exponent(p))
         rhs = float(np.sqrt(direct_norm(k, p) * direct_norm(explicit_adjoint(k), p)))
-        assert gap == (lhs, rhs) == russo_gap(k, p)
+        assert gap == (lhs, rhs) == russo_gaps([k], [p])[0]
     with pytest.raises(ValueError):
         russo_gaps(triples[:1], [2.5])
 
 
+def test_a_plain_triple_reads_as_its_kernel():
+    # one-row, one-column, (0, n), wide and tall: a triple drawn as the
+    # random suites draw theirs and the WeightedKernel validated from it
+    # give the same operator matrix, cross norms and gaps, bit for bit
+    rng = np.random.default_rng(14)
+    for nx, ng in ((1, 6), (6, 1), (0, 5), (3, 11), (11, 3)):
+        parts = rng.standard_normal((2, nx, ng))
+        triple = (parts[0] + 1j * parts[1], rng.uniform(0.05, 2.0, nx), rng.uniform(0.05, 2.0, ng))
+        k = WeightedKernel(*triple)
+        assert isinstance(k, tuple) and all(map(np.array_equal, k, triple))
+        m = weighted_operator_matrix(k)
+        assert m.dtype == np.complex128 and np.array_equal(weighted_operator_matrix(triple), m)
+        ps = (1.05, 1.5, 2.0)
+        for p in ps:
+            assert cross_norm_qpq(triple, p) == cross_norm_qpq(k, p)
+        assert russo_gaps([triple] * 3, ps) == russo_gaps([k] * 3, ps)
+
+
+def test_a_factorization_that_loses_mass_gives_nan_norms(monkeypatch):
+    # the squared singular values sum to the mass of the entries: a spectrum
+    # off by 1e-9 of it gives NaN norms on both routes, one off by 1e-14
+    # does not, and p = 2 alone reads the entries, bit for bit as before
+    a = gram_matrices()["wide"]
+    frobenius = [float(np.sqrt((np.abs(a) ** 2).sum()))]
+    assert schatten_norms(a, (2.0,)) == frobenius
+    svd, eigvalsh = np.linalg.svd, np.linalg.eigvalsh
+    for scale, lost in ((1.0 + 1e-9, True), (1.0 + 1e-14, False)):
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: svd(*args, **kw) * scale)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args, **kw: eigvalsh(*args, **kw) * scale)
+        for ps in ((1.0, 3.0, np.inf), (2.0, 3.0, np.inf)):  # the SVD and the Gram route
+            assert np.isnan(schatten_norms(a, ps)).all() == lost
+        assert schatten_norms(a, (2.0,)) == frobenius
+
+
 def test_averaging_bound_diagonal_is_tight():
     k = WeightedKernel(np.diag([1.0, 2.0, 2.0]), np.ones(3), np.ones(3))
-    lhs, rhs = russo_gap(k, 1.5)
+    lhs, rhs = russo_gaps([k], [1.5])[0]
     assert lhs == pytest.approx(17.0 ** (1 / 3), rel=1e-13)
     assert rhs == pytest.approx(lhs, rel=1e-12)
 

@@ -492,7 +492,25 @@ def test_hausdorff_young_rejects_bad_exponent():
         hausdorff_young_margins(g, dual, (2.2,))
 
 
-def test_one_svd_serves_every_exponent_on_heisenberg():
+@pytest.mark.parametrize("group", ["axb", "heisenberg"])
+def test_a_record_runs_no_svd(monkeypatch, group):
+    # every record exponent is q = p' >= 2: its norms come from the Gram
+    # matrix, or at q = 2 from the entries, whether one Gram matrix serves
+    # every exponent (Heisenberg, Delta = 1) or each has its own (ax+b)
+    _, dual = make_group(group)
+    g = sample_fixture(group, random_fixtures(group, 1)[0])
+    cfg = default_sampling_config(group)
+
+    def refused(*args, **kw):
+        raise RuntimeError("a record ran an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    for ps, chain in (((2.0,), (1.2, 1.5, 1.8)), ((1.5,), ())):
+        record = spectral_record(g, dual, ps, cfg, chain=chain)
+        assert all(np.isfinite(sq).all() and sq.any() for sq in record.sq.values())
+
+
+def test_one_gram_matrix_serves_every_exponent_on_heisenberg():
     model, dual = make_group("heisenberg")
     g = sample_fixture("heisenberg", random_fixtures("heisenberg", 1)[0])
     delta = modular_on_grid(model, g.h_grid)
