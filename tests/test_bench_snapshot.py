@@ -42,7 +42,8 @@ def canned_snapshot(snap, pairs=3):
             order.append(side)
     side = {"rev": "HEAD", "commit": "0" * 40, "code_lines": {"wc_l": 2297, "code": 1295}, "meta": {"cores": 2}}
     tier1 = {"passed": 362, "failed": 0, "wall_s": 40.5, "summary": "362 passed in 40.10s"}
-    host = {"cores": 2, "affinity": 2, "python": "3.11.7", "numpy": "2.4.6", "build": {"blas": {}}}
+    threads = {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+    host = {"cores": 2, "affinity": 2, "threads": threads, "python": "3.11.7", "numpy": "2.4.6", "build": {"blas": {}}}
     return {
         "schema": 1,
         "harness": snap.harness(25, pairs),

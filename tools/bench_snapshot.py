@@ -47,7 +47,7 @@ SIDES = ("head", "anchor")
 SCHEMA = {
     "schema": int,
     "harness": {"command": str, "seed": int, "seconds": int, "pairs": int},
-    "host": {"cores": int, "affinity": int, "python": str, "numpy": str, "build": dict},
+    "host": {"cores": int, "affinity": int, "threads": dict, "python": str, "numpy": str, "build": dict},
     "sides": {"head": dict, "anchor": dict},
     "workloads": dict,
 }
@@ -127,11 +127,18 @@ def tier1(tree: str) -> dict:
 
 
 def host() -> dict:
+    """Cores, the BLAS thread variables Tier-1 ran under (run.py pins its
+    own, which each side's meta records), Python, numpy, and the name,
+    version and configuration of each numpy build dependency (BLAS,
+    LAPACK); the build's file paths are left out."""
     import numpy as np
 
-    return {"cores": os.cpu_count(), "affinity": len(os.sched_getaffinity(0)),
-            "python": platform.python_version(), "numpy": np.__version__,
-            "build": np.show_config(mode="dicts")["Build Dependencies"]}
+    deps = np.show_config(mode="dicts")["Build Dependencies"]
+    build = {lib: {k: info[k] for k in ("name", "version", "openblas configuration") if k in info}
+             for lib, info in deps.items()}
+    threads = {name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    return {"cores": os.cpu_count(), "affinity": len(os.sched_getaffinity(0)), "threads": threads,
+            "python": platform.python_version(), "numpy": np.__version__, "build": build}
 
 
 def check_schema(doc: dict) -> list:
