@@ -46,7 +46,7 @@ def canned_snapshot(snap, pairs=3):
     host = {"cores": 2, "affinity": 2, "threads": threads, "python": "3.11.7", "numpy": "2.4.6", "build": {"blas": {}}}
     return {
         "schema": 1,
-        "harness": snap.harness(25, pairs),
+        "harness": snap.harness(pairs),
         "host": host,
         "sides": {"head": dict(side, tier1=tier1), "anchor": dict(side, rev="e0a78bc", tier1=None)},
         "workloads": {"axb-run": snap.workload_entry(order, runs)},

@@ -42,3 +42,4 @@ def test_reports_every_package_file_and_the_total(capsys):
     assert [row.split()[-1] for row in rows[1:-1]] == [f"src/hywbench/{f}" for f in files]
     wc, code = (sum(int(row.split()[i]) for row in rows[1:-1]) for i in (0, 1))
     assert rows[-1].split() == [str(wc), str(code), "total"]
+    assert code_lines.totals(ROOT) == (wc, code)

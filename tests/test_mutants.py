@@ -24,8 +24,8 @@ random fixture on both groups: it lowers the transform side, the small side
 of every inequality it enters, so no bound alone fails on it.  It is a
 case because the eigenvalues of b @ b.T then miss the mass of b, summed
 over its entries, and schatten_norms gives NaN norms where a factorization
-loses mass; tests/test_schatten.py also plants it in a copy of
-schatten_norms.
+loses mass; tests/test_schatten.py imports the same plant to show that
+its Gram-route test fails it.
 The cross norm with its exponents swapped is a case, but only through the
 norm chain: the russo-fournier suite passes it on both groups, because
 every random kernel still meets the averaging bound with the swapped norms.
@@ -141,6 +141,7 @@ def exponents_swapped(cross_norm_qpq):
 def gram_without_conjugate(schatten_norms):
     """The Gram matrix of the all-p >= 2 route taken as b @ b.T, not b @ b*."""
     source = inspect.getsource(schatten_norms)
+    assert source.count("a.conj().T") == 1
     namespace = dict(vars(schatten))
     exec(source.replace("a.conj().T", "a.T"), namespace)
     return namespace["schatten_norms"]

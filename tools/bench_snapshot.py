@@ -1,15 +1,14 @@
-"""Snapshot the benchmark at a commit against a fixed anchor: BENCH_<n>.json.
+"""Snapshot the benchmark at HEAD against a fixed anchor: BENCH_<n>.json.
 
 Both commits are extracted with ``git archive`` into temporary directories,
 so nothing is written under .git or into the checkout, and each side runs
 the ``perfbench/run.py`` it ships, untraced, at seed 0.  For every workload
 the two sides alternate for ``--pairs`` pairs, the side that runs first
-switching from pair to pair, and every run lasts ``--seconds``.  The file
-holds every run's result line, each side's median and quartiles per
-metric, the Tier-1 wall time and pass count of the measured commit, the
-code lines of both sides (tools/code_lines.py), both commits, the core
-count, the BLAS threads the harness pins and the numpy/BLAS build
-(``np.show_config(mode="dicts")``).  A timing compares only with one taken
+switching from pair to pair, and every run lasts 25 s.  The file holds
+every run's result line, each side's median and quartiles per metric, the
+Tier-1 wall time and pass count of HEAD, the code lines of both sides
+(tools/code_lines.py), both commits, the core count, the BLAS threads the
+harness pins and the numpy/BLAS build (``np.show_config(mode="dicts")``).  A timing compares only with one taken
 in the same session, so the anchor is measured again every time.
 
 Run from the repository root, with nothing else running:
@@ -22,7 +21,6 @@ Run from the repository root, with nothing else running:
 from __future__ import annotations
 
 import argparse
-import glob
 import io
 import json
 import os
@@ -35,13 +33,13 @@ import tarfile
 import tempfile
 import time
 
-from code_lines import count
+from code_lines import totals
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("heis-run", "heis-hy-sweep", "axb-run", "refine")
 ANCHOR = "e0a78bc"
 SEED = 0
-MIN_SECONDS = 25
+SECONDS = 25
 MIN_PAIRS = 3
 SIDES = ("head", "anchor")
 SCHEMA = {
@@ -70,15 +68,6 @@ def extract(rev: str, dest: str) -> str:
     return commit
 
 
-def code_lines(tree: str) -> dict:
-    """wc -l and code lines of src/hywbench/*.py, as tools/code_lines.py counts them."""
-    totals = [0, 0]
-    for path in sorted(glob.glob(os.path.join(tree, "src", "hywbench", "*.py"))):
-        with open(path, encoding="utf-8") as fh:
-            totals = [a + b for a, b in zip(totals, count(fh.read()))]
-    return {"wc_l": totals[0], "code": totals[1]}
-
-
 def parse_run(stdout: str) -> dict:
     """One run.py result: its last stdout line, the metrics flattened to values."""
     result = json.loads(stdout.strip().splitlines()[-1])
@@ -87,11 +76,11 @@ def parse_run(stdout: str) -> dict:
             "failed": result["failed"], "metrics": metrics}
 
 
-def run_workload(tree: str, workload: str, seconds: int) -> tuple:
+def run_workload(tree: str, workload: str) -> tuple:
     """(result, meta) of one untraced run.py run in tree; meta is read from
     the trace file the run writes under the tree's perfbench/out/."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"]
+               "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"]
     start = time.perf_counter()
     proc = subprocess.run(command, cwd=tree, capture_output=True, text=True,
                           env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
@@ -183,51 +172,51 @@ def workload_entry(order, runs) -> dict:
     return {"order": order, "runs": runs, "summary": {side: summarize(runs[side]) for side in SIDES}}
 
 
-def harness(seconds: int, pairs: int) -> dict:
+def harness(pairs: int) -> dict:
     command = "python3 perfbench/run.py --workload W --seed 0 --seconds S --trace 0"
-    return {"command": command, "seed": SEED, "seconds": seconds, "pairs": pairs}
+    return {"command": command, "seed": SEED, "seconds": SECONDS, "pairs": pairs}
 
 
-def snapshot(rev, anchor, workloads, seconds, pairs, with_tier1, log) -> dict:
+def snapshot(anchor, workloads, pairs, with_tier1, log) -> dict:
     sides = {}
     with tempfile.TemporaryDirectory() as head_tree, tempfile.TemporaryDirectory() as anchor_tree:
         trees = {"head": head_tree, "anchor": anchor_tree}
-        for side, r in (("head", rev), ("anchor", anchor)):
+        for side, r in (("head", "HEAD"), ("anchor", anchor)):
             tree = trees[side]
-            sides[side] = {"rev": r, "commit": extract(r, tree), "code_lines": code_lines(tree),
+            commit = extract(r, tree)
+            wc_l, code = totals(tree)
+            sides[side] = {"rev": r, "commit": commit, "code_lines": {"wc_l": wc_l, "code": code},
                            "tier1": None, "meta": {}}
         if with_tier1:
-            log(f"tier-1 at {rev}")
+            log("tier-1 at HEAD")
             sides["head"]["tier1"] = tier1(head_tree)
         results = {}
         for name in workloads:
             order, runs = [], {side: [] for side in SIDES}
             for i in range(pairs):
                 for side in SIDES[::-1] if i % 2 else SIDES:  # head first on even pairs
-                    result, sides[side]["meta"] = run_workload(trees[side], name, seconds)
+                    result, sides[side]["meta"] = run_workload(trees[side], name)
                     log(f"{name} pair {i + 1}/{pairs} {side}: run_s {result['metrics']['run_s']:.4f}")
                     order.append(side)
                     runs[side].append(result)
             results[name] = workload_entry(order, runs)
-    return {"schema": 1, "harness": harness(seconds, pairs), "host": host(), "sides": sides, "workloads": results}
+    return {"schema": 1, "harness": harness(pairs), "host": host(), "sides": sides, "workloads": results}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
-    parser.add_argument("--rev", default="HEAD", help="the commit to measure (default HEAD)")
     parser.add_argument("--anchor", default=ANCHOR, help=f"the commit to compare with (default {ANCHOR})")
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    parser.add_argument("--seconds", type=int, default=MIN_SECONDS)
     parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     parser.add_argument("--no-tier1", action="store_true", help="skip the Tier-1 run")
     args = parser.parse_args(argv)
     workloads = args.workloads.split(",")
     if not set(workloads) <= set(WORKLOADS):
         parser.error(f"workloads must be among {WORKLOADS}")
-    if args.seconds < MIN_SECONDS or args.pairs < MIN_PAIRS:
-        parser.error(f"need --seconds >= {MIN_SECONDS} and --pairs >= {MIN_PAIRS}")
-    doc = snapshot(args.rev, args.anchor, workloads, args.seconds, args.pairs, not args.no_tier1,
+    if args.pairs < MIN_PAIRS:
+        parser.error(f"need --pairs >= {MIN_PAIRS}")
+    doc = snapshot(args.anchor, workloads, args.pairs, not args.no_tier1,
                    lambda line: print(line, file=sys.stderr, flush=True))
     problems = check_schema(doc)
     if problems:

@@ -43,15 +43,27 @@ def count(source: str):
     return source.count("\n"), len(code - docstring_lines(source))
 
 
-def main() -> int:
-    total_wc = total_code = 0
-    print(f"{'wc -l':>6} {'code':>6}  file")
-    for path in sorted(glob.glob(os.path.join(ROOT, "src", "hywbench", "*.py"))):
+def counts(root: str) -> list:
+    """(path, lines by wc -l, code lines) of each src/hywbench/*.py under root."""
+    rows = []
+    for path in sorted(glob.glob(os.path.join(root, "src", "hywbench", "*.py"))):
         with open(path, encoding="utf-8") as fh:
-            wc, code = count(fh.read())
-        total_wc, total_code = total_wc + wc, total_code + code
+            rows.append((path, *count(fh.read())))
+    return rows
+
+
+def totals(root: str):
+    """(lines by wc -l, code lines) of src/hywbench/*.py under root, summed."""
+    rows = counts(root)
+    return sum(row[1] for row in rows), sum(row[2] for row in rows)
+
+
+def main() -> int:
+    print(f"{'wc -l':>6} {'code':>6}  file")
+    for path, wc, code in counts(ROOT):
         print(f"{wc:6d} {code:6d}  {os.path.relpath(path, ROOT)}")
-    print(f"{total_wc:6d} {total_code:6d}  total")
+    wc, code = totals(ROOT)
+    print(f"{wc:6d} {code:6d}  total")
     return 0
 
 
