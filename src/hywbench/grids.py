@@ -183,11 +183,13 @@ class SampledFunction:
     spec: TestFunctionSpec | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
+        v = np.ascontiguousarray(self.values, dtype=np.complex128)
         expected = tuple(g.n for g in self.n_grids) + (self.h_grid.n,)
         if v.shape != expected:
             raise ValueError(f"values shape {v.shape} does not match grids {expected}")
-        if not np.all(np.isfinite(v.view(float))):
+        rows = v.reshape(-1, v.shape[-1]).view(float)
+        blocks = (rows[i : i + _LP_ROWS] for i in range(0, len(rows), _LP_ROWS))
+        if not all(np.isfinite(block).all() for block in blocks):
             raise ValueError("sampled values must be finite")
         object.__setattr__(self, "values", v)
 
@@ -242,8 +244,9 @@ def sample(spec: TestFunctionSpec, n_grids, h_grid, model) -> SampledFunction:
     return SampledFunction(model=model, n_grids=tuple(n_grids), h_grid=h_grid, values=values, spec=spec)
 
 
-# rows per block of slice_lp_mass, a row being the values at one N-grid point:
-# a block's |values|^p is 1 MB on the default Heisenberg grids, 2 MB once refined
+# rows per block of slice_lp_mass and of SampledFunction's finiteness check, a
+# row being the values at one N-grid point: a block's |values|^p is 1 MB on
+# the default Heisenberg grids, 2 MB once refined
 _LP_ROWS = 1024
 
 

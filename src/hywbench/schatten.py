@@ -82,7 +82,7 @@ def schatten_norms(a: np.ndarray, ps) -> list:
     that reads it fails rather than raises.  A matrix with no entries has
     every norm 0.
     """
-    a = np.asarray(a)
+    a = np.ascontiguousarray(a)  # the complex view below needs a contiguous last axis
     if a.ndim != 2:
         raise ValueError("schatten_norm expects a matrix")
     ps = list(map(float, ps))

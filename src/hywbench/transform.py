@@ -16,26 +16,29 @@ q = 2 this is exactly the correction that makes the direct-integral identity
 
 hold with constant one on both shipped groups.
 
-Band discipline: pair() returns 0 for frequencies beyond the per-axis band
-edge of the N grids.  A uniform grid carries no information there and the
-aliased value it would produce is order-one garbage, while the true value for
-the shipped fixture families is below roundoff.  A kernel row whose dual
-parameter leaves the band is therefore exactly zero, and the kernel keeps only
-its nonzero rows: restricting the codomain to them is an isometry, so every
-Schatten and cross norm is unchanged (on Heisenberg about 78% of the rows go).
-Pointwise character values (induced_rep_matrix) are exact evaluations, not
-quadratures, so no band restriction applies to them.
+Band discipline: a frequency beyond the per-axis band edge of the N grids
+pairs to 0.  A uniform grid carries no information there and the aliased
+value it would produce is order-one garbage, while the true value for the
+shipped fixture families is below roundoff.  So pair() returns only the
+in-band rows, with their indices, and never builds the zero rows (on
+Heisenberg about 78% of them).  The kernel keeps only its nonzero rows:
+restricting the codomain to them is an isometry, so every Schatten and cross
+norm is unchanged.  Pointwise character values (induced_rep_matrix) are
+exact evaluations, not quadratures, so no band restriction applies to them.
 
 Pairing in chunks: spectral_record pairs the orbits of a transversal 16 at a
 time through pair_orbits.  The trailing frequency is constant along a dual
 orbit, so one pair call contracts the trailing N axis for every orbit of the
-chunk with a single GEMM.  The ax+b group has no trailing axis; its two orbits
-share one call.  For a real g on a symmetric transversal only the first half
-of the orbits is paired: the dual action is linear, so the table at -sigma is
-the conjugate of the table at sigma, and its norms repeat those at sigma bit
-for bit (see spectral_record).  A chunk's GEMM blocking follows its row
-count, so an orbit paired alone may differ from the same orbit paired in its
-chunk by roundoff.
+chunk with a single GEMM per block of H columns.  A block's contracted
+output is at most _PAIR_BLOCK_BYTES (2 MB): one block on the default
+Heisenberg grids, four once refined, and the blocks give the bits of one.
+The ax+b group has no trailing axis; its two orbits share one call.  For a
+real g on a symmetric transversal only the first half of the orbits is
+paired: the dual action is linear, so the table at -sigma is the conjugate
+of the table at sigma, and its norms repeat those at sigma bit for bit (see
+spectral_record).  A chunk's GEMM blocking follows its row count, so an
+orbit paired alone may differ from the same orbit paired in its chunk by
+roundoff.
 
 Index bookkeeping: quotient translations act by index shifts, so the kernel
 only ever reads g at h-differences that land back on the quotient grid;
@@ -67,21 +70,31 @@ __all__ = [
 ]
 
 
+# bytes of one H block of pair's trailing-axis contraction, its complex
+# (n_0, tails, columns) output: a chunk of 16 orbits is one block on the
+# default Heisenberg grids and four once refined
+_PAIR_BLOCK_BYTES = 2 << 20
+
+
 class CharacterSlice:
     """Slice-by-slice character pairings of a sampled function.
 
-    pair(omegas) returns a (rows, h) table whose row r, column j entry is
+    pair(omegas) returns (rows, table): rows indexes the frequencies that
+    stay in the band of the N grids on every axis, and table, shape
+    (len(rows), h), holds their pairings, entry (r, j) being
 
-        sum_n g(n, h_j) exp(+2 pi i <omega_r, n>) * w_N(n),
+        sum_n g(n, h_j) exp(+2 pi i <omega_rows[r], n>) * w_N(n),
 
-    i.e. the transform of the slice at the reflected frequency.  Rows whose
-    frequency leaves the band of the N grids on any axis are zero (see the
-    module docstring).  Rows that share their trailing frequency components
-    are contracted together, which is what keeps the two-step groups fast:
-    the center frequency is constant along each dual orbit, so one GEMM
-    contracts the last N axis at every distinct trailing frequency of the
-    call (one per orbit when pair_orbits pairs a chunk of orbits), and each
-    orbit is then one product over the leading axis.
+    i.e. the transform of the slice at the reflected frequency.  A frequency
+    out of band pairs to zero (see the module docstring) and has no row.
+    The cell weight w_N multiplies each leading-axis phase, not the table.
+    Rows that share their trailing frequency components are contracted
+    together, which is what keeps the two-step groups fast: the center
+    frequency is constant along each dual orbit, so one GEMM contracts the
+    last N axis at every distinct trailing frequency of the call (one per
+    orbit when pair_orbits pairs a chunk of orbits), and each orbit is then
+    one product over the leading axis.  Both run over blocks of H columns,
+    so the contracted block stays within _PAIR_BLOCK_BYTES.
     """
 
     def __init__(self, g: SampledFunction):
@@ -94,29 +107,33 @@ class CharacterSlice:
         om = np.atleast_2d(np.asarray(omegas, dtype=float))
         return np.all(np.abs(om) <= self.band[None, :] * (1 + 1e-12), axis=1)
 
-    def pair(self, omegas) -> np.ndarray:
+    def pair(self, omegas):
         om = np.atleast_2d(np.asarray(omegas, dtype=float))
         if om.shape[1] != self.g.dim_N:
             raise ValueError("frequency dimension does not match the N grids")
         if om.shape[1] > 2:
             raise NotImplementedError("pairing in more than two normal-subgroup dimensions")
-        out = np.zeros((om.shape[0], self.g.h_grid.n), dtype=np.complex128)
-        rows = np.nonzero(self.in_band(om))[0]
+        rows = np.flatnonzero(self.in_band(om))
+        table = np.empty((rows.size, self.g.h_grid.n), dtype=np.complex128)
         if rows.size == 0:
-            return out
+            return rows, table
 
         # group in-band rows by their trailing frequency (axis 1 when d = 2);
-        # one GEMM contracts that axis at every group, one matmul per group follows
+        # per H block, one GEMM contracts that axis at every group and one
+        # matmul per group follows
         tails, group_of = np.unique(om[rows, 1:], axis=0, return_inverse=True)
-        arr = self.g.values
-        if tails.size:  # (n_0, tails, h)
-            arr = np.exp(2j * np.pi * np.outer(tails[:, -1], self._pts[-1])) @ arr
-        for k in range(len(tails)):
-            members = rows[group_of.ravel() == k]
-            lead = np.exp(2j * np.pi * np.outer(om[members, 0], self._pts[0]))
-            out[members] = lead @ (arr[:, k] if tails.size else arr)
-        out *= self._n_weight
-        return out
+        members = [np.flatnonzero(group_of.ravel() == k) for k in range(len(tails))]
+        leads = [
+            np.exp(2j * np.pi * np.outer(om[rows[m], 0], self._pts[0])) * self._n_weight for m in members
+        ]
+        tail = np.exp(2j * np.pi * np.outer(tails[:, -1], self._pts[-1])) if tails.size else None
+        width = max(1, _PAIR_BLOCK_BYTES // (16 * self.g.values.shape[0] * len(tails)))
+        for c in range(0, table.shape[1], width):
+            block = self.g.values[..., c : c + width]
+            block = tail @ block if tails.size else block[:, None]  # (n_0, tails, columns)
+            for k, m in enumerate(members):
+                table[m, c : c + width] = leads[k] @ block[:, k]
+        return rows, table
 
     def transform_reciprocal(self):
         """Transform of every slice on the full reciprocal grid, via the FFT.
@@ -148,16 +165,21 @@ def _orbit_map(model: GroupExtensionModel, h_grid: Grid1D, sigma0s) -> np.ndarra
 
 
 def pair_orbits(cs: CharacterSlice, dual: DualOrbitModel, sigma0s):
-    """Pairing tables of k orbits, shape (k, n, n): row s of table i pairs
-    every h-slice of g with the character at the dual parameter t_s.sigma0_i.
-    The k orbit maps come from one dual_action call and go to one pair
-    call, so the trailing N axis is contracted for all k orbits with one
-    GEMM.  The same table backs both the operator kernel (rows are the
-    kernel's left variable) and the disintegrated majorant of the norm chain
-    (columns are the slice variable).
+    """Pairing tables of k orbits, one orbit-local (rows, table) each: rows
+    lists the quotient points t_s whose dual parameter t_s.sigma0_i is in
+    band, and row r of table pairs every h-slice of g with the character at
+    t_rows[r].sigma0_i.  The k orbit maps come from one dual_action call and
+    go to one pair call, so the trailing N axis is contracted for all k
+    orbits with one GEMM per H block.  The same table backs both the
+    operator kernel (rows are the kernel's left variable) and the
+    disintegrated majorant of the norm chain (columns are the slice
+    variable).
     """
     omegas = _orbit_map(dual.group, cs.g.h_grid, sigma0s)
-    return cs.pair(omegas.reshape(-1, omegas.shape[-1])).reshape(*omegas.shape[:2], -1)
+    k, n = omegas.shape[:2]
+    rows, table = cs.pair(omegas.reshape(k * n, -1))
+    cuts = np.searchsorted(rows, n * np.arange(k + 1))
+    return [(rows[a:b] - i * n, table[a:b]) for i, (a, b) in enumerate(zip(cuts[:-1], cuts[1:]))]
 
 
 @functools.lru_cache(maxsize=8)
@@ -172,26 +194,31 @@ def _difference_index(n: int, origin_index: int):
 
 
 def kernel_from_pair_table(
-    P: np.ndarray,
+    pair,
     h_grid: Grid1D,
     delta_h: np.ndarray,
     dimension_exponent: float,
 ) -> WeightedKernel:
-    """Turn a pairing table into the operator kernel, on its nonzero rows.
+    """Turn an orbit's pairing table into the operator kernel, on its nonzero rows.
 
-    P[s, j] pairs slice j with the dual parameter of row s; the kernel entry
-    (i, m) reads the table at slice index i - m + origin, scaled by the
+    pair is (rows, table) as pair_orbits gives it: table row r pairs slice j
+    with the dual parameter of quotient point s = rows[r].  The kernel entry
+    (s, m) reads that row at slice index s - m + origin, scaled by the
     modular function at that difference.  Differences off the quotient grid
-    give zero entries.  Only the rows where P is not identically zero are
-    kept, with their weights (see the band discipline above); an orbit with
-    no row in band gives a (0, n) kernel, every norm of which is 0.  The
-    difference index of the grid is built once (_difference_index) and the
-    kept rows are gathered from P through it directly.
+    give zero entries.  Of the table's rows only those not identically zero
+    are kept, with their weights: the rows out of band are not in the table
+    at all (see the band discipline above), so the scan reads r rows, not n,
+    and an orbit with no row in band gives a (0, n) kernel, every norm of
+    which is 0.  The difference index of the grid is built once
+    (_difference_index) and the kept rows are gathered from the table
+    through it directly.
     """
+    rows, table = pair
     index, valid = _difference_index(h_grid.n, h_grid.origin_index)
-    rows = np.flatnonzero(P.any(axis=1))
+    kept = np.flatnonzero(table.any(axis=1))
+    rows = rows[kept]
     Dc = index[rows]
-    vals = P[rows[:, None], Dc] * delta_h[Dc] * valid[rows] * delta_h ** dimension_exponent
+    vals = table[kept[:, None], Dc] * delta_h[Dc] * valid[rows] * delta_h ** dimension_exponent
     w = h_grid.weights()
     return WeightedKernel(vals, w[rows], w)
 

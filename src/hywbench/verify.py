@@ -236,10 +236,10 @@ def random_fixtures(group_name: str, count: int, base_seed: int = 0):
 
 # -- the spectral record: one pairing pass per fixture --------------------------------
 
-# orbits per pair call, one trailing-axis GEMM each: on the once-refined
-# Heisenberg grids (128 x 128 N points, 256 H points) a chunk is an 8 MB
-# contracted block and a 16 MB table, where a whole transversal would add
-# about 96 MB
+# orbits per pair call, one trailing-axis GEMM per H block: on the
+# once-refined Heisenberg grids (128 x 128 N points, 256 H points) a chunk
+# is four contracted blocks of 2 MB, one after the other, and a table of at
+# most 1448 in-band rows, 5.9 MB
 _PAIR_CHUNK = 16
 
 
@@ -280,11 +280,13 @@ def spectral_record(
     """Pair every orbit of g once and reduce its kernels at every exponent.
 
     The orbits are paired 16 at a time (pair_orbits), so on Heisenberg one
-    GEMM contracts the trailing N axis for a whole chunk of orbits.  Besides
-    g, the build holds one chunk of pairing tables at a time (half of g's
-    size on the default Heisenberg grids, a quarter once refined), released before the next
-    chunk is paired, and then the one copy of g that transform_reciprocal
-    makes; the L^p masses are summed in blocks (slice_lp_mass).
+    GEMM per block of H columns contracts the trailing N axis for a whole
+    chunk of orbits.  Besides g, the build holds one chunk's in-band
+    pairing rows at a time (under a fifth of g's size on the default
+    Heisenberg grids, under a tenth once refined) and one contracted block
+    of at most 2 MB, released before the next chunk is paired, and then the
+    one copy of g that transform_reciprocal makes; the L^p masses are summed
+    in blocks (slice_lp_mass).
 
     When g is real and the transversal symmetric (an even count of points,
     the second half the first negated in reverse order: +-1 on ax+b, +-lambda
@@ -310,9 +312,9 @@ def spectral_record(
     model record does, and the H measure of the swapped form is the H
     weights times that one Delta.  Each kernel holds only the rows of its
     orbit that stay in band, so the Gram matrix and both cross norms are
-    taken from an r x n matrix; the slice mass reads the full pairing table,
-    whose out-of-band rows add exact zeros, and sums the orbits in
-    transversal order, each with its own weight.  ||g||_p is
+    taken from an r x n matrix; the slice mass reads the same in-band rows,
+    measure[rows] @ |table|^q, and sums the orbits in transversal order,
+    each with its own weight.  ||g||_p is
     taken once per exponent, and the slice ratios of every chain exponent
     read one FFT of g, taken after the last chunk of tables is released; a
     slice is dropped when its L^p mass is below 1e-9 of the largest, so a g
@@ -337,13 +339,13 @@ def spectral_record(
     extras = {p: ([], [], []) for p in chain}
     for start in range(0, len(paired), _PAIR_CHUNK):
         tables = pair_orbits(cs, dual, paired[start : start + _PAIR_CHUNK])
-        for table in tables:
-            k = kernel_from_pair_table(table, h, delta, 1.0 / qs[0])
+        for rows, table in tables:
+            k = kernel_from_pair_table((rows, table), h, delta, 1.0 / qs[0])
             if shared_gram:
                 norms = schatten_norms(weighted_operator_matrix(k), qs)
             for i, (p, q) in enumerate(zip(ps, qs)):
                 if i and not flat:  # Delta^(1/q) changes the kernel
-                    k = kernel_from_pair_table(table, h, delta, 1.0 / q)
+                    k = kernel_from_pair_table((rows, table), h, delta, 1.0 / q)
                 norm = norms[i] if shared_gram else schatten_norm(weighted_operator_matrix(k), q)
                 # numpy powers overflow to inf where a Python float raises
                 sq[p].append(np.float64(norm) ** q)
@@ -352,7 +354,7 @@ def spectral_record(
                     for side, norm in zip((direct, adjoint), cross_norm_qpq(k, p)):
                         side.append(np.float64(norm) ** q)
                     # dual-side q-mass of every slice
-                    masses.append(measure @ np.abs(table) ** q)
+                    masses.append(measure[rows] @ np.abs(table) ** q)
         del tables, table  # the chunk and a view of it: released before the next is paired
 
     def every_orbit(values):  # the paired orbits, then their mirrors in transversal order

@@ -893,8 +893,9 @@ def test_a_run_takes_each_norm_and_fft_once_per_record(monkeypatch, p, checks, c
 
 def test_a_run_holds_one_fixture_at_a_time():
     # each family samples its pool fixture by fixture and releases each one
-    # before sampling the next; a record keeps no sample, a chunk of pairing
-    # tables is half a fixture and the chain's FFT one more copy of it
+    # before sampling the next; a record keeps no sample, a chunk's in-band
+    # pairing rows are under a fifth of a fixture and the chain's FFT one
+    # more copy of it
     cfg = RunConfig(group="heisenberg", checks=("plancherel", "proof-chain")).validate()
     fixture_bytes = 16 * np.prod([g.n for g in (*cfg.grids()[0], cfg.grids()[1])])
     tracemalloc.start()

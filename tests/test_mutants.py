@@ -101,7 +101,7 @@ def no_modular_factor(kernel_from_pair_table):
 
 
 def one_slice_off(kernel_from_pair_table):
-    return lambda P, *rest: kernel_from_pair_table(np.roll(P, 1, axis=1), *rest)
+    return lambda pair, *rest: kernel_from_pair_table((pair[0], np.roll(pair[1], 1, axis=1)), *rest)
 
 
 def heaviest_row_dropped(kernel_from_pair_table):
@@ -148,12 +148,12 @@ def gram_without_conjugate(schatten_norms):
 
 
 def nan_table(pair):
-    """Every nonzero entry of the pairing table NaN; out-of-band rows stay 0."""
+    """Every nonzero entry of the in-band pairing rows NaN."""
 
     def planted(cs, omegas):
-        table = pair(cs, omegas)
+        rows, table = pair(cs, omegas)
         table[table != 0] *= np.nan
-        return table
+        return rows, table
 
     return planted
 

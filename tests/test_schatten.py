@@ -122,6 +122,15 @@ def test_schatten_rejects_bad_input():
             assert np.all(np.isnan(schatten_norms(np.array([[bad, 0.0], [0.0, 1.0]]), ps)))
 
 
+def test_a_strided_complex_matrix_has_the_norms_of_its_contiguous_copy():
+    # the transpose has no contiguous last axis to view as floats
+    a = np.arange(12.0).reshape(3, 4) + 1j
+    ps = (1.5, 2.0, 3.0, np.inf)
+    assert schatten_norms(a.T, ps) == schatten_norms(a.T.copy(), ps)
+    a[1, 2] = np.nan
+    assert np.all(np.isnan(schatten_norms(a.T, ps)))
+
+
 def test_a_failed_svd_gives_nan_norms(monkeypatch):
     def fails(*args, **kw):
         raise np.linalg.LinAlgError("SVD did not converge")

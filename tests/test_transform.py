@@ -8,6 +8,7 @@ sum_x g(x) Delta(x) w(x) rep(x) over the whole group grid.
 import numpy as np
 import pytest
 
+from hywbench import transform
 from hywbench.cli import RunConfig, run_suite
 from hywbench.grids import (
     Grid1D,
@@ -56,11 +57,22 @@ def axb_function(n=32, h=8, kind="random-bandlimited", seed=1):
     return sample(TestFunctionSpec(kind=kind, seed=seed, width_n=(0.5,), width_h=0.3), (gn,), gh, AXB)
 
 
+def dense(pair, n):
+    """The n-row pairing table that pair, (rows, table), stands for: its
+    in-band rows scattered among zero rows."""
+    rows, table = pair
+    out = np.zeros((n, table.shape[1]), dtype=np.complex128)
+    out[rows] = table
+    return out
+
+
 def test_pair_matches_naive_sum():
     f = axb_function()
     cs = CharacterSlice(f)
     omegas = np.array([[0.0], [0.7], [-1.3], [2.5]])
-    got = cs.pair(omegas)
+    rows, table = cs.pair(omegas)
+    assert np.array_equal(rows, np.arange(4))
+    got = dense((rows, table), 4)
     pts = f.n_grids[0].points()
     for r, om in enumerate(omegas[:, 0]):
         naive = (f.values * np.exp(2j * np.pi * om * pts)[:, None]).sum(axis=0) * f.n_grids[0].spacing
@@ -71,10 +83,47 @@ def test_pair_zeroes_out_of_band_rows():
     f = axb_function()
     cs = CharacterSlice(f)
     ny = f.n_grids[0].nyquist
-    out = cs.pair(np.array([[ny * 1.5], [0.3]]))
+    rows, table = cs.pair(np.array([[ny * 1.5], [0.3]]))
+    assert list(rows) == [1] and table.shape == (1, f.h_grid.n)
+    out = dense((rows, table), 2)
     assert np.all(out[0] == 0)
     assert np.abs(out[1]).max() > 0
     assert list(cs.in_band(np.array([[ny * 1.5], [0.3]]))) == [False, True]
+
+
+def test_pair_returns_exactly_the_in_band_rows_of_an_orbit_chunk():
+    """On the default Heisenberg grids the first 16 orbits keep 156 of 2048
+    rows: pair returns those rows, in order, and each matches the naive sum
+    over the N grid."""
+    f, dual = default_fixture("heisenberg")
+    cs = CharacterSlice(f)
+    params, _ = dual.transversal(default_sampling_config("heisenberg"))
+    omegas = _orbit_map(dual.group, f.h_grid, params[:16]).reshape(-1, 2)
+    rows, table = cs.pair(omegas)
+    np.testing.assert_array_equal(rows, np.flatnonzero(cs.in_band(omegas)))
+    assert table.shape == (156, f.h_grid.n) and len(omegas) == 2048
+    py, pz = (gr.points() for gr in f.n_grids)
+    w = f.n_grids[0].spacing * f.n_grids[1].spacing
+    for r in range(0, len(rows), 13):
+        mu, lam = omegas[rows[r]]
+        naive = np.einsum("yz,yzh->h", np.exp(2j * np.pi * (mu * py[:, None] + lam * pz[None, :])), f.values) * w
+        assert np.abs(table[r] - naive).max() <= 1e-13 * np.abs(table).max()
+
+
+def test_the_h_blocks_of_a_refined_chunk_give_the_bits_of_one_block(monkeypatch):
+    """Once refined, a chunk of 16 Heisenberg orbits contracts its trailing
+    axis in four blocks of 64 H columns: the table equals the one-block
+    table bit for bit."""
+    n_grids, h_grid = default_grids("heisenberg")
+    n_grids, h_grid = tuple(gr.balanced_refine() for gr in n_grids), h_grid.balanced_refine()
+    assert 16 * n_grids[0].n * 16 * h_grid.n == 4 * transform._PAIR_BLOCK_BYTES
+    cs = CharacterSlice(sample(random_fixtures("heisenberg", 1)[0], n_grids, h_grid, HEIS))
+    params, _ = HEIS_DUAL.transversal(default_sampling_config("heisenberg"))
+    blocked = pair_orbits(cs, HEIS_DUAL, params[16:32])
+    monkeypatch.setattr(transform, "_PAIR_BLOCK_BYTES", 1 << 40)
+    one_block = pair_orbits(cs, HEIS_DUAL, params[16:32])
+    for (rows, table), (rows_one, one) in zip(blocked, one_block, strict=True):
+        assert table.size and np.array_equal(rows, rows_one) and np.array_equal(table, one)
 
 
 def test_pair_rejects_wrong_dimension():
@@ -88,7 +137,7 @@ def test_transform_is_reflected_pair():
     f = axb_function(seed=3)
     cs = CharacterSlice(f)
     om = np.array([[0.4], [-1.1]])
-    got = cs.pair(-om)
+    got = dense(cs.pair(-om), 2)
     pts = f.n_grids[0].points()
     for r, w in enumerate(om[:, 0]):
         naive = (f.values * np.exp(-2j * np.pi * w * pts)[:, None]).sum(axis=0) * f.n_grids[0].spacing
@@ -108,7 +157,7 @@ def test_staged_contraction_matches_naive_2d():
     cs = CharacterSlice(f)
     # rows deliberately share trailing frequencies to exercise the grouping
     omegas = np.array([[0.3, 0.8], [-0.5, 0.8], [0.1, -1.2], [0.3, 0.8]])
-    got = cs.pair(omegas)
+    got = dense(cs.pair(omegas), 4)
     py, pz = gy.points(), gz.points()
     w = gy.spacing * gz.spacing
     for r, (mu, lam) in enumerate(omegas):
@@ -122,7 +171,7 @@ def test_reciprocal_transform_matches_direct():
     f = axb_function(seed=5)
     cs = CharacterSlice(f)
     rgrids, vals = cs.transform_reciprocal()
-    direct = cs.pair(-rgrids[0].points()[:, None])
+    direct = dense(cs.pair(-rgrids[0].points()[:, None]), rgrids[0].n)
     np.testing.assert_allclose(vals, direct, atol=1e-12)
 
 
@@ -140,7 +189,7 @@ def test_reciprocal_transform_matches_direct_2d():
     rgrids, vals = cs.transform_reciprocal()
     oy, oz = rgrids[0].points(), rgrids[1].points()
     omegas = np.stack(np.meshgrid(oy, oz, indexing="ij"), axis=-1).reshape(-1, 2)
-    direct = cs.pair(-omegas).reshape(len(oy), len(oz), gx.n)
+    direct = dense(cs.pair(-omegas), len(omegas)).reshape(len(oy), len(oz), gx.n)
     np.testing.assert_allclose(vals, direct, atol=1e-12)
 
 
@@ -256,7 +305,8 @@ def test_translation_along_n_is_the_induced_representation(group, shifts, stride
         for steps in shifts:
             x = GroupElement([s * gr.spacing for s, gr in zip(steps, n_grids)], 0.0)
             moved = pair_orbits(CharacterSlice(shifted_along_n(g, steps)), dual, params)
-            for sigma0, table, got in zip(params, tables, moved):
+            for sigma0, pair, pair_moved in zip(params, tables, moved):
+                table, got = dense(pair, h_grid.n), dense(pair_moved, h_grid.n)
                 want = induced_rep_matrix(model, sigma0, x, h_grid) @ table
                 assert np.abs(got - want).max() <= rel * np.abs(table).max(), (spec.kind, steps)
 
@@ -446,9 +496,10 @@ def test_kernel_keeps_only_the_nonzero_rows_and_every_norm():
     and cross norms are those of the zero-padded n x n kernel."""
     f, dual = default_fixture("heisenberg")
     h, i0 = f.h_grid, f.h_grid.origin_index
-    (P,) = pair_orbits(CharacterSlice(f), dual, [np.array([0.0, 1.5])])
+    (pair,) = pair_orbits(CharacterSlice(f), dual, [np.array([0.0, 1.5])])
     delta = modular_on_grid(HEIS, h)
-    k = kernel_from_pair_table(P, h, delta, 0.0)
+    k = kernel_from_pair_table(pair, h, delta, 0.0)
+    P = dense(pair, h.n)
     full = np.zeros((h.n, h.n), dtype=np.complex128)
     for i in range(h.n):
         for m in range(h.n):
@@ -499,15 +550,16 @@ def test_orbits_with_no_row_in_band_give_empty_kernels():
 @pytest.mark.parametrize("group_name", ["axb", "heisenberg"])
 def test_pair_orbits_matches_one_pair_call_per_orbit(group_name):
     """Pairing every orbit of the transversal in one call (one trailing-axis
-    GEMM on Heisenberg) gives each orbit the table of its own pair call, to
-    roundoff, with the same nonzero rows."""
+    GEMM on Heisenberg) gives each orbit the rows and table of its own pair
+    call, the table to roundoff, with the same nonzero rows."""
     f, dual = default_fixture(group_name)
     cs = CharacterSlice(f)
     params, _ = dual.transversal(default_sampling_config(group_name))
     omegas, tables = _orbit_map(dual.group, f.h_grid, params), pair_orbits(cs, dual, params)
-    assert tables.shape == (len(params), f.h_grid.n, f.h_grid.n)
-    for om, table in zip(omegas, tables):
-        alone = cs.pair(om)
+    assert len(tables) == len(params)
+    for om, (rows, table) in zip(omegas, tables):
+        rows_alone, alone = cs.pair(om)
+        np.testing.assert_array_equal(rows, rows_alone)
         assert np.abs(table - alone).max() <= 1e-12 * np.abs(alone).max()
         np.testing.assert_array_equal(table.any(axis=1), alone.any(axis=1))
 
@@ -535,16 +587,19 @@ def test_a_chunk_of_orbits_all_out_of_band_gives_empty_kernels():
     f = sample(random_fixtures("heisenberg", 1)[0], n_grids, h_grid, HEIS)
     params, _ = HEIS_DUAL.transversal(default_sampling_config("heisenberg"))
     tables = pair_orbits(CharacterSlice(f), HEIS_DUAL, params[:16])
-    assert tables.shape == (16, h_grid.n, h_grid.n) and not tables.any()
+    assert len(tables) == 16
     delta = modular_on_grid(HEIS, h_grid)
-    for table in tables:
-        assert kernel_from_pair_table(table, h_grid, delta, 0.5).values.shape == (0, h_grid.n)
+    for rows, table in tables:
+        assert rows.shape == (0,) and table.shape == (0, h_grid.n)
+        assert kernel_from_pair_table((rows, table), h_grid, delta, 0.5).values.shape == (0, h_grid.n)
 
 
-def take_along_axis_kernel(P, h_grid, delta_h, exponent):
+def take_along_axis_kernel(pair, h_grid, delta_h, exponent):
     """The kernel values as the gather built them before the shared
-    difference index: the reference the new gather must equal bit for bit."""
+    difference index, from the dense n-row table: the reference the
+    gather from the in-band rows must equal bit for bit."""
     n, i0 = h_grid.n, h_grid.origin_index
+    P = dense(pair, n)
     rows = np.flatnonzero(P.any(axis=1))
     D = rows[:, None] - np.arange(n)[None, :] + i0
     valid = (D >= 0) & (D < n)
@@ -564,7 +619,7 @@ def test_the_kernel_gather_keeps_the_bits_of_the_take_along_axis_formula(group_n
     params, _ = dual.transversal(default_sampling_config(group_name))
     delta = modular_on_grid(model, h)
     for table in pair_orbits(CharacterSlice(f), dual, params[::8]):
-        assert table.any()
+        assert table[1].any()
         for exponent in (0.0, 1 / 3, 0.5):
             k = kernel_from_pair_table(table, h, delta, exponent)
             assert np.array_equal(k.values, take_along_axis_kernel(table, h, delta, exponent))
@@ -576,7 +631,7 @@ def test_the_kernel_gather_keeps_the_bits_on_an_orbit_with_no_row_in_band():
     params, _ = HEIS_DUAL.transversal(default_sampling_config("heisenberg"))
     (table,) = pair_orbits(CharacterSlice(f), HEIS_DUAL, params[:1])
     delta = modular_on_grid(HEIS, h_grid)
-    assert not table.any()
+    assert table[1].shape == (0, h_grid.n)
     for exponent in (0.0, 1 / 3, 0.5):
         k = kernel_from_pair_table(table, h_grid, delta, exponent)
         assert k.values.shape == (0, h_grid.n)

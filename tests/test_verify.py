@@ -544,7 +544,7 @@ def test_a_real_fixture_mirrors_each_orbit_bit_for_bit(group):
         record = spectral_record(g, dual, (2.0,), cfg, chain=(1.5,))
         direct, adjoint, *_ = record.chain[1.5]
         chunks = range(0, len(params), _PAIR_CHUNK)
-        tables = np.concatenate([pair_orbits(cs, dual, params[s : s + _PAIR_CHUNK]) for s in chunks])
+        tables = [table for s in chunks for table in pair_orbits(cs, dual, params[s : s + _PAIR_CHUNK])]
         for i, table in enumerate(tables):
             for p in (1.5, 2.0):
                 q = conjugate_exponent(p)
