@@ -255,13 +255,16 @@ def slice_lp_mass(values: np.ndarray, n_grids, p: float) -> np.ndarray:
     power of the L^p norm of each slice over the N grids.
 
     The sum runs over blocks of _LP_ROWS rows, so no temporary of the size
-    of values is made.  Each block starts from the running sum, so the rows
-    are added in the same order, and to the same bits, as one sum over all
-    of them."""
+    of values is made, and each block's |values|^p w_N is one buffer, raised
+    and weighted in place.  Each block starts from the running sum, so the
+    rows are added in the same order, and to the same bits, as one sum over
+    all of them."""
     rows, weight = values.reshape(-1, values.shape[-1]), cell_weight(n_grids)
     mass = np.zeros(rows.shape[1])
     for start in range(0, len(rows), _LP_ROWS):
-        block = np.abs(rows[start : start + _LP_ROWS]) ** p * weight
+        block = np.abs(rows[start : start + _LP_ROWS])
+        block **= p  # the in-place form of ** p: the same bits, also at p = 2
+        block *= weight
         block[0] += mass
         mass = block.sum(axis=0)
     return mass

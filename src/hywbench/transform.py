@@ -32,6 +32,8 @@ orbit, so one pair call contracts the trailing N axis for every orbit of the
 chunk with a single GEMM per block of H columns.  A block's contracted
 output is at most _PAIR_BLOCK_BYTES (2 MB): one block on the default
 Heisenberg grids, four once refined, and the blocks give the bits of one.
+The FFT of the norm chain (transform_reciprocal) runs over H blocks of the
+same budget, and h_blocks is the one definition of both blockings.
 The ax+b group has no trailing axis; its two orbits share one call.  For a
 real g on a symmetric transversal only the first half of the orbits is
 paired: the dual action is linear, so the table at -sigma is the conjugate
@@ -70,10 +72,24 @@ __all__ = [
 ]
 
 
-# bytes of one H block of pair's trailing-axis contraction, its complex
-# (n_0, tails, columns) output: a chunk of 16 orbits is one block on the
-# default Heisenberg grids and four once refined
+# bytes of one H block: of pair's trailing-axis contraction, its complex
+# (n_0, tails, columns) output (a chunk of 16 orbits is one block on the
+# default Heisenberg grids and four once refined), and of an FFT block of
+# transform_reciprocal (32 columns on the default Heisenberg grids, 8 once
+# refined)
 _PAIR_BLOCK_BYTES = 2 << 20
+
+
+def h_blocks(n: int, column_bytes: int):
+    """Slices of the n H columns in consecutive blocks of
+    _PAIR_BLOCK_BYTES // column_bytes columns, but at least two, and never
+    one column alone unless n is 1: a last single column joins the block
+    before it.  numpy sums a one-column block over its rows in pairwise
+    order, not row by row, so the slice masses of the chain would move in
+    the last bits; from two columns on they are those of one full-width
+    block."""
+    starts = list(range(0, max(n - 1, 1), max(2, _PAIR_BLOCK_BYTES // column_bytes)))
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 class CharacterSlice:
@@ -127,24 +143,27 @@ class CharacterSlice:
             np.exp(2j * np.pi * np.outer(om[rows[m], 0], self._pts[0])) * self._n_weight for m in members
         ]
         tail = np.exp(2j * np.pi * np.outer(tails[:, -1], self._pts[-1])) if tails.size else None
-        width = max(1, _PAIR_BLOCK_BYTES // (16 * self.g.values.shape[0] * len(tails)))
-        for c in range(0, table.shape[1], width):
-            block = self.g.values[..., c : c + width]
+        for cols in h_blocks(table.shape[1], 16 * self.g.values.shape[0] * len(tails)):
+            block = self.g.values[..., cols]
             block = tail @ block if tails.size else block[:, None]  # (n_0, tails, columns)
             for k, m in enumerate(members):
-                table[m, c : c + width] = leads[k] @ block[:, k]
+                table[m, cols] = leads[k] @ block[:, k]
         return rows, table
 
-    def transform_reciprocal(self):
-        """Transform of every slice on the full reciprocal grid, via the FFT.
+    def transform_reciprocal(self, cols=slice(None)):
+        """Transform of every slice in the H columns cols (all of them by
+        default) on the full reciprocal grid, via the FFT.
 
-        Returns (reciprocal grids, values) with values indexed like g but with
-        each N axis replaced by its reciprocal grid.  values is the one copy
-        of g made here: the phases and every FFT are applied to it in place,
-        so no further array of g's size is held (the result is bit-identical
-        to the out-of-place products).
+        Returns (reciprocal grids, values) with values indexed like
+        g.values[..., cols] but with each N axis replaced by its reciprocal
+        grid.  values is the one copy of those columns made here: the phases
+        and every FFT are applied to it in place, so no further array of its
+        size is held (the result is bit-identical to the out-of-place
+        products).  Each slice is transformed on its own, so a block of
+        columns gives the bits of the same columns of the full transform;
+        spectral_record transforms g one h_blocks block at a time.
         """
-        vals = np.array(self.g.values, dtype=np.complex128, copy=True)
+        vals = np.array(self.g.values[..., cols], dtype=np.complex128, copy=True)
         grids = []
         for ax, gr in enumerate(self.g.n_grids):
             rgrid = gr.reciprocal()

@@ -55,7 +55,7 @@ from .schatten import (
     schatten_norms,
     weighted_operator_matrix,
 )
-from .transform import CharacterSlice, induced_rep_matrix, kernel_from_pair_table, pair_orbits
+from .transform import CharacterSlice, h_blocks, induced_rep_matrix, kernel_from_pair_table, pair_orbits
 
 __all__ = [
     "TOLERANCES",
@@ -284,9 +284,9 @@ def spectral_record(
     chunk of orbits.  Besides g, the build holds one chunk's in-band
     pairing rows at a time (under a fifth of g's size on the default
     Heisenberg grids, under a tenth once refined) and one contracted block
-    of at most 2 MB, released before the next chunk is paired, and then the
-    one copy of g that transform_reciprocal makes; the L^p masses are summed
-    in blocks (slice_lp_mass).
+    of at most 2 MB, released before the next chunk is paired; the chain's
+    FFT then holds one block of H columns of at most 2 MB (h_blocks), never
+    a copy of g, and the L^p masses are summed in blocks (slice_lp_mass).
 
     When g is real and the transversal symmetric (an even count of points,
     the second half the first negated in reverse order: +-1 on ax+b, +-lambda
@@ -316,9 +316,11 @@ def spectral_record(
     measure[rows] @ |table|^q, and sums the orbits in transversal order,
     each with its own weight.  ||g||_p is
     taken once per exponent, and the slice ratios of every chain exponent
-    read one FFT of g, taken after the last chunk of tables is released; a
-    slice is dropped when its L^p mass is below 1e-9 of the largest, so a g
-    with no mass has no ratios.
+    read one FFT of g, taken after the last chunk of tables is released,
+    block by block of H columns: each block's q-masses are written for
+    every chain exponent before the block is released, and they are those
+    of one full transform bit for bit; a slice is dropped when its L^p mass
+    is below 1e-9 of the largest, so a g with no mass has no ratios.
     """
     chain = {float(p) for p in chain}
     ps = sorted({float(p) for p in ps} | chain)
@@ -360,19 +362,23 @@ def spectral_record(
     def every_orbit(values):  # the paired orbits, then their mirrors in transversal order
         return values + values[::-1][: len(params) - len(paired)]
 
-    if chain:
-        rgrids, transformed = cs.transform_reciprocal()
+    num = {p: np.empty(h.n) for p in chain}
+    if chain:  # one FFT block of H columns at a time, never a full copy of g
+        for cols in h_blocks(h.n, 16 * g.values[..., 0].size):
+            rgrids, block = cs.transform_reciprocal(cols)
+            for p in chain:  # the dual-side q-mass of every slice in the block
+                num[p][cols] = slice_lp_mass(block, rgrids, conjugate_exponent(p))
+            del block  # released before the next block is transformed
     for p, (direct, adjoint, masses) in extras.items():
         q = conjugate_exponent(p)
         slice_mass = np.zeros(h.n)
         for weight, m in zip(nu, every_orbit(masses)):  # row s contributing its orbit weight
             slice_mass += weight * m
         v3 = float((measure @ slice_mass ** (p / q)) ** (q / p))  # the swapped iterated form
-        num = slice_lp_mass(transformed, rgrids, q) ** (1 / q)
         den = slice_lp_mass(g.values, g.n_grids, p) ** (1 / p)
         keep = den > 1e-9 * den.max()
         direct, adjoint = np.array(every_orbit(direct)), np.array(every_orbit(adjoint))
-        extras[p] = (direct, adjoint, v3, num[keep] / den[keep])
+        extras[p] = (direct, adjoint, v3, num[p][keep] ** (1 / q) / den[keep])
     return SpectralRecord(
         np.asarray(nu),
         {p: lp_norm_G(g, p) for p in ps},

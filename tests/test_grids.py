@@ -141,18 +141,34 @@ def record(g):
     return spectral_record(g, HEIS_DUAL, (1.5, 2.0), default_sampling_config("heisenberg"))
 
 
-# measured: sample 1.08, the record 0.59 on the default grids and 0.19 once
-# refined, where one chunk's in-band rows are a smaller share of g
+def chain_record(g):
+    return spectral_record(g, HEIS_DUAL, (1.5, 2.0), default_sampling_config("heisenberg"), chain=(1.5,))
+
+
+# measured: sample 1.08, lp_norm_G 0.25 (one block of |values|^p), the record
+# 0.59 on the default grids and 0.19 once refined, where one chunk's in-band
+# rows are a smaller share of g, and the chain record the same: its FFT holds
+# one block of H columns at a time
 @pytest.mark.parametrize(
     "call, refinements, bound",  # bound: traced peak over the fixture's bytes
     [
         (lambda g: sample(g.spec, g.n_grids, g.h_grid, HEIS), 0, 1.1),  # the result counts
-        (lambda g: lp_norm_G(g, 1.5), 0, 0.5),
+        (lambda g: lp_norm_G(g, 1.5), 0, 0.3),
         (lambda g: CharacterSlice(g).transform_reciprocal(), 0, 1.5),  # its one copy counts
         (record, 0, 0.7),
         (record, 1, 0.25),
+        (chain_record, 0, 0.7),
+        (chain_record, 1, 0.25),
     ],
-    ids=["sample", "lp_norm_G", "transform_reciprocal", "spectral_record", "spectral_record_refined"],
+    ids=[
+        "sample",
+        "lp_norm_G",
+        "transform_reciprocal",
+        "spectral_record",
+        "spectral_record_refined",
+        "chain_record",
+        "chain_record_refined",
+    ],
 )
 def test_builds_no_full_size_temporary(call, refinements, bound):
     spec = random_fixtures("heisenberg", 1)[0]

@@ -217,6 +217,27 @@ def test_reciprocal_transform_is_bit_identical_to_the_out_of_place_formula(group
     assert np.array_equal(g.values, values)  # g itself is left alone
 
 
+def test_h_blocks_cover_the_columns_in_order_and_never_one_alone():
+    for n in (1, 2, 3, 33, 34, 128):
+        for column_bytes in (1, 1 << 16, 3 << 18, 1 << 20, 1 << 30):
+            blocks = transform.h_blocks(n, column_bytes)
+            assert np.array_equal(np.concatenate([np.arange(n)[b] for b in blocks]), np.arange(n))
+            widths = [b.stop - b.start for b in blocks]
+            assert min(widths) >= min(n, 2)
+            assert max(widths) <= max(2, transform._PAIR_BLOCK_BYTES // column_bytes) + 1
+    assert transform.h_blocks(33, 1 << 16) == [slice(0, 33)]  # 32 columns a block, and the 33rd
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 32])
+def test_a_column_block_of_the_reciprocal_transform_is_those_columns_bit_for_bit(width):
+    (spec,) = random_fixtures("heisenberg", 1, base_seed=3)
+    g = sample(spec, *default_grids("heisenberg"), HEIS)
+    rgrids, full = CharacterSlice(g).transform_reciprocal()
+    for c in range(0, g.h_grid.n, width):
+        block_grids, block = CharacterSlice(g).transform_reciprocal(slice(c, c + width))
+        assert block_grids == rgrids and np.array_equal(block, full[..., c : c + width])
+
+
 def test_formal_dimension_values():
     gh = Grid1D(-2.0, 2.0, 8)
     np.testing.assert_allclose(modular_on_grid(AXB, gh), np.exp(-gh.points()))

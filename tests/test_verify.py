@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from hywbench import verify
+from hywbench import transform, verify
 from hywbench.grids import lp_norm_G, make_grids, modular_on_grid, sample, slice_lp_mass
 from hywbench.groups import make_group
 from hywbench.schatten import (
@@ -625,6 +625,28 @@ def test_record_carries_each_exponents_norm_and_slice_ratios():
         (bound,) = [r for r in results if r.name == "proof-chain:slice-bound"]
         assert bound.lhs == reference.max()
         assert check_gaussian_extremality(record, model, p).rhs == reference.min()
+
+
+@pytest.mark.parametrize("refined, budget", [(True, None), (False, 1)], ids=["refined", "two_columns"])
+def test_the_blocked_chain_fft_gives_the_ratios_of_one_full_fft(monkeypatch, refined, budget):
+    # spectral_record transforms g one block of H columns at a time; the
+    # ratios are those of one full transform_reciprocal, bit for bit: once
+    # refined in 32 blocks of 8 columns, and with a 1-byte budget in blocks
+    # of two, the floor (numpy sums a one-column block in another order)
+    model, dual = make_group("heisenberg")
+    n_grids, h_grid = default_grids("heisenberg")
+    if refined:
+        n_grids, h_grid = tuple(gr.balanced_refine() for gr in n_grids), h_grid.balanced_refine()
+    if budget:
+        monkeypatch.setattr(transform, "_PAIR_BLOCK_BYTES", budget)
+    g = sample(random_fixtures("heisenberg", 1)[0], n_grids, h_grid, model)
+    blocks = transform.h_blocks(h_grid.n, 16 * g.values[..., 0].size)
+    assert [b.stop - b.start for b in blocks] == ([8] * 32 if refined else [2] * 64)
+    ps = (1.2, 1.5)
+    record = spectral_record(g, dual, ps, default_sampling_config("heisenberg"), chain=ps)
+    for p in ps:
+        *_, ratios = record.chain[p]
+        assert ratios.size and np.array_equal(ratios, reference_slice_ratios(g, p))
 
 
 @pytest.mark.parametrize("group", ["axb", "heisenberg"])
